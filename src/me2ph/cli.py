@@ -48,8 +48,6 @@ def cmd_convert(args) -> int:
         rep, tol = _load_me(args.input)
     except _CliInputError as exc:
         return _fail("input", str(exc), EXIT_INPUT)
-    if args.tol is not None:
-        tol = tol.replace(equivalence_rel=args.tol)
     try:
         ph, report = convert(
             rep,
@@ -175,8 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--paper-bounds", action="store_true",
                    help="substitute the published rounded constants of the bundled "
                         "regression example for the computed bounds")
-    c.add_argument("--tol", type=float, default=None, help="equivalence tolerance override")
-    c.add_argument("--seed", type=int, default=0, help="seed for sampling-based checks")
     c.add_argument("--max-order", type=int, default=10_000_000,
                    help="abort if the final order would exceed this")
     c.set_defaults(func=cmd_convert)

@@ -23,6 +23,7 @@ from .spectral import SpectralData, check_dec
 __all__ = [
     "FEBlock",
     "MonocyclicRep",
+    "chain_generator",
     "fe_block_for",
     "build_generator",
     "solve_transformation_matrix",
@@ -132,6 +133,20 @@ def fe_block_for(eigenvalue: complex, lambda1: float,
     return block
 
 
+def chain_generator(blocks) -> np.ndarray:
+    """Dense generator of the blocks chained in order: each block's exit
+    feeds the first state of the next, the last block's exit absorbs."""
+    u = sum(blk.b for blk in blocks)
+    G = np.zeros((u, u))
+    at = 0
+    for blk in blocks:
+        G[at : at + blk.b, at : at + blk.b] = blk.matrix()
+        at += blk.b
+        if at < u:
+            G[at - 1, at] = blk.exit_rate
+    return G
+
+
 @dataclass(frozen=True, eq=False)
 class MonocyclicRep:
     """Chained feedback-Erlang blocks plus an initial vector over their states.
@@ -173,15 +188,7 @@ class MonocyclicRep:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        u = self.order
-        G = np.zeros((u, u))
-        at = 0
-        for i, blk in enumerate(self.blocks):
-            G[at : at + blk.b, at : at + blk.b] = blk.matrix()
-            at += blk.b
-            if at < u:
-                G[at - 1, at] = blk.exit_rate
-        return G
+        return chain_generator(self.blocks)
 
     @property
     def exit_vector(self) -> np.ndarray:

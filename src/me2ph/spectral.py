@@ -146,7 +146,12 @@ def analyze_spectrum(rep: MERep, tol: ToleranceConfig = DEFAULT_TOL) -> Spectral
         for j in range(1, mult + 1):
             slots.append((ev, j))
     n = len(slots)
-    M = _coefficient_matrix(slots, n)
+    try:
+        M = _coefficient_matrix(slots, n)
+    except OverflowError as exc:
+        raise NumericError(
+            f"analyze_spectrum: derivative powers of the {n} eigenvalue slots overflow"
+        ) from exc
     rhs = derivatives_at_zero(rep, n).astype(complex)
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > 1e13:

@@ -10,12 +10,10 @@ bound ``|e^z - (1+z/n)^n| <= r^2 e^r / (2n)`` for ``|z| <= r``.
 """
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from scipy.special import gammainc, gammaln, roots_legendre
 
@@ -26,7 +24,7 @@ from .errors import (
     NumericError,
     PositiveDensityError,
 )
-from .monocyclic import FEBlock, MonocyclicRep
+from .monocyclic import FEBlock, MonocyclicRep, chain_generator
 
 __all__ = [
     "BoundsReport",
@@ -39,9 +37,6 @@ __all__ = [
     "phrep_cdf_grid",
     "to_dense",
 ]
-
-_GL_NODES = 96
-_GLX, _GLW = roots_legendre(_GL_NODES)
 
 
 @dataclass(frozen=True)
@@ -132,15 +127,28 @@ class PHRep:
     @cached_property
     def matrix(self) -> np.ndarray:
         """Dense body generator (feedback-Erlang blocks only)."""
-        u = self.u
-        G = np.zeros((u, u))
-        at = 0
-        for blk in self.blocks:
-            G[at : at + blk.b, at : at + blk.b] = blk.matrix()
-            at += blk.b
-            if at < u:
-                G[at - 1, at] = blk.exit_rate
-        return G
+        return chain_generator(self.blocks)
+
+
+_LOG_RATE_LIMIT = math.log(1e15)
+
+
+def _log_rates(gn: float, g: float, tau: float, eps1: float,
+               eps2: float) -> tuple[float, float]:
+    """``(log lambda', log lambda'')``: the certified rates that keep the head
+    block and the sampled tail weights positive."""
+    log_lp = math.log(gn) + 2 * math.log(g * tau) + g * tau - math.log(2 * eps1 * tau)
+    log_lpp = math.log(gn) + g * tau + math.log(tau) + 3 * math.log(g) - math.log(2 * eps2)
+    return log_lp, log_lpp
+
+
+def _check_rates(log_lp: float, log_lpp: float) -> None:
+    if max(log_lp, log_lpp) > _LOG_RATE_LIMIT:
+        raise NumericError(
+            "compute_bounds: certified tail rate exceeds 1e15; the representation "
+            "is numerically out of reach",
+            detail={"log_lambda_prime": log_lp, "log_lambda_dprime": log_lpp},
+        )
 
 
 def _log_rate_cost(density, tau: float, g: float, gn: float,
@@ -150,10 +158,7 @@ def _log_rate_cost(density, tau: float, g: float, gn: float,
     density_floor = float(np.min(density(xs)))
     if density_floor <= 0:
         return math.inf
-    eps2 = 0.9 * density_floor
-    log_lp = math.log(gn) + 2 * math.log(g * tau) + g * tau - math.log(2 * eps1 * tau)
-    log_lpp = math.log(gn) + g * tau + math.log(tau) + 3 * math.log(g) - math.log(2 * eps2)
-    return max(log_lp, log_lpp)
+    return max(_log_rates(gn, g, tau, eps1, 0.9 * density_floor))
 
 
 def find_tau(mono: MonocyclicRep, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -243,6 +248,8 @@ def compute_bounds(
             "tau must come from find_tau"
         )
     e1 = float(eps1) if eps1 is not None else e1_computed
+    # lambda' needs no density values: reject it before building the eps2 grid
+    _check_rates(*_log_rates(gn, g, tau, e1, math.inf))
 
     if eps2 is not None:
         e2 = float(eps2)
@@ -260,14 +267,8 @@ def compute_bounds(
                 f"{vals.min():.3e}); an Erlang factor may need splitting off first"
             )
 
-    log_lp = math.log(gn) + 2 * math.log(g * tau) + g * tau - math.log(2 * e1 * tau)
-    log_lpp = math.log(gn) + g * tau + math.log(tau) + 3 * math.log(g) - math.log(2 * e2)
-    if max(log_lp, log_lpp) > math.log(1e15):
-        raise NumericError(
-            "compute_bounds: certified tail rate exceeds 1e15; the representation "
-            "is numerically out of reach",
-            detail={"log_lambda_prime": log_lp, "log_lambda_dprime": log_lpp},
-        )
+    log_lp, log_lpp = _log_rates(gn, g, tau, e1, e2)
+    _check_rates(log_lp, log_lpp)
     lp = math.exp(log_lp)
     lpp = math.exp(log_lpp)
     rate = max(lp, lpp)
@@ -355,207 +356,197 @@ def append_tail(mono: MonocyclicRep, bounds: BoundsReport,
 
 # ---------------------------------------------------------------------------
 # structured evaluation
+#
+# Every path through a PHRep makes a Poisson number of jumps: the tail at
+# rate ``tail_lambda``, and the prefix and body (the "slow chain") once they
+# are uniformized at their largest rate.  So pdf and cdf are windowed Poisson
+# sums of nonnegative jump-count sequences.  Where a path crosses from one
+# rate to the other, the two parts meet in a convolution done by quadrature.
+
+_GL_NODES = 96
+_GLX, _GLW = roots_legendre(_GL_NODES)
+# Poisson terms per vectorized step; bounds the working memory of one call
+_CHUNK = 1 << 16
+_MAX_JUMPS = 10_000_000
+_PANEL_SPAN = 16.0
 
 
-class _EvalState:
-    """Cached machinery for evaluating one PHRep: the body generator, the
-    order-indexed weights, and an ODE dense solution for the head density."""
+def _window(c):
+    """Jump counts ``[lo, hi]`` outside of which Poisson(c) has negligible mass.
 
-    def __init__(self, ph: PHRep):
-        self.ph = ph
-        self.G = ph.matrix
-        self.exit = -(self.G @ np.ones(ph.u))
-        n = ph.tail_n
-        # weight_by_order[m-1] pairs with an Erlang(m, rate) absorption path
-        self.weight_by_order = ph.tail_weights[::-1].copy() if n else np.zeros(0)
-        self.cum_weights = np.concatenate([[0.0], np.cumsum(self.weight_by_order)])
-        self.head_mass = float(ph.head_gamma.sum())
-        if n:
-            rate = ph.tail_lambda
-            spread = max(16.0 * math.sqrt(n), 60.0)
-            self.r_lo = max(0.0, (n - spread) / rate)
-            self.r_hi = (n + spread) / rate
-        self._sol = None
-        self._sol_hi = 0.0
-
-    def _ensure_head_solution(self, hi: float):
-        hi = max(hi, 1e-6)
-        if self._sol is not None and hi <= self._sol_hi:
-            return
-        hi = hi * 1.25 + 1.0
-        y0 = np.concatenate([self.ph.head_gamma, [0.0]])
-
-        def rhs(t, y):
-            yv = y[:-1]
-            return np.concatenate([yv @ self.G, [yv @ self.exit]])
-
-        # the absolute floor must sit above the 1e-16-scale coupling noise of
-        # the O(1) components, or step control collapses as fast modes decay
-        sol = solve_ivp(rhs, (0.0, hi), y0, method="DOP853",
-                        dense_output=True, rtol=1e-12, atol=1e-14)
-        if not sol.success:
-            raise NumericError(f"PHRep evaluation: head propagation failed: {sol.message}")
-        self._sol = sol
-        self._sol_hi = hi
-
-    def head_density(self, v: np.ndarray) -> np.ndarray:
-        """Defective density of absorption from the head states."""
-        if self.head_mass <= 0:
-            return np.zeros_like(v)
-        self._ensure_head_solution(float(np.max(v, initial=0.0)))
-        ys = self._sol.sol(np.asarray(v, dtype=float))
-        return self.exit @ ys[:-1]
-
-    def head_cumulative(self, v: np.ndarray) -> np.ndarray:
-        """Mass absorbed from the head states by time ``v``."""
-        if self.head_mass <= 0:
-            return np.zeros_like(v)
-        self._ensure_head_solution(float(np.max(v, initial=0.0)))
-        return self._sol.sol(np.asarray(v, dtype=float))[-1]
-
-
-_EVAL_CACHE: "weakref.WeakKeyDictionary[PHRep, _EvalState]" = weakref.WeakKeyDictionary()
-
-
-def _state(ph: PHRep) -> _EvalState:
-    st = _EVAL_CACHE.get(ph)
-    if st is None:
-        st = _EvalState(ph)
-        _EVAL_CACHE[ph] = st
-    return st
-
-
-def _gl_panel(lo: float, hi: float):
-    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-    return mid + half * _GLX, half * _GLW
-
-
-def _erlang_logpdf(m, rate: float, x):
-    """Log density of an Erlang mixture component; -inf where it vanishes."""
-    m = np.asarray(m, dtype=float)
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(
-            x > 0,
-            math.log(rate) + (m - 1) * np.log(np.maximum(rate * x, 1e-300))
-            - rate * x - gammaln(m),
-            np.where(m == 1.0, math.log(rate), -np.inf),
-        )
-    return out
-
-
-def _tail_mixture_batch(st: _EvalState, xs: np.ndarray) -> np.ndarray:
-    """Weighted Erlang-density mixture, restricted to the orders that matter."""
-    n, rate = st.ph.tail_n, st.ph.tail_lambda
-    out = np.zeros(xs.shape)
-    if n == 0:
-        return out
-    at_zero = xs == 0.0
-    out[at_zero] = st.weight_by_order[0] * rate
-    pos = np.flatnonzero(xs > 0)
-    if pos.size == 0:
-        return out
-    if n <= 4000:
-        m = np.arange(1, n + 1, dtype=float)
-        logs = _erlang_logpdf(m[:, None], rate, xs[pos][None, :])
-        with np.errstate(over="ignore"):
-            out[pos] = st.weight_by_order @ np.exp(logs)
-        return out
-    for i in pos:
-        x = float(xs[i])
-        c = rate * x
-        half = 40.0 * math.sqrt(c) + 60.0
-        m_lo = max(1, int(c - half))
-        m_hi = min(n, int(c + half) + 1)
-        if m_lo > n:
-            continue
-        m = np.arange(m_lo, m_hi + 1, dtype=float)
-        logs = _erlang_logpdf(m, rate, x)
-        top = logs.max()
-        if top == -np.inf:
-            continue
-        out[i] = np.exp(top) * float(
-            (st.weight_by_order[m_lo - 1 : m_hi] * np.exp(logs - top)).sum()
-        )
-    return out
-
-
-def _head_correction_batch(st: _EvalState, xs: np.ndarray) -> np.ndarray:
-    """Density contribution of paths through the head states (plus the full
-    tail when one is present)."""
-    ph = st.ph
-    out = np.zeros(xs.shape)
-    if st.head_mass <= 0:
-        return out
-    if ph.tail_n == 0:
-        return st.head_density(xs)
-    lo = np.maximum(0.0, xs - st.r_hi)
-    hi = np.maximum(0.0, xs - st.r_lo)
-    live = np.flatnonzero(hi > lo)
-    if live.size == 0:
-        return out
-    mid = (lo[live] + hi[live]) / 2.0
-    half = (hi[live] - lo[live]) / 2.0
-    nodes = mid[:, None] + half[:, None] * _GLX[None, :]
-    dens = st.head_density(nodes.ravel()).reshape(nodes.shape)
-    kern = np.exp(_erlang_logpdf(float(ph.tail_n), ph.tail_lambda,
-                                 xs[live][:, None] - nodes))
-    out[live] = half * ((_GLW[None, :] * dens * kern).sum(axis=1))
-    return out
-
-
-def _inner_pdf_batch(st: _EvalState, xs: np.ndarray) -> np.ndarray:
-    return _tail_mixture_batch(st, xs) + _head_correction_batch(st, xs)
-
-
-def _prefix_panels(st: _EvalState, x: float, kernel_span: float):
-    """Integration panels for the prefix convolution.
-
-    The inner density has short-scale features (low-order Erlang terms) on
-    ``[0, ~80/rate]``; that region gets its own panel whenever the kernel
-    window reaches it.
+    ``c -/+ (10 sqrt(c) + 25)``: ten standard deviations for large ``c``, in
+    the spirit of the Fox & Glynn (1988) truncation bounds, and at least 25
+    jumps for small ``c``.
     """
-    lo = max(0.0, x - kernel_span)
-    panels = []
-    if st.ph.tail_n:
-        cut = min(x, 80.0 / st.ph.tail_lambda)
-        if lo < cut:
-            panels.append((lo, cut))
-            lo = cut
-    if lo < x:
-        panels.append((lo, x))
-    return panels
+    c = np.asarray(c, dtype=float)
+    half = 10.0 * np.sqrt(c) + 25.0
+    return np.maximum(np.floor(c - half), 0.0).astype(np.int64), np.ceil(c + half).astype(np.int64)
+
+
+def _poisson_sum(seq: np.ndarray, rate: float, xs: np.ndarray, cdf: bool) -> np.ndarray:
+    """Windowed Poisson sum of a nonnegative jump-count sequence at every x.
+
+    pdf: ``rate sum_k seq_k Pois(k; rate x)``; cdf:
+    ``sum_j Pois(j; rate x) (seq_0 + ... + seq_(j-1))``.
+    """
+    c = rate * xs
+    coef = np.concatenate([[0.0], np.cumsum(seq)]) if cdf else rate * seq
+    lo, hi = _window(c)
+    sizes = np.maximum(np.minimum(hi, coef.size - 1) - lo + 1, 0)
+    offs = np.concatenate([[0], np.cumsum(sizes)])
+    with np.errstate(divide="ignore"):
+        # log(coef_k / k!), so that a term is exp(this + k log c - c)
+        log_coef = np.log(coef) - gammaln(np.arange(coef.size) + 1.0)
+    log_c = np.log(np.maximum(c, 1e-300))
+    out = np.zeros(c.size)
+    a = 0
+    while a < c.size:
+        # consecutive points whose windows fit in one chunk (at least one)
+        b = max(int(np.searchsorted(offs, offs[a] + _CHUNK, side="right")) - 1, a + 1)
+        span = sizes[a:b]
+        k = np.repeat(lo[a:b] - offs[a:b], span) + np.arange(offs[a], offs[b])
+        terms = np.exp(log_coef[k] + k * np.repeat(log_c[a:b], span) - np.repeat(c[a:b], span))
+        nonempty = np.flatnonzero(span)
+        if nonempty.size:
+            out[a + nonempty] = np.add.reduceat(terms, offs[a:b][nonempty] - offs[a])
+        a = b
+    if cdf:
+        # jump counts past the sequence find all of its mass absorbed
+        out += coef[-1] * gammainc(coef.size, c)
+    return out
+
+
+def _gl(lo, hi):
+    """Gauss-Legendre nodes and weights on ``[lo, hi]``, one row per interval."""
+    half = (np.asarray(hi, dtype=float) - lo) / 2.0
+    return (lo + half)[..., None] + half[..., None] * _GLX, half[..., None] * _GLW
+
+
+def _erlang(m: int, rate: float, t: np.ndarray, cdf: bool) -> np.ndarray:
+    """Erlang(m, rate) density or distribution function at ``t >= 0``."""
+    c = rate * t
+    if cdf:
+        return gammainc(m, c)
+    return rate * np.exp((m - 1) * np.log(np.maximum(c, 1e-300)) - c - gammaln(m))
+
+
+def _slow_rate(ph: PHRep) -> float:
+    """Largest diagonal rate of the prefix and the body."""
+    return max([blk.sigma for blk in ph.blocks] + ([ph.prefix.mu] if ph.prefix_length else []))
+
+
+def _slow_chain(ph: PHRep, x_max: float):
+    """Prefix then body, started from ``head_gamma``, uniformized at its
+    largest diagonal rate.
+
+    Returns the rate and the sequence ``s[k]``: the probability of leaving the
+    body (into the tail, or absorbed when there is none) at jump ``k + 1``.
+    Paths from the prefix straight into the tail are not part of it.
+    """
+    l, u = ph.prefix_length, ph.u
+    Q = np.zeros((l + u, l + u))
+    Q[l:, l:] = ph.matrix
+    start = np.zeros(l + u)
+    if l:
+        mu = ph.prefix.mu
+        Q[range(l), range(l)] = -mu
+        Q[range(l - 1), range(1, l)] = mu
+        Q[l - 1, l:] = mu * ph.head_gamma
+        start[0] = 1.0
+    else:
+        start[:] = ph.head_gamma
+    rate = _slow_rate(ph)
+    length = int(_window(rate * x_max)[1]) + 1
+    if length > _MAX_JUMPS:
+        raise NumericError(
+            f"PHRep evaluation: {length} slow-chain jumps needed at x = {x_max}, "
+            f"above the limit {_MAX_JUMPS}"
+        )
+    P = np.eye(l + u) + Q / rate
+    leave = np.zeros(l + u)
+    # rows without an exit may sum to -1e-17: a negative s_k has no logarithm
+    leave[l:] = np.maximum(-(ph.matrix @ np.ones(u)), 0.0) / rate
+    s = np.empty(length)
+    v = start
+    for k in range(length):
+        s[k] = v @ leave
+        v = v @ P
+    return s, rate
+
+
+def _slow_through_tail(ph: PHRep, xs: np.ndarray, s: np.ndarray, rate: float,
+                       cdf: bool) -> np.ndarray:
+    """Slow-chain paths that go on through all ``n`` tail stages:
+    Gauss-Legendre over the Erlang(n, lam) window, cut at ``t = x``."""
+    n, lam = ph.tail_n, ph.tail_lambda
+    t_lo, t_hi = np.array(_window(n)) / lam
+    top = np.minimum(xs, t_hi)
+    live = np.flatnonzero(top > t_lo)
+    t, w = _gl(t_lo, top[live])
+    inner = _poisson_sum(s, rate, (xs[live, None] - t).ravel(), cdf).reshape(t.shape)
+    out = np.zeros(xs.shape)
+    out[live] = (w * _erlang(n, lam, t, False) * inner).sum(axis=1)
+    return out
+
+
+def _prefix_into_tail(ph: PHRep, xs: np.ndarray, cdf: bool) -> np.ndarray:
+    """Paths from the prefix straight into the tail: the Erlang(l, mu) prefix
+    against the tail mixture, on fixed composite panels over ``[0, r_hi]``.
+
+    The mixture has short-scale features (low-order Erlang terms) below
+    ``80/lam`` and its edge inside the Erlang(n, lam) window, so the panels
+    break there; elsewhere they span at most ``_PANEL_SPAN`` time constants
+    of the slow chain.  Panels wholly below ``x`` share their nodes across
+    all ``x``; only the panel that contains ``x`` gets fresh nodes, on
+    ``[panel start, x]``.
+    """
+    n, lam = ph.tail_n, ph.tail_lambda
+    l, mu = ph.prefix.l, ph.prefix.mu
+    weights = ph.tail_weights[::-1]
+    width = _PANEL_SPAN / _slow_rate(ph)
+    r_lo, r_hi = np.array(_window(n)) / lam
+    breaks = np.unique(np.clip([0.0, 80.0 / lam, r_lo, r_hi], 0.0, r_hi))
+    edges = [breaks[:1]]
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        edges.append(np.linspace(a, b, math.ceil((b - a) / width) + 1)[1:])
+    edges = np.concatenate(edges)
+
+    out = np.zeros(xs.shape)
+    sv, w = _gl(edges[:-1], edges[1:])
+    wg = w * _poisson_sum(weights, lam, sv.ravel(), False).reshape(sv.shape)
+    for p, b in enumerate(edges[1:]):
+        past = np.flatnonzero(xs >= b)
+        out[past] += _erlang(l, mu, xs[past, None] - sv[p], cdf) @ wg[p]
+    panel = np.searchsorted(edges, xs, side="right") - 1
+    live = np.flatnonzero(panel < edges.size - 1)
+    sv, w = _gl(edges[panel[live]], xs[live])
+    g = _poisson_sum(weights, lam, sv.ravel(), False).reshape(sv.shape)
+    out[live] += (w * g * _erlang(l, mu, xs[live, None] - sv, cdf)).sum(axis=1)
+    return out
+
+
+def _evaluate(ph: PHRep, xs: np.ndarray, cdf: bool) -> np.ndarray:
+    """pdf or cdf of the structured representation at every ``x >= 0``."""
+    out = np.zeros(xs.shape)
+    if xs.size == 0:
+        return out
+    n = ph.tail_n
+    if n and ph.prefix_length:
+        out += _prefix_into_tail(ph, xs, cdf)
+    elif n:
+        out += _poisson_sum(ph.tail_weights[::-1], ph.tail_lambda, xs, cdf)
+    if ph.head_gamma.sum() > 0:
+        s, rate = _slow_chain(ph, float(xs.max()))
+        out += _slow_through_tail(ph, xs, s, rate, cdf) if n else _poisson_sum(s, rate, xs, cdf)
+    return out
 
 
 def phrep_pdf(ph: PHRep, x) -> float | np.ndarray:
     """Density of the structured representation at ``x`` (scalar or array)."""
-    st = _state(ph)
     xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     if xs.size and xs.min() < 0:
         raise InvalidRepresentationError("phrep_pdf: x must be >= 0")
-    if ph.prefix is None or ph.prefix.l == 0:
-        out = _inner_pdf_batch(st, xs)
-    else:
-        l, mu = ph.prefix.l, ph.prefix.mu
-        span = (l + 60.0) / mu
-        segments = []  # (index, node weights * kernel, node slice)
-        all_nodes = []
-        at = 0
-        for i, xi in enumerate(xs):
-            xi = float(xi)
-            if xi <= 0:
-                continue
-            for lo, hi in _prefix_panels(st, xi, span):
-                sv, wv = _gl_panel(lo, hi)
-                kern = np.exp(_erlang_logpdf(float(l), mu, xi - sv))
-                segments.append((i, wv * kern, at, at + sv.size))
-                all_nodes.append(sv)
-                at += sv.size
-        out = np.zeros(xs.shape)
-        if all_nodes:
-            inner = _inner_pdf_batch(st, np.concatenate(all_nodes))
-            for i, wk, a, b in segments:
-                out[i] += float(wk @ inner[a:b])
+    out = _evaluate(ph, xs, False)
     return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 
 
@@ -572,14 +563,14 @@ def _erlang_moments(order, rate: float, k_max: int) -> np.ndarray:
 
 def phrep_moments(ph: PHRep, k_max: int) -> list[float]:
     """Raw moments through the structure, never densifying the matrix."""
-    st = _state(ph)
+    head_mass = float(ph.head_gamma.sum())
     # partial moments through the head: p[j] = j! * head (-G)^(-j) 1
     p = np.zeros(k_max + 1)
-    p[0] = st.head_mass
-    if st.head_mass > 0:
+    p[0] = head_mass
+    if head_mass > 0:
         y = np.ones(ph.u)
         fact = 1.0
-        negG = -st.G
+        negG = -ph.matrix
         for j in range(1, k_max + 1):
             y = np.linalg.solve(negG, y)
             fact *= j
@@ -591,7 +582,7 @@ def phrep_moments(ph: PHRep, k_max: int) -> list[float]:
         for k in range(k_max + 1):
             inner[k] += sum(math.comb(k, j) * p[j] * em_full[k - j] for j in range(k + 1))
         em_orders = _erlang_moments(np.arange(1, ph.tail_n + 1), ph.tail_lambda, k_max)
-        inner += em_orders @ st.weight_by_order
+        inner += em_orders @ ph.tail_weights[::-1]
     else:
         inner = p
 
@@ -606,62 +597,13 @@ def phrep_moments(ph: PHRep, k_max: int) -> list[float]:
 
 
 def phrep_cdf_grid(ph: PHRep, xs: np.ndarray) -> np.ndarray:
-    """Distribution function on an increasing grid starting at or above 0.
+    """Distribution function at every point of ``xs``; 0 below the origin.
 
-    The tail mixture is summed exactly through regularized incomplete gamma
-    functions; head and prefix layers are folded in by quadrature, the prefix
-    through interpolation on the inner grid.
+    Computed pointwise by the same Poisson sums and quadratures as the
+    density, so the grid needs no particular spacing.
     """
-    st = _state(ph)
-    xs = np.asarray(xs, dtype=float)
-    inner = np.empty(xs.shape)
-    n, rate = ph.tail_n, ph.tail_lambda
-    for i, x in enumerate(xs):
-        if x <= 0:
-            inner[i] = 0.0
-            continue
-        acc = 0.0
-        if n:
-            c = rate * x
-            half = 40.0 * math.sqrt(c) + 60.0
-            m_lo = max(1, int(c - half))
-            m_hi = min(n, int(c + half) + 1)
-            # orders below the window are fully absorbed by time x
-            acc += st.cum_weights[min(m_lo - 1, n)]
-            if m_lo <= m_hi:
-                m = np.arange(m_lo, m_hi + 1, dtype=float)
-                acc += float(
-                    (st.weight_by_order[m_lo - 1 : m_hi] * gammainc(m, c)).sum()
-                )
-            if st.head_mass > 0:
-                edge = max(0.0, x - st.r_hi)
-                acc += float(st.head_cumulative(np.array([edge]))[0])
-                hi = max(0.0, x - st.r_lo)
-                if hi > edge:
-                    sv, wv = _gl_panel(edge, hi)
-                    dens = st.head_density(sv)
-                    kern = gammainc(float(n), rate * np.maximum(x - sv, 0.0))
-                    acc += float((wv * dens * kern).sum())
-        else:
-            acc += float(st.head_cumulative(np.array([x]))[0])
-        inner[i] = min(acc, 1.0)
-
-    if ph.prefix is None or ph.prefix.l == 0:
-        return inner
-
-    l, mu = ph.prefix.l, ph.prefix.mu
-    span = (l + 60.0) / mu
-    out = np.empty(xs.shape)
-    for i, x in enumerate(xs):
-        if x <= 0:
-            out[i] = 0.0
-            continue
-        # kernel mass outside the window is below exp(-60) of the total
-        sv, wv = _gl_panel(max(0.0, x - span), x)
-        kern = np.exp(_erlang_logpdf(float(l), mu, x - sv))
-        vals = np.interp(sv, xs, inner)
-        out[i] = float((wv * vals * kern).sum())
-    return np.clip(out, 0.0, 1.0)
+    xs = np.maximum(np.asarray(xs, dtype=float), 0.0)
+    return np.clip(_evaluate(ph, xs.ravel(), True), 0.0, 1.0).reshape(xs.shape)
 
 
 def to_dense(ph: PHRep, limit: int = 10_000):

@@ -259,7 +259,7 @@ def simulate_absorption_times(ph: PHRep, samples: int, rng) -> np.ndarray:
 def monte_carlo_check(ph: PHRep, samples: int = 100_000, seed: int = 0,
                       tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """One-sample KS statistic of simulated absorption times against the
-    numerically integrated distribution function.  Deterministic per seed."""
+    structured distribution function.  Deterministic per seed."""
     verdict = check_markovian(ph, tol)
     if not verdict.ok:
         raise InvalidRepresentationError(

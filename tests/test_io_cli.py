@@ -137,6 +137,17 @@ def test_convert_cli_max_order(tmp_path, capsys, worked_me_file):
     assert "numeric" in capsys.readouterr().err
 
 
+def test_convert_cli_rate_overflow_exits_numeric(tmp_path, capsys):
+    # its 195-state body overflows the derivative powers of the spectral
+    # fit, and the certified rate lambda' alone is far beyond 1e15
+    rep = rep_from_terms([(-1.0, [0.62]), (-2.0 + 1.2j, [0.35 + 0.3j]), (-1.1 + 6j, [0.02])])
+    inp = tmp_path / "overflow.json"
+    write_me_file(rep, inp)
+    code = main(["convert", str(inp), str(tmp_path / "x.json")])
+    assert code == 4
+    assert "exceeds 1e15" in capsys.readouterr().err
+
+
 def test_convert_cli_malformed_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -1,3 +1,7 @@
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -13,8 +17,10 @@ from me2ph import (
     append_tail,
     build_generator,
     compute_bounds,
+    convert,
     find_tau,
     pdf_eval_many,
+    phrep_cdf_grid,
     phrep_moments,
     phrep_pdf,
     solve_gamma,
@@ -23,7 +29,7 @@ from me2ph import (
 from me2ph.spectral import expansion_values
 from me2ph.tail import BoundsReport
 from conftest import G8, fy_closed
-from genutil import damped_oscillation_rep
+from genutil import damped_oscillation_rep, rep_from_terms
 
 
 @pytest.fixture(scope="module")
@@ -197,8 +203,6 @@ def test_phrep_pdf_agrees_with_dense_small_case():
 
 
 def test_phrep_pdf_dense_agreement_with_prefix():
-    from me2ph import convert
-
     rng = np.random.default_rng(8)
     # Erlang(2, 1) gains a one-stage prefix and no tail
     A = np.array([[-1.0, 1.0], [0.0, -1.0]])
@@ -210,6 +214,42 @@ def test_phrep_pdf_dense_agreement_with_prefix():
     assert phrep_pdf(ph, xs) == pytest.approx(
         pdf_eval_many(MERep(b, B), xs), rel=1e-8, abs=1e-12
     )
+
+
+def test_phrep_cdf_grid_exact_with_prefix():
+    # Erlang(2, 1) converts to a one-stage prefix and a body, no tail
+    ph, _ = convert(MERep(np.array([1.0, 0.0]), np.array([[-1.0, 1.0], [0.0, -1.0]])))
+    assert ph.prefix_length == 1 and ph.tail_n == 0
+    b, B = to_dense(ph)
+    xs = np.linspace(0.0, 6.0, 25)
+    ref = np.array([1.0 - b @ expm(B * x) @ np.ones(b.size) for x in xs])
+    assert np.abs(phrep_cdf_grid(ph, xs) - ref).max() <= 1e-10
+
+
+def test_phrep_pdf_long_feedback_erlang_body():
+    rep = rep_from_terms([(-1.0, [1.0]), (-1.1 + 2j, [0.3])])
+    ph, _ = convert(rep)
+    assert ph.order == 64 and ph.tail_n == 0
+    xs = np.linspace(0.1, 10.0, 50)
+    assert phrep_pdf(ph, xs) == pytest.approx(pdf_eval_many(rep, xs), rel=1e-9)
+
+
+def test_phrep_pdf_refuses_too_many_jumps():
+    ph = PHRep(np.ones(1), (FEBlock(1, 1e6, 0.0),), 0.0, 0, np.zeros(0))
+    assert phrep_pdf(ph, 1e-6) == pytest.approx(1e6 * np.exp(-1.0), rel=1e-12)
+    with pytest.raises(NumericError, match="jumps"):
+        phrep_pdf(ph, 100.0)
+
+
+def test_evaluated_phrep_is_freed(worked_tailed):
+    ph = replace(worked_tailed[0])
+    phrep_pdf(ph, np.array([0.5, 1.0]))
+    phrep_cdf_grid(ph, np.array([0.5, 1.0]))
+    phrep_moments(ph, 2)
+    ref = weakref.ref(ph)
+    del ph
+    gc.collect()
+    assert ref() is None
 
 
 def test_phrep_moments_match_input_and_dense():
