@@ -3,7 +3,7 @@
 
 Small sanity experiment: convert a handful of distributions, draw samples from
 the resulting absorbing chains, and compare the empirical law against the
-numerically integrated one.
+structured distribution function (the Poisson-sum cdf of ``phrep_cdf_grid``).
 """
 
 import argparse

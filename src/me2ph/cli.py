@@ -12,9 +12,9 @@ import sys
 
 import numpy as np
 
-from .config import DEFAULT_TOL
+from .core import pdf_eval_many
 from .errors import DecViolationError, Me2PhError, PositiveDensityError
-from .io import read_me_file, read_ph_file, sniff_format, write_ph_file
+from .io import read_file, read_me_file, write_ph_file
 from .pipeline import PaperBounds, convert
 from .spectral import analyze_spectrum, check_dec
 from .tail import phrep_pdf
@@ -77,13 +77,8 @@ def cmd_convert(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        kind = sniff_format(args.input)
-        if kind == "me":
-            rep, tol = read_me_file(args.input)
-            obj = rep
-        else:
-            obj = read_ph_file(args.input)
-            tol = DEFAULT_TOL
+        kind, obj, tol = read_file(args.input)
+        other = read_file(args.against)[1] if args.against is not None else None
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail("input", str(exc), EXIT_INPUT)
     if args.tol is not None:
@@ -97,20 +92,11 @@ def cmd_validate(args) -> int:
             verdict["dec"] = bool(check_dec(spec, tol).ok)
             verdict["positive_density"] = bool(check_positive_density(obj, spec, tol).ok)
         else:
-            # structural: every block either carries the leading rate or has
-            # its own dominant eigenvalue strictly below it; a Markovian
-            # representation with reachable states has positive density
-            lam1 = obj.lambda1
-            dominant_ok = all(
-                (b.degenerate and abs(b.sigma - lam1) <= 1e-12 * lam1)
-                or b.r < -lam1 * (1 - 1e-12)
-                for b in obj.blocks
-            )
-            verdict["dec"] = bool(dominant_ok)
+            # structural: every block keeps the leading rate dominant; a
+            # Markovian representation with reachable states has positive density
+            verdict["dec"] = all(b.keeps_dominant(obj.lambda1) for b in obj.blocks)
             verdict["positive_density"] = bool(verdict["markovian"])
-        if args.against is not None:
-            other_kind = sniff_format(args.against)
-            other = read_me_file(args.against)[0] if other_kind == "me" else read_ph_file(args.against)
+        if other is not None:
             eq = check_equivalence(other, obj, rel_tol=args.tol or 1e-5, tol=tol)
             verdict["equivalence"] = {
                 "max_rel_error": eq.max_rel_error,
@@ -141,15 +127,11 @@ def _parse_grid(spec: str) -> np.ndarray:
 def cmd_pdf(args) -> int:
     try:
         grid = _parse_grid(args.grid)
-        kind = sniff_format(args.input)
+        kind, obj, _tol = read_file(args.input)
         if kind == "me":
-            rep, _tol = read_me_file(args.input)
-            from .core import pdf_eval_many
-
-            vals = pdf_eval_many(rep, grid)
+            vals = pdf_eval_many(obj, grid)
         else:
-            ph = read_ph_file(args.input)
-            vals = np.asarray(phrep_pdf(ph, grid))
+            vals = np.asarray(phrep_pdf(obj, grid))
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail("input", str(exc), EXIT_INPUT)
     except Me2PhError as exc:

@@ -27,10 +27,8 @@ class ToleranceConfig:
     equivalence_rel: float = 1e-7
     # nonsingularity floor: smallest singular value relative to the largest
     singular_rel: float = 1e-13
-    # feedback-Erlang block: target eigenvalue containment and closed-form
-    # dominant-eigenvalue agreement
+    # feedback-Erlang block: target eigenvalue containment
     fe_eig_check: float = 1e-8
-    fe_r_check: float = 1e-10
     # positive-density grid check
     pos_grid_points: int = 2000
     pos_delta_rel: float = 1e-3

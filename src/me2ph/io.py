@@ -20,6 +20,7 @@ from .monocyclic import FEBlock
 from .tail import PHRep
 
 __all__ = [
+    "read_file",
     "read_me_file",
     "write_me_file",
     "read_ph_file",
@@ -47,7 +48,10 @@ def _encode_entry(v):
 
 def read_me_file(path) -> tuple[MERep, ToleranceConfig]:
     """Load a vector-matrix pair; returns the pair and the effective tolerances."""
-    doc = json.loads(Path(path).read_text())
+    return _me_from_doc(json.loads(Path(path).read_text()), path)
+
+
+def _me_from_doc(doc, path) -> tuple[MERep, ToleranceConfig]:
     if not isinstance(doc, dict) or "alpha" not in doc or "A" not in doc:
         raise ValueError(f"{path}: expected an object with 'alpha' and 'A'")
     alpha = [_decode_entry(v) for v in doc["alpha"]]
@@ -55,7 +59,10 @@ def read_me_file(path) -> tuple[MERep, ToleranceConfig]:
     tol = DEFAULT_TOL
     overrides = doc.get("tolerances")
     if overrides:
-        tol = tol.replace(**overrides)
+        try:
+            tol = tol.replace(**overrides)
+        except TypeError as exc:  # a name ToleranceConfig does not have
+            raise ValueError(f"{path}: bad 'tolerances' object ({exc})") from exc
     arr_a = np.array(alpha)
     arr_m = np.array(A)
     if not (np.iscomplexobj(arr_a) or np.iscomplexobj(arr_m)):
@@ -100,7 +107,10 @@ def write_ph_file(ph: PHRep, path) -> None:
 
 def read_ph_file(path) -> PHRep:
     path = Path(path)
-    doc = json.loads(path.read_text())
+    return _ph_from_doc(json.loads(path.read_text()), path)
+
+
+def _ph_from_doc(doc, path: Path) -> PHRep:
     if not isinstance(doc, dict) or "blocks" not in doc or "head_gamma" not in doc:
         raise ValueError(f"{path}: expected an object with 'blocks' and 'head_gamma'")
     blocks = tuple(FEBlock(int(b["b"]), float(b["sigma"]), float(b["z"])) for b in doc["blocks"])
@@ -124,11 +134,14 @@ def read_ph_file(path) -> PHRep:
     return PHRep(head, blocks, rate, n, weights, prefix=prefix)
 
 
-def sniff_format(path) -> str:
-    """'me' for vector-matrix documents, 'ph' for structured ones."""
-    doc = json.loads(Path(path).read_text())
+def read_file(path) -> tuple[str, MERep | PHRep, ToleranceConfig]:
+    """Parse either file kind once: ``("me", pair, its tolerances)`` for
+    vector-matrix documents, ``("ph", structured, DEFAULT_TOL)`` for
+    structured ones."""
+    path = Path(path)
+    doc = json.loads(path.read_text())
     if isinstance(doc, dict) and "alpha" in doc and "A" in doc:
-        return "me"
+        return ("me", *_me_from_doc(doc, path))
     if isinstance(doc, dict) and "blocks" in doc:
-        return "ph"
+        return "ph", _ph_from_doc(doc, path), DEFAULT_TOL
     raise ValueError(f"{path}: unrecognized document layout")

@@ -15,7 +15,13 @@ from .core import MERep
 from .deconv import choose_mu, deconvolve, recompose, zero_multiplicity
 from .errors import DecViolationError, InvalidRepresentationError, NumericError, PositiveDensityError
 from .monocyclic import build_generator, solve_gamma
-from .spectral import analyze_spectrum, check_c_conditions, check_dec, minimal_representation
+from .spectral import (
+    analyze_spectrum,
+    check_c_conditions,
+    check_dec,
+    fmt_complex,
+    minimal_representation,
+)
 from .tail import BoundsReport, PHRep, append_tail, compute_bounds, find_tau
 from .validate import check_markovian, check_positive_density
 
@@ -85,12 +91,7 @@ class ConversionReport:
 
 
 def _fmt_eig(term) -> str:
-    ev = term.eigenvalue
-    if ev.imag == 0:
-        s = f"{ev.real:g}"
-    else:
-        sign = "+" if ev.imag >= 0 else "-"
-        s = f"{ev.real:g}{sign}{abs(ev.imag):g}j"
+    s = fmt_complex(term.eigenvalue)
     return f"{s} (x{term.multiplicity})" if term.multiplicity > 1 else s
 
 

@@ -295,7 +295,7 @@ def check_dec(spec: SpectralData, tol: ToleranceConfig = DEFAULT_TOL) -> DecRepo
     dom = spec.dominant_term
     if len(at_top) == 1 and at_top[0].is_real:
         return DecReport(True, "single real dominant eigenvalue", dom.eigenvalue, dom.multiplicity)
-    names = ", ".join(_fmt_complex(t.eigenvalue) for t in at_top)
+    names = ", ".join(fmt_complex(t.eigenvalue) for t in at_top)
     if len(at_top) == 1:
         msg = f"dominant eigenvalue {names} is complex"
     else:
@@ -303,7 +303,8 @@ def check_dec(spec: SpectralData, tol: ToleranceConfig = DEFAULT_TOL) -> DecRepo
     return DecReport(False, msg, dom.eigenvalue, dom.multiplicity)
 
 
-def _fmt_complex(z: complex) -> str:
+def fmt_complex(z: complex) -> str:
+    """Eigenvalue as printed in reports and messages, e.g. ``-5+3j``."""
     if z.imag == 0:
         return f"{z.real:g}"
     sign = "+" if z.imag >= 0 else "-"

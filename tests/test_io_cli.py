@@ -5,7 +5,7 @@ import pytest
 
 from me2ph import FEBlock, MERep, PHRep
 from me2ph.cli import main
-from me2ph.io import read_me_file, read_ph_file, write_me_file, write_ph_file
+from me2ph.io import read_file, read_me_file, read_ph_file, write_me_file, write_ph_file
 from conftest import SCALE
 from genutil import rep_from_terms
 
@@ -73,6 +73,19 @@ def test_ph_file_sidecar_for_huge_tails(tmp_path):
     assert sidecar.stat().st_size == 8 * n
     loaded = read_ph_file(path)
     assert np.array_equal(loaded.tail_weights, weights)
+
+
+def test_read_file_kinds(tmp_path, worked_conversion):
+    me_path, ph_path, other = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+    write_me_file(MERep(np.array([1.0]), np.array([[-2.0]])), me_path)
+    write_ph_file(worked_conversion[0], ph_path)
+    other.write_text('{"x": 1}')
+    kind, rep, _tol = read_file(me_path)
+    assert kind == "me" and rep.A[0, 0] == -2.0
+    kind, ph, _tol = read_file(ph_path)
+    assert kind == "ph" and ph.order == worked_conversion[0].order
+    with pytest.raises(ValueError, match="unrecognized"):
+        read_file(other)
 
 
 def test_convert_cli_exponential(tmp_path, capsys):
@@ -155,6 +168,14 @@ def test_convert_cli_malformed_input(tmp_path, capsys):
     assert code == 1
 
 
+def test_convert_cli_unknown_tolerance_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "tol.json"
+    bad.write_text(json.dumps({"alpha": [1.0], "A": [[-1.0]], "tolerances": {"fe_r_check": 1e-10}}))
+    code = main(["convert", str(bad), str(tmp_path / "x.json")])
+    assert code == 1
+    assert "error: input:" in capsys.readouterr().err
+
+
 def test_validate_cli_me_file(capsys, worked_me_file):
     code = main(["validate", str(worked_me_file)])
     assert code == 0
@@ -179,6 +200,24 @@ def test_validate_cli_malformed(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2")
     assert main(["validate", str(bad)]) == 1
+
+
+def test_validate_cli_monte_carlo(tmp_path, capsys, worked_me_file):
+    out = tmp_path / "w.ph.json"
+    assert main(["convert", str(worked_me_file), str(out), "--paper-bounds"]) == 0
+    capsys.readouterr()
+    assert main(["validate", str(out), "--monte-carlo", "5000", "--seed", "3"]) == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["dec"] is True
+    assert verdict["monte_carlo"]["samples"] == 5000
+    assert 0 < verdict["monte_carlo"]["ks"] < 0.05
+    assert main(["validate", str(worked_me_file), "--monte-carlo", "100"]) == 1
+
+
+def test_validate_cli_missing_against_file(tmp_path, capsys, worked_me_file):
+    code = main(["validate", str(worked_me_file), "--against", str(tmp_path / "none.json")])
+    assert code == 1
+    assert "error: input:" in capsys.readouterr().err
 
 
 def test_pdf_cli_exponential(tmp_path, capsys):

@@ -10,6 +10,8 @@ from me2ph import (
     analyze_spectrum,
     apply_transformation,
     build_generator,
+    check_equivalence,
+    convert,
     fe_block_for,
     pdf_eval_many,
     solve_gamma,
@@ -64,6 +66,52 @@ def test_fe_block_integer_boundary_bumps_chain_length():
 def test_fe_block_rejects_tying_real_part():
     with pytest.raises(DecViolationError):
         fe_block_for(-1.0 + 2j, lambda1=1.0)
+
+
+def test_keeps_dominant():
+    assert FEBlock(1, 1.0, 0.0).keeps_dominant(1.0)
+    assert not FEBlock(1, 0.5, 0.0).keeps_dominant(1.0)
+    blk = FEBlock(3, 2.0, 0.5)  # r = -2 (1 - 0.5^(1/3)) = -0.41
+    assert blk.keeps_dominant(0.3)
+    assert not blk.keeps_dominant(0.5)
+
+
+# Order-9 random Markovian pair whose 3-state block has z ~ 1e-5: a dense
+# eigvals re-check of that block disagreed with the exact closed form by a
+# relative 2e-10 and rejected the conversion.
+ALPHA_NEAR_ZERO_FEEDBACK = np.array([
+    0.09199555252554747, 0.2076657591751303, 0.05358683124618742, 0.07041655503592611,
+    0.11723114729594583, 0.15036135543614446, 0.0956729961098573, 0.07086632015807579,
+    0.1422034830171853,
+])
+A_NEAR_ZERO_FEEDBACK = np.array([
+    [-2.0888276434892314, 0.0, 0.5042652920160843, 0.4330514913239062, 0.0,
+     0.2690320383328024, 0.15955028561154438, 0.0, 0.2704317318387981],
+    [0.0, -2.039918731465972, 0.0, 0.5075497628956768, 0.0, 0.0, 0.0, 0.0,
+     0.7040278499199063],
+    [0.7162143267863548, 0.9136553993129848, -4.442011321394718, 0.6123594124758173,
+     0.9887745304926838, 0.0, 0.5357861673580667, 0.0045534006333437516, 0.0],
+    [0.015177681364596851, 0.0, 0.0, -2.359920285778607, 0.043398344342783335,
+     0.5248360048601302, 0.9263171915359283, 0.09695470196162514, 0.0],
+    [0.8640602162861342, 0.0, 0.12710833668360555, 0.2335289702816712, -2.0861311907506064,
+     0.0, 0.0, 0.0, 0.6538389490365787],
+    [0.0, 0.0, 0.0, 0.024398997659395016, 0.0, -1.2721888691071628, 0.5103136437290252,
+     0.10396692007240405, 0.26365285838599684],
+    [0.0, 0.2524615772441732, 0.0, 0.27238211676471336, 0.0, 0.0, -0.7702840236827482,
+     0.0, 0.0],
+    [0.0, 0.4464461427567301, 0.0, 0.534909865876858, 0.0, 0.0, 0.11217912631450366,
+     -1.661349812985379, 0.0],
+    [0.8919734454002183, 0.0, 0.44985985478934165, 0.0, 0.0, 0.8124133820370281, 0.0,
+     0.9972372455586508, -3.279226334513753],
+])
+
+
+def test_convert_block_with_near_zero_feedback():
+    rep = MERep(ALPHA_NEAR_ZERO_FEEDBACK, A_NEAR_ZERO_FEEDBACK)
+    ph, _ = convert(rep)
+    assert any(0 < blk.z < 1e-4 for blk in ph.blocks)
+    verdict = check_equivalence(rep, ph, grid=np.linspace(0.05, 20.0, 60), rel_tol=1e-9)
+    assert verdict.ok, verdict
 
 
 @settings(max_examples=220, deadline=None)

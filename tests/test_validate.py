@@ -1,9 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import me2ph.tail
 from me2ph import (
+    DeconvParams,
+    FEBlock,
     InvalidRepresentationError,
     MERep,
+    PHRep,
     analyze_spectrum,
     check_dec,
     check_equivalence,
@@ -13,7 +22,9 @@ from me2ph import (
     eliminate_redundant,
     monte_carlo_check,
     pdf_eval_many,
+    phrep_moments,
 )
+from me2ph.validate import simulate_absorption_times
 from genutil import multi_class_generator, random_markovian_rep, rep_from_terms
 
 
@@ -130,6 +141,46 @@ def test_monte_carlo_deterministic(worked_conversion):
     a = monte_carlo_check(ph, samples=20_000, seed=5)
     b = monte_carlo_check(ph, samples=20_000, seed=5)
     assert a == b
+
+
+def feedback_phrep():
+    """Prefix, three feedback blocks (two with z > 0) and a tail, with head
+    mass on mid-block positions."""
+    blocks = (FEBlock(1, 1.0, 0.0), FEBlock(3, 4.0, 0.4), FEBlock(4, 6.0, 0.7))
+    head = np.array([0.1, 0.0, 0.15, 0.05, 0.1, 0.0, 0.2, 0.05])
+    weights = np.array([0.05, 0.1, 0.1, 0.1])
+    return PHRep(head, blocks, 8.0, 4, weights, prefix=DeconvParams(2, 5.0))
+
+
+def test_simulated_moments_match_structured_moments():
+    ph = feedback_phrep()
+    samples = 400_000
+    t = simulate_absorption_times(ph, samples, np.random.default_rng(3))
+    exact = phrep_moments(ph, 3)
+    for k in (1, 2, 3):
+        stderr = np.std(t**k) / np.sqrt(samples)
+        assert abs(np.mean(t**k) - exact[k - 1]) < 5 * stderr
+
+
+def test_simulation_never_builds_dense_body(monkeypatch):
+    def refuse(blocks):
+        raise AssertionError("dense body generator built")
+
+    monkeypatch.setattr(me2ph.tail, "chain_generator", refuse)
+    t = simulate_absorption_times(feedback_phrep(), 10_000, np.random.default_rng(4))
+    assert np.isfinite(t).all() and t.min() > 0
+
+
+def test_mc_crosscheck_script_passes():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "mc_crosscheck.py"), "--samples", "20000"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "FAIL" not in proc.stdout and "[ok]" in proc.stdout
 
 
 def test_random_markovian_reps_have_positive_density_and_dominance():
