@@ -1,17 +1,7 @@
 """Matrix-exponential to phase-type conversion."""
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .core import (
-    ComplexSpectrum,
-    MERep,
-    NormReport,
-    apply_transformation,
-    matrix_exp,
-    moments,
-    norms,
-    pdf_eval,
-    pdf_eval_many,
-)
+from .core import ComplexSpectrum, MERep, moments, pdf_eval, pdf_eval_many
 from .deconv import DeconvParams, choose_mu, deconvolve, recompose, zero_multiplicity
 from .errors import (
     DecViolationError,
@@ -47,7 +37,6 @@ from .validate import (
     check_equivalence,
     check_markovian,
     check_positive_density,
-    eliminate_redundant,
     ks_threshold,
     monte_carlo_check,
 )

@@ -2,7 +2,7 @@
 
 Exit codes of ``convert``: 0 success, 2 dominant-eigenvalue condition failed,
 3 positive-density condition failed, 4 numeric failure (ill conditioning or
-order limits), 1 unreadable or malformed input.  Failures print one
+order limits), 1 unreadable, malformed or invalid input.  Failures print one
 machine-parseable line ``error: <kind>: <detail>`` on stderr.
 """
 
@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .core import pdf_eval_many
-from .errors import DecViolationError, Me2PhError, PositiveDensityError
+from .errors import DecViolationError, InvalidRepresentationError, Me2PhError, PositiveDensityError
 from .io import read_file, read_me_file, write_ph_file
 from .pipeline import PaperBounds, convert
 from .spectral import analyze_spectrum, check_dec
@@ -32,21 +32,20 @@ def _fail(kind: str, detail: str, code: int) -> int:
     return code
 
 
-def _load_me(path):
+def _read(reader, path):
+    """``reader(path)``, with every way an input file can be bad raised as
+    ``ValueError``: unreadable, unparsable, or breaking a representation
+    invariant.  Each command reports a ``ValueError`` as an input error."""
     try:
-        return read_me_file(path)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        raise _CliInputError(str(exc)) from exc
-
-
-class _CliInputError(Exception):
-    pass
+        return reader(path)
+    except (OSError, InvalidRepresentationError) as exc:
+        raise ValueError(str(exc)) from exc
 
 
 def cmd_convert(args) -> int:
     try:
-        rep, tol = _load_me(args.input)
-    except _CliInputError as exc:
+        rep, tol = _read(read_me_file, args.input)
+    except ValueError as exc:
         return _fail("input", str(exc), EXIT_INPUT)
     try:
         ph, report = convert(
@@ -77,9 +76,9 @@ def cmd_convert(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        kind, obj, tol = read_file(args.input)
-        other = read_file(args.against)[1] if args.against is not None else None
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        kind, obj, tol = _read(read_file, args.input)
+        other = _read(read_file, args.against)[1] if args.against is not None else None
+    except ValueError as exc:
         return _fail("input", str(exc), EXIT_INPUT)
     if args.tol is not None:
         tol = tol.replace(equivalence_rel=args.tol)
@@ -127,13 +126,11 @@ def _parse_grid(spec: str) -> np.ndarray:
 def cmd_pdf(args) -> int:
     try:
         grid = _parse_grid(args.grid)
-        kind, obj, _tol = read_file(args.input)
-        if kind == "me":
-            vals = pdf_eval_many(obj, grid)
-        else:
-            vals = np.asarray(phrep_pdf(obj, grid))
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        kind, obj, _tol = _read(read_file, args.input)
+    except ValueError as exc:
         return _fail("input", str(exc), EXIT_INPUT)
+    try:
+        vals = pdf_eval_many(obj, grid) if kind == "me" else np.asarray(phrep_pdf(obj, grid))
     except Me2PhError as exc:
         return _fail("numeric", str(exc), EXIT_NUMERIC)
     print("x,f")

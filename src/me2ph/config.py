@@ -11,9 +11,8 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    # vector sums and row sums that must equal 1
+    # vector sums that must equal 1
     alpha_sum: float = 1e-9
-    row_sum: float = 1e-9
     # eigenvalue clustering, relative to the matrix infinity norm
     eig_cluster_rel: float = 1e-6
     # spectral terms whose coefficients all fall below this times the largest

@@ -18,17 +18,13 @@ from .errors import InvalidRepresentationError, NumericError
 __all__ = [
     "MERep",
     "ComplexSpectrum",
-    "NormReport",
     "vec_norm1",
-    "vec_norm_inf",
     "mat_norm_inf",
-    "norms",
-    "matrix_exp",
     "pdf_eval",
     "pdf_eval_many",
     "moments",
     "derivatives_at_zero",
-    "apply_transformation",
+    "first_nonzero_derivative",
 ]
 
 
@@ -37,51 +33,9 @@ def vec_norm1(v) -> float:
     return float(np.abs(np.asarray(v)).sum())
 
 
-def vec_norm_inf(v) -> float:
-    """Largest absolute entry."""
-    return float(np.abs(np.asarray(v)).max())
-
-
 def mat_norm_inf(m) -> float:
     """Largest absolute row sum."""
     return float(np.abs(np.asarray(m)).sum(axis=1).max())
-
-
-@dataclass(frozen=True)
-class NormReport:
-    """Norms of a vector or matrix argument; unset fields are None."""
-
-    vec1: float | None = None
-    vec_inf: float | None = None
-    mat_inf: float | None = None
-
-
-def norms(v_or_m) -> NormReport:
-    """Compute the 1-norm and infinity norm of a vector, or the infinity norm
-    of a matrix."""
-    arr = np.asarray(v_or_m)
-    if not np.all(np.isfinite(arr)):
-        raise InvalidRepresentationError("norms: input has non-finite entries")
-    if arr.ndim == 1:
-        return NormReport(vec1=vec_norm1(arr), vec_inf=vec_norm_inf(arr))
-    if arr.ndim == 2:
-        return NormReport(mat_inf=mat_norm_inf(arr))
-    raise InvalidRepresentationError(f"norms: expected 1-D or 2-D input, got ndim={arr.ndim}")
-
-
-def matrix_exp(H: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a square matrix with finite entries."""
-    H = np.asarray(H)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise InvalidRepresentationError("matrix_exp: input must be square")
-    if not np.all(np.isfinite(H)):
-        raise InvalidRepresentationError("matrix_exp: input has non-finite entries")
-    E = expm(H)
-    if not np.all(np.isfinite(E)):
-        raise NumericError(
-            "matrix_exp: result overflowed", detail={"norm_inf": mat_norm_inf(H)}
-        )
-    return E
 
 
 def _as_readonly(arr: np.ndarray) -> np.ndarray:
@@ -173,7 +127,12 @@ def pdf_eval(rep: MERep, x: float) -> float:
     """Density value ``-alpha A exp(A x) 1`` at a single point ``x >= 0``."""
     if x < 0:
         raise InvalidRepresentationError(f"pdf_eval: x must be >= 0, got {x}")
-    E = matrix_exp(rep.A * x)
+    E = expm(rep.A * x)
+    if not np.all(np.isfinite(E)):
+        raise NumericError(
+            "pdf_eval: matrix exponential overflowed",
+            detail={"norm_inf": mat_norm_inf(rep.A) * x},
+        )
     val = -(rep.alpha @ rep.A @ E).sum()
     return float(np.real(val))
 
@@ -208,6 +167,18 @@ def derivatives_at_zero(rep: MERep, count: int) -> np.ndarray:
     return out
 
 
+def first_nonzero_derivative(rep: MERep,
+                             tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, float] | None:
+    """``(k, f^(k)(0))`` for the smallest ``k <= order`` whose derivative at 0
+    is nonzero relative to ``||A||_inf^(k+1)``; None when all of them vanish."""
+    derivs = derivatives_at_zero(rep, rep.order + 1)
+    norm_a = mat_norm_inf(rep.A)
+    for k, d in enumerate(derivs):
+        if abs(d) > tol.deriv_zero_rel * norm_a ** (k + 1):
+            return k, float(d)
+    return None
+
+
 def moments(rep: MERep, k_max: int) -> list[float]:
     """Raw moments ``E[X^k] = k! alpha (-A)^(-k) 1`` for k = 1..k_max."""
     if k_max < 1:
@@ -224,27 +195,3 @@ def moments(rep: MERep, k_max: int) -> list[float]:
         fact *= k
         out.append(float(np.real(rep.alpha @ y)) * fact)
     return out
-
-
-def apply_transformation(rep: MERep, W: np.ndarray, G: np.ndarray,
-                         tol: ToleranceConfig | None = None) -> MERep:
-    """Map ``(alpha, A)`` to ``(alpha W, G)``.
-
-    The caller supplies the transformation matrix ``W`` (rows summing to 1)
-    and the target matrix ``G`` with ``A W = W G``; under those conditions the
-    density is unchanged.  Only the row-sum condition is enforced here.
-    """
-    tol = tol or rep.tol
-    W = np.asarray(W)
-    G = np.asarray(G)
-    if W.shape != (rep.order, G.shape[0]) or G.shape[0] != G.shape[1]:
-        raise InvalidRepresentationError(
-            f"apply_transformation: W must be {rep.order}x{G.shape[0]} with G square"
-        )
-    rs = W @ np.ones(W.shape[1])
-    worst = float(np.abs(rs - 1.0).max())
-    if worst > tol.row_sum:
-        raise InvalidRepresentationError(
-            f"apply_transformation: W rows must sum to 1 (worst deviation {worst:.3e})"
-        )
-    return MERep(rep.alpha @ W, G, tol=tol)

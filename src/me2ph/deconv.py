@@ -13,7 +13,7 @@ from math import comb
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .core import MERep, derivatives_at_zero, mat_norm_inf
+from .core import MERep, first_nonzero_derivative
 from .errors import InvalidRepresentationError, PositiveDensityError
 from .spectral import SpectralData, analyze_spectrum
 from .tail import PHRep
@@ -41,15 +41,13 @@ def zero_multiplicity(rep: MERep, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     Returns the smallest ``l`` whose derivative at 0 is nonzero relative to
     ``||A||_inf^(l+1)``; 0 means the density is already positive at 0.
     """
-    derivs = derivatives_at_zero(rep, rep.order + 1)
-    norm_a = mat_norm_inf(rep.A)
-    for k, d in enumerate(derivs):
-        if abs(d) > tol.deriv_zero_rel * norm_a ** (k + 1):
-            return k
-    raise InvalidRepresentationError(
-        f"zero_multiplicity: all derivatives through order {rep.order} vanish; "
-        "the input does not define a valid density"
-    )
+    first = first_nonzero_derivative(rep, tol)
+    if first is None:
+        raise InvalidRepresentationError(
+            f"zero_multiplicity: all derivatives through order {rep.order} vanish; "
+            "the input does not define a valid density"
+        )
+    return first[0]
 
 
 def deconvolve(rep: MERep, l: int, mu: float,
@@ -97,8 +95,7 @@ def choose_mu(rep: MERep, l: int, spec: SpectralData,
     )
 
 
-def recompose(ph: PHRep, l: int, mu: float,
-              tol: ToleranceConfig = DEFAULT_TOL) -> PHRep:
+def recompose(ph: PHRep, l: int, mu: float) -> PHRep:
     """Prepend the Erlang(l, mu) factor to a Markovian representation.
 
     The result starts deterministically in the first prefix state, the last
@@ -107,13 +104,6 @@ def recompose(ph: PHRep, l: int, mu: float,
     """
     if l == 0:
         return ph
-    from .validate import check_markovian
-
-    verdict = check_markovian(ph, tol)
-    if not verdict.ok:
-        raise InvalidRepresentationError(
-            f"recompose: representation must be Markovian ({verdict.violation})"
-        )
     if ph.prefix is not None and ph.prefix.l > 0:
         raise InvalidRepresentationError("recompose: representation already has a prefix")
     if mu <= ph.lambda1:

@@ -11,7 +11,7 @@ matrix whose spectrum contains the source spectrum.
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from math import atan, ceil, cos, pi, sin, tan
+from math import atan, ceil, cos, pi, sin
 
 import numpy as np
 
@@ -196,11 +196,6 @@ class MonocyclicRep:
     @cached_property
     def matrix(self) -> np.ndarray:
         return chain_generator(self.blocks)
-
-    @property
-    def exit_vector(self) -> np.ndarray:
-        """Column of absorption rates, nonzero only in the last coordinate."""
-        return -(self.matrix @ np.ones(self.order))
 
     def with_gamma(self, gamma: np.ndarray) -> "MonocyclicRep":
         return replace(self, gamma=np.asarray(gamma, dtype=float))

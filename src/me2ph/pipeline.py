@@ -15,15 +15,9 @@ from .core import MERep
 from .deconv import choose_mu, deconvolve, recompose, zero_multiplicity
 from .errors import DecViolationError, InvalidRepresentationError, NumericError, PositiveDensityError
 from .monocyclic import build_generator, solve_gamma
-from .spectral import (
-    analyze_spectrum,
-    check_c_conditions,
-    check_dec,
-    fmt_complex,
-    minimal_representation,
-)
+from .spectral import analyze_spectrum, check_dec, fmt_complex, minimal_representation
 from .tail import BoundsReport, PHRep, append_tail, compute_bounds, find_tau
-from .validate import check_markovian, check_positive_density
+from .validate import check_positive_density
 
 __all__ = ["PaperBounds", "ConversionReport", "convert"]
 
@@ -119,8 +113,8 @@ def convert(
     dec = check_dec(spec, tol)
     if not dec.ok:
         raise DecViolationError(dec.diagnostic)
-    conditions = check_c_conditions(minimal, spec, tol)
-    if not conditions.c1_stable:
+    # the dominant term has the largest real part: every term is stable iff it is
+    if spec.lambda1 <= 0:
         raise InvalidRepresentationError(
             "convert: spectrum has an eigenvalue with nonnegative real part"
         )
@@ -179,10 +173,6 @@ def convert(
         ph = append_tail(mono, bounds, tol)
 
     if l > 0:
-        ph = recompose(ph, l, mu, tol)
+        ph = recompose(ph, l, mu)
     report.final_order = ph.order
-
-    verdict = check_markovian(ph, tol)
-    if not verdict.ok:
-        raise NumericError(f"convert: output failed the Markovian check ({verdict.violation})")
     return ph, report

@@ -13,7 +13,13 @@ from math import factorial
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .core import ComplexSpectrum, MERep, derivatives_at_zero, mat_norm_inf
+from .core import (
+    ComplexSpectrum,
+    MERep,
+    derivatives_at_zero,
+    first_nonzero_derivative,
+    mat_norm_inf,
+)
 from .errors import InvalidRepresentationError, NumericError
 
 __all__ = [
@@ -285,13 +291,17 @@ class DecReport:
     n1: int
 
 
+def _at_top(spec: SpectralData, tol: ToleranceConfig) -> list[SpectralTerm]:
+    """Terms whose real part ties the largest one, within ``eig_cluster_rel``
+    times the spectrum's scale."""
+    top = max(t.eigenvalue.real for t in spec.terms)
+    scale = max(max(abs(t.eigenvalue) for t in spec.terms), 1.0)
+    return [t for t in spec.terms if top - t.eigenvalue.real <= tol.eig_cluster_rel * scale]
+
+
 def check_dec(spec: SpectralData, tol: ToleranceConfig = DEFAULT_TOL) -> DecReport:
     """Check that exactly one term attains the maximal real part and is real."""
-    reals = [t.eigenvalue.real for t in spec.terms]
-    top = max(reals)
-    scale = max(max(abs(t.eigenvalue) for t in spec.terms), 1.0)
-    tie_tol = tol.eig_cluster_rel * scale
-    at_top = [t for t in spec.terms if top - t.eigenvalue.real <= tie_tol]
+    at_top = _at_top(spec, tol)
     dom = spec.dominant_term
     if len(at_top) == 1 and at_top[0].is_real:
         return DecReport(True, "single real dominant eigenvalue", dom.eigenvalue, dom.multiplicity)
@@ -332,21 +342,8 @@ class CConditionReport:
 def check_c_conditions(rep: MERep, spec: SpectralData,
                        tol: ToleranceConfig = DEFAULT_TOL) -> CConditionReport:
     c1 = all(t.eigenvalue.real < 0 for t in spec.terms)
-    reals = [t.eigenvalue.real for t in spec.terms]
-    top = max(reals)
-    scale = max(max(abs(t.eigenvalue) for t in spec.terms), 1.0)
-    c2 = any(t.is_real and top - t.eigenvalue.real <= tol.eig_cluster_rel * scale
-             for t in spec.terms)
+    c2 = any(t.is_real for t in _at_top(spec, tol))
     c3 = abs(complex(rep.alpha.sum()) - 1.0) <= tol.alpha_sum
-
-    derivs = derivatives_at_zero(rep, rep.order + 1)
-    norm_a = mat_norm_inf(rep.A)
-    order = None
-    value = None
-    thresh = tol.deriv_zero_rel
-    for k, d in enumerate(derivs):
-        if abs(d) > thresh * norm_a ** (k + 1):
-            order, value = k, float(d)
-            break
+    order, value = first_nonzero_derivative(rep, tol) or (None, None)
     c4 = value is not None and value > 0
     return CConditionReport(c1, c2, c3, c4, order, value)

@@ -368,6 +368,11 @@ _GLX, _GLW = roots_legendre(_GL_NODES)
 # Poisson terms per vectorized step; bounds the working memory of one call
 _CHUNK = 1 << 16
 _MAX_JUMPS = 10_000_000
+# slow-chain size above which one jump is a sparse product: P has about two
+# nonzeros per row, so a sparse step is O(l + u) against O((l + u)^2) dense,
+# but its fixed cost (about 6 us against 2 us on one x86 core) loses below
+# about 200 states
+_SPARSE_STATES = 200
 _PANEL_SPAN = 16.0
 
 
@@ -463,6 +468,14 @@ def _slow_chain(ph: PHRep, x_max: float):
             f"above the limit {_MAX_JUMPS}"
         )
     P = np.eye(l + u) + Q / rate
+    if l + u > _SPARSE_STATES:
+        # imported here, as only long bodies need it: it adds about 40 ms to
+        # importing the package
+        from scipy.sparse import csr_matrix
+
+        step = csr_matrix(P.T).dot
+    else:
+        step = P.T.dot
     leave = np.zeros(l + u)
     # rows without an exit may sum to -1e-17: a negative s_k has no logarithm
     leave[l:] = np.maximum(-(ph.matrix @ np.ones(u)), 0.0) / rate
@@ -470,7 +483,7 @@ def _slow_chain(ph: PHRep, x_max: float):
     v = start
     for k in range(length):
         s[k] = v @ leave
-        v = v @ P
+        v = step(v)
     return s, rate
 
 

@@ -1,5 +1,5 @@
-"""Executable checks: Markovianity, positivity, equivalence, redundancy,
-and a Monte Carlo cross-check of the absorption-time interpretation."""
+"""Executable checks: Markovianity, positivity, equivalence, and a Monte
+Carlo cross-check of the absorption-time interpretation."""
 
 from dataclasses import dataclass
 
@@ -7,7 +7,6 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .core import MERep, moments, pdf_eval_many
-from .errors import InvalidRepresentationError, NumericError
 from .spectral import SpectralData
 from .tail import PHRep, phrep_cdf_grid, phrep_moments, phrep_pdf
 
@@ -18,7 +17,6 @@ __all__ = [
     "check_markovian",
     "check_positive_density",
     "check_equivalence",
-    "eliminate_redundant",
     "monte_carlo_check",
     "ks_threshold",
 ]
@@ -31,10 +29,17 @@ class MarkovianVerdict:
 
 
 def check_markovian(rep, tol: ToleranceConfig = DEFAULT_TOL) -> MarkovianVerdict:
-    """Entrywise Markovian conditions; structured representations are checked
-    without densifying."""
+    """Entrywise Markovian conditions.
+
+    A structured representation is Markovian by construction: its constructor
+    rejects negative entries and nonpositive rates.  Only its initial mass is
+    checked again, against the caller's ``alpha_sum``.
+    """
     if isinstance(rep, PHRep):
-        return _check_markovian_ph(rep, tol)
+        total = rep.head_gamma.sum() + rep.tail_weights.sum()
+        if abs(total - 1.0) > tol.alpha_sum:
+            return MarkovianVerdict(False, f"initial mass sums to {total:.12g}")
+        return MarkovianVerdict(True)
     slack = tol.alpha_sum
     alpha, A = rep.alpha, rep.A
     if np.iscomplexobj(alpha) and np.abs(alpha.imag).max() > slack:
@@ -57,24 +62,6 @@ def check_markovian(rep, tol: ToleranceConfig = DEFAULT_TOL) -> MarkovianVerdict
     rowsums = A.sum(axis=1)
     if rowsums.max() > slack * max(1.0, float(np.abs(A).max())):
         return MarkovianVerdict(False, f"row {rowsums.argmax()} sums to {rowsums.max():.6g} > 0")
-    return MarkovianVerdict(True)
-
-
-def _check_markovian_ph(ph: PHRep, tol: ToleranceConfig) -> MarkovianVerdict:
-    if ph.head_gamma.min() < 0:
-        return MarkovianVerdict(False, f"head entry {ph.head_gamma.min():.6g} < 0")
-    if ph.tail_n and ph.tail_weights.min() < 0:
-        return MarkovianVerdict(False, f"tail weight {ph.tail_weights.min():.6g} < 0")
-    total = ph.head_gamma.sum() + ph.tail_weights.sum()
-    if abs(total - 1.0) > tol.alpha_sum:
-        return MarkovianVerdict(False, f"initial mass sums to {total:.12g}")
-    for blk in ph.blocks:
-        if blk.sigma <= 0 or not (0 <= blk.z < 1):
-            return MarkovianVerdict(False, f"invalid block {blk}")
-    if ph.tail_n and ph.tail_lambda <= 0:
-        return MarkovianVerdict(False, "tail rate must be positive")
-    if ph.prefix is not None and ph.prefix.l > 0 and ph.prefix.mu <= 0:
-        return MarkovianVerdict(False, "prefix rate must be positive")
     return MarkovianVerdict(True)
 
 
@@ -170,32 +157,6 @@ def check_equivalence(rep1, rep2, grid=None, rel_tol: float | None = None,
     )
 
 
-def eliminate_redundant(rep: MERep, tol: ToleranceConfig = DEFAULT_TOL) -> MERep:
-    """Remove states never visited before absorption.
-
-    The mean time spent in each state is ``-alpha A^(-1)``; coordinates with
-    zero mean occupancy can be deleted without changing the distribution.
-    """
-    verdict = check_markovian(rep, tol)
-    if not verdict.ok:
-        raise InvalidRepresentationError(
-            f"eliminate_redundant: input must be Markovian ({verdict.violation})"
-        )
-    try:
-        mean_times = -np.linalg.solve(rep.A.T, rep.alpha.astype(float))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eliminate_redundant: singular matrix ({exc})") from exc
-    scale = max(float(np.abs(mean_times).max()), 1e-300)
-    keep = np.abs(mean_times) > 1e-12 * scale
-    if keep.all():
-        return rep
-    if not keep.any():
-        raise InvalidRepresentationError("eliminate_redundant: no state is ever visited")
-    alpha = rep.alpha[keep]
-    A = rep.A[np.ix_(keep, keep)]
-    return MERep(alpha, A, tol=rep.tol)
-
-
 def ks_threshold(samples: int, quantile: float = 0.01) -> float:
     """Asymptotic one-sample Kolmogorov-Smirnov critical value."""
     coeff = {0.10: 1.22, 0.05: 1.36, 0.01: 1.63}[quantile]
@@ -250,15 +211,9 @@ def simulate_absorption_times(ph: PHRep, samples: int, rng) -> np.ndarray:
     return t
 
 
-def monte_carlo_check(ph: PHRep, samples: int = 100_000, seed: int = 0,
-                      tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def monte_carlo_check(ph: PHRep, samples: int = 100_000, seed: int = 0) -> float:
     """One-sample KS statistic of simulated absorption times against the
     structured distribution function.  Deterministic per seed."""
-    verdict = check_markovian(ph, tol)
-    if not verdict.ok:
-        raise InvalidRepresentationError(
-            f"monte_carlo_check: representation must be Markovian ({verdict.violation})"
-        )
     rng = np.random.default_rng(seed)
     times = np.sort(simulate_absorption_times(ph, samples, rng))
     hi = float(times[-1]) * 1.02 + 1e-9

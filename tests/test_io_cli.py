@@ -176,6 +176,36 @@ def test_convert_cli_unknown_tolerance_is_input_error(tmp_path, capsys):
     assert "error: input:" in capsys.readouterr().err
 
 
+def test_convert_cli_singular_matrix_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "singular.json"
+    bad.write_text(json.dumps({"alpha": [0.5, 0.5], "A": [[-1.0, 1.0], [1.0, -1.0]]}))
+    code = main(["convert", str(bad), str(tmp_path / "x.json")])
+    assert code == 1
+    assert "error: input:" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def negative_head_file(tmp_path):
+    path = tmp_path / "negative.ph.json"
+    path.write_text(json.dumps({
+        "prefix": None,
+        "blocks": [{"b": 1, "sigma": 1.0, "z": 0.0}],
+        "head_gamma": [-0.5],
+        "tail": None,
+    }))
+    return path
+
+
+def test_validate_cli_broken_invariant_is_input_error(capsys, negative_head_file):
+    assert main(["validate", str(negative_head_file)]) == 1
+    assert "error: input:" in capsys.readouterr().err
+
+
+def test_pdf_cli_broken_invariant_is_input_error(capsys, negative_head_file):
+    assert main(["pdf", str(negative_head_file), "--grid", "0:1:2"]) == 1
+    assert "error: input:" in capsys.readouterr().err
+
+
 def test_validate_cli_me_file(capsys, worked_me_file):
     code = main(["validate", str(worked_me_file)])
     assert code == 0

@@ -7,7 +7,9 @@ import pytest
 from scipy.linalg import expm
 from scipy.stats import gamma as gamma_dist
 
+import me2ph.tail
 from me2ph import (
+    DeconvParams,
     FEBlock,
     InvalidRepresentationError,
     MERep,
@@ -232,6 +234,19 @@ def test_phrep_pdf_long_feedback_erlang_body():
     assert ph.order == 64 and ph.tail_n == 0
     xs = np.linspace(0.1, 10.0, 50)
     assert phrep_pdf(ph, xs) == pytest.approx(pdf_eval_many(rep, xs), rel=1e-9)
+
+
+def test_sparse_slow_chain_step_matches_dense(monkeypatch):
+    blocks = (FEBlock(1, 1.0, 0.0), FEBlock(3, 4.0, 0.4), FEBlock(4, 6.0, 0.7))
+    head = np.array([0.1, 0.0, 0.15, 0.05, 0.1, 0.0, 0.2, 0.05])
+    ph = PHRep(head, blocks, 8.0, 4, np.array([0.05, 0.1, 0.1, 0.1]),
+               prefix=DeconvParams(2, 5.0))
+    xs = np.linspace(0.0, 8.0, 33)
+    dense = phrep_pdf(ph, xs), phrep_cdf_grid(ph, xs)
+    monkeypatch.setattr(me2ph.tail, "_SPARSE_STATES", 0)
+    sparse = phrep_pdf(ph, xs), phrep_cdf_grid(ph, xs)
+    for d, s in zip(dense, sparse):
+        assert s == pytest.approx(d, rel=1e-12, abs=1e-300)
 
 
 def test_phrep_pdf_refuses_too_many_jumps():

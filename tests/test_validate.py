@@ -8,6 +8,7 @@ import pytest
 
 import me2ph.tail
 from me2ph import (
+    DEFAULT_TOL,
     DeconvParams,
     FEBlock,
     InvalidRepresentationError,
@@ -19,7 +20,6 @@ from me2ph import (
     check_markovian,
     check_positive_density,
     convert,
-    eliminate_redundant,
     monte_carlo_check,
     pdf_eval_many,
     phrep_moments,
@@ -55,9 +55,40 @@ def test_markovian_accepts_erlang_chain():
     assert check_markovian(erlang_rep(4, 1.0)).ok
 
 
-def test_markovian_structured_rejects_bad_prefix(worked_conversion):
-    ph, _ = worked_conversion
-    assert ph.prefix.l == 1 and check_markovian(ph).ok
+ONE_STATE = (FEBlock(1, 1.0, 0.0),)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: PHRep(np.array([1.2, -0.2]), ONE_STATE * 2, 0.0, 0, np.zeros(0)),
+                 id="negative-head-entry"),
+    pytest.param(lambda: PHRep(np.array([0.6]), ONE_STATE, 2.0, 2, np.array([0.5, -0.1])),
+                 id="negative-tail-weight"),
+    pytest.param(lambda: PHRep(np.array([1.0 + 2 * DEFAULT_TOL.alpha_sum]), ONE_STATE, 0.0, 0,
+                               np.zeros(0)),
+                 id="initial-mass-off"),
+    pytest.param(lambda: PHRep(np.array([1.0]), (FEBlock(1, 0.0, 0.0),), 0.0, 0, np.zeros(0)),
+                 id="block-sigma-zero"),
+    pytest.param(lambda: PHRep(np.ones(2) / 2, (FEBlock(2, 1.0, 1.0),), 0.0, 0, np.zeros(0)),
+                 id="block-z-one"),
+    pytest.param(lambda: PHRep(np.ones(2) / 2, (FEBlock(2, 1.0, -0.1),), 0.0, 0, np.zeros(0)),
+                 id="block-z-negative"),
+    pytest.param(lambda: PHRep(np.array([0.5]), ONE_STATE, 0.0, 1, np.array([0.5])),
+                 id="tail-rate-zero"),
+    pytest.param(lambda: PHRep(np.array([1.0]), ONE_STATE, 0.0, 0, np.zeros(0),
+                               prefix=DeconvParams(1, 0.0)),
+                 id="prefix-rate-zero"),
+])
+def test_phrep_constructor_rejects_non_markovian(build):
+    with pytest.raises(InvalidRepresentationError):
+        build()
+
+
+def test_markovian_structured_checks_mass_against_caller_tolerance():
+    loose = DEFAULT_TOL.replace(alpha_sum=1e-3)
+    ph = PHRep(np.array([1.0 + 1e-6]), ONE_STATE, 0.0, 0, np.zeros(0), tol=loose)
+    assert check_markovian(ph, loose).ok
+    verdict = check_markovian(ph)
+    assert not verdict.ok and "initial mass" in verdict.violation
 
 
 def test_positive_density_worked_example(worked_minimal):
@@ -99,29 +130,6 @@ def test_equivalence_distinguishes_rates():
     e1 = MERep(np.array([1.0]), np.array([[-1.0]]))
     e2 = MERep(np.array([1.0]), np.array([[-2.0]]))
     assert not check_equivalence(e1, e2).ok
-
-
-def test_eliminate_redundant_drops_padded_state():
-    rng = np.random.default_rng(12)
-    base = random_markovian_rep(rng, 3)
-    A = np.zeros((4, 4))
-    A[:3, :3] = base.A
-    A[3, 3] = -2.0  # unreachable: no inbound rates, no initial mass
-    rep = MERep(np.concatenate([base.alpha, [0.0]]), A)
-    out = eliminate_redundant(rep)
-    assert out.order == 3
-    xs = np.linspace(0.05, 10.0, 40)
-    assert pdf_eval_many(out, xs) == pytest.approx(pdf_eval_many(rep, xs), rel=1e-10, abs=1e-13)
-
-
-def test_eliminate_redundant_keeps_erlang():
-    rep = erlang_rep(3, 1.0)
-    assert eliminate_redundant(rep) is rep
-
-
-def test_eliminate_redundant_requires_markovian(worked_rep):
-    with pytest.raises(InvalidRepresentationError):
-        eliminate_redundant(worked_rep)
 
 
 def test_monte_carlo_exponential():
