@@ -3,10 +3,13 @@
 
 Converts the bundled oscillating density in both modes (computed bounds and
 the published rounded constants), prints every intermediate quantity, and
-compares the final Markovian representation against the closed form.
+compares the final Markovian representation against the closed form.  Exits
+1 if an output is not Markovian, misses the input's density or moments at
+relative 1e-5, or the published mode does not give order 403,309.
 """
 
 import argparse
+import sys
 import time
 
 import numpy as np
@@ -28,6 +31,7 @@ A = np.array(
     ],
     dtype=float,
 )
+PUBLISHED_ORDER = 403_309
 
 
 def closed_form(x):
@@ -37,7 +41,8 @@ def closed_form(x):
     )
 
 
-def run(mode: str) -> None:
+def run(mode: str) -> list[str]:
+    """Convert in one mode, print the report, and return what failed."""
     rep = MERep(ALPHA, A)
     bounds = PaperBounds() if mode == "published" else None
     started = time.perf_counter()
@@ -48,7 +53,8 @@ def run(mode: str) -> None:
     for line in report.lines():
         print(line)
     print(f"conversion time: {elapsed:.2f}s")
-    print(f"markovian: {check_markovian(ph).ok}")
+    markovian = check_markovian(ph).ok
+    print(f"markovian: {markovian}")
 
     grid = np.linspace(0.2, 10.0, 50)
     verdict = check_equivalence(rep, ph, grid=grid, rel_tol=1e-5)
@@ -57,6 +63,15 @@ def run(mode: str) -> None:
     ref = float(closed_form(np.array([1.0]))[0])
     print(f"f(1): closed form {ref:.12f} vs structured {phrep_pdf(ph, 1.0):.12f}")
     print()
+
+    failures = []
+    if not markovian:
+        failures.append(f"{mode}: output is not Markovian")
+    if not verdict.ok:
+        failures.append(f"{mode}: output misses the input at relative 1e-5")
+    if mode == "published" and ph.order != PUBLISHED_ORDER:
+        failures.append(f"published: order {ph.order}, expected {PUBLISHED_ORDER}")
+    return failures
 
 
 def main() -> None:
@@ -68,8 +83,10 @@ def main() -> None:
     )
     args = parser.parse_args()
     modes = ["computed", "published"] if args.mode == "both" else [args.mode]
-    for mode in modes:
-        run(mode)
+    failures = [f for mode in modes for f in run(mode)]
+    for failure in failures:
+        print(f"FAIL {failure}")
+    sys.exit(1 if failures else 0)
 
 
 if __name__ == "__main__":

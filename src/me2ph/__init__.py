@@ -1,7 +1,7 @@
 """Matrix-exponential to phase-type conversion."""
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .core import ComplexSpectrum, MERep, moments, pdf_eval, pdf_eval_many
+from .core import MERep, moments, pdf_eval, pdf_eval_many
 from .deconv import DeconvParams, choose_mu, deconvolve, recompose, zero_multiplicity
 from .errors import (
     DecViolationError,

@@ -17,7 +17,6 @@ from .errors import InvalidRepresentationError, NumericError
 
 __all__ = [
     "MERep",
-    "ComplexSpectrum",
     "vec_norm1",
     "mat_norm_inf",
     "pdf_eval",
@@ -91,36 +90,6 @@ class MERep:
 
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.alpha) or np.iscomplexobj(self.A)
-
-
-@dataclass(frozen=True)
-class ComplexSpectrum:
-    """Eigenvalues with algebraic multiplicities, sorted by descending real
-    part, members of a conjugate pair adjacent (positive imaginary part first).
-    """
-
-    pairs: tuple[tuple[complex, int], ...]
-
-    def __post_init__(self):
-        for ev, mult in self.pairs:
-            if mult < 1:
-                raise InvalidRepresentationError("ComplexSpectrum: multiplicity must be >= 1")
-        # non-real eigenvalues must come in conjugate pairs of equal multiplicity
-        tagged = {}
-        for ev, mult in self.pairs:
-            if ev.imag != 0:
-                tagged.setdefault(ev.real, []).append((ev.imag, mult))
-        for real, imags in tagged.items():
-            ups = sorted((i, m) for i, m in imags if i > 0)
-            downs = sorted((-i, m) for i, m in imags if i < 0)
-            if ups != downs:
-                raise InvalidRepresentationError(
-                    f"ComplexSpectrum: unpaired complex eigenvalues at real part {real}"
-                )
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.pairs)
 
 
 def pdf_eval(rep: MERep, x: float) -> float:

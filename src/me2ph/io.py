@@ -9,6 +9,7 @@ write followed by read is bit exact.
 """
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -31,12 +32,50 @@ __all__ = [
 WEIGHTS_SIDECAR_THRESHOLD = 1_000_000
 
 
-def _decode_entry(v):
-    if isinstance(v, (int, float)):
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+_KINDS = {float: "a number", int: "an integer", list: "a list"}
+
+
+def _take(doc, key: str, kind, path, where: str = ""):
+    """``doc[key]`` as ``kind`` (float, int or list), or a ``ValueError``
+    naming the file and the field; ``where`` prefixes nested field names."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: '{where.rstrip('.')}' must be an object, got {doc!r}")
+    if key not in doc:
+        raise ValueError(f"{path}: missing field '{where}{key}'")
+    v = doc[key]
+    if kind is list:
+        ok = isinstance(v, list)
+    else:
+        ok = _is_number(v) and (kind is float or float(v).is_integer())
+    if not ok:
+        raise ValueError(f"{path}: field '{where}{key}' must be {_KINDS[kind]}, got {v!r}")
+    return v if kind is list else kind(v)
+
+
+def _decode_entry(v, name: str, path):
+    if _is_number(v):
         return float(v)
-    if isinstance(v, list) and len(v) == 2:
+    if isinstance(v, list) and len(v) == 2 and all(_is_number(p) for p in v):
         return complex(float(v[0]), float(v[1]))
-    raise ValueError(f"matrix entries must be numbers or [re, im] pairs, got {v!r}")
+    raise ValueError(f"{path}: entries of '{name}' must be numbers or [re, im] pairs, got {v!r}")
+
+
+def _tolerances(overrides, path) -> ToleranceConfig:
+    """``DEFAULT_TOL`` with the document's overrides, each a known field of
+    the field's type."""
+    if not isinstance(overrides, dict):
+        raise ValueError(f"{path}: field 'tolerances' must be an object, got {overrides!r}")
+    kinds = {f.name: f.type for f in fields(ToleranceConfig)}
+    values = {}
+    for name in overrides:
+        if name not in kinds:
+            raise ValueError(f"{path}: field 'tolerances.{name}' is not a tolerance")
+        values[name] = _take(overrides, name, kinds[name], path, "tolerances.")
+    return DEFAULT_TOL.replace(**values)
 
 
 def _encode_entry(v):
@@ -54,15 +93,12 @@ def read_me_file(path) -> tuple[MERep, ToleranceConfig]:
 def _me_from_doc(doc, path) -> tuple[MERep, ToleranceConfig]:
     if not isinstance(doc, dict) or "alpha" not in doc or "A" not in doc:
         raise ValueError(f"{path}: expected an object with 'alpha' and 'A'")
-    alpha = [_decode_entry(v) for v in doc["alpha"]]
-    A = [[_decode_entry(v) for v in row] for row in doc["A"]]
-    tol = DEFAULT_TOL
-    overrides = doc.get("tolerances")
-    if overrides:
-        try:
-            tol = tol.replace(**overrides)
-        except TypeError as exc:  # a name ToleranceConfig does not have
-            raise ValueError(f"{path}: bad 'tolerances' object ({exc})") from exc
+    alpha = [_decode_entry(v, "alpha", path) for v in _take(doc, "alpha", list, path)]
+    rows = _take(doc, "A", list, path)
+    if not all(isinstance(row, list) and len(row) == len(rows) for row in rows):
+        raise ValueError(f"{path}: field 'A' must be a square list of rows")
+    A = [[_decode_entry(v, "A", path) for v in row] for row in rows]
+    tol = _tolerances(doc["tolerances"], path) if doc.get("tolerances") is not None else DEFAULT_TOL
     arr_a = np.array(alpha)
     arr_m = np.array(A)
     if not (np.iscomplexobj(arr_a) or np.iscomplexobj(arr_m)):
@@ -110,28 +146,44 @@ def read_ph_file(path) -> PHRep:
     return _ph_from_doc(json.loads(path.read_text()), path)
 
 
+def _numbers(doc, key: str, path, where: str = "") -> np.ndarray:
+    values = _take(doc, key, list, path, where)
+    if not all(_is_number(v) for v in values):
+        raise ValueError(f"{path}: entries of '{where}{key}' must be numbers")
+    return np.array(values, dtype=float)
+
+
 def _ph_from_doc(doc, path: Path) -> PHRep:
     if not isinstance(doc, dict) or "blocks" not in doc or "head_gamma" not in doc:
         raise ValueError(f"{path}: expected an object with 'blocks' and 'head_gamma'")
-    blocks = tuple(FEBlock(int(b["b"]), float(b["sigma"]), float(b["z"])) for b in doc["blocks"])
-    head = np.array([float(v) for v in doc["head_gamma"]])
+    blocks = []
+    for i, b in enumerate(_take(doc, "blocks", list, path)):
+        where = f"blocks[{i}]."
+        blocks.append(FEBlock(_take(b, "b", int, path, where),
+                              _take(b, "sigma", float, path, where),
+                              _take(b, "z", float, path, where)))
+    head = _numbers(doc, "head_gamma", path)
     tail = doc.get("tail")
     if tail is None:
         rate, n, weights = 0.0, 0, np.zeros(0)
     else:
-        rate = float(tail["lambda"])
-        n = int(tail["n"])
+        rate = _take(tail, "lambda", float, path, "tail.")
+        n = _take(tail, "n", int, path, "tail.")
         if "weights_path" in tail:
-            weights = np.fromfile(path.with_name(tail["weights_path"]), dtype="<f8")
+            sidecar = tail["weights_path"]
+            if not isinstance(sidecar, str):
+                raise ValueError(f"{path}: field 'tail.weights_path' must be a file name")
+            weights = np.fromfile(path.with_name(sidecar), dtype="<f8")
             if weights.shape[0] != n:
                 raise ValueError(f"{path}: sidecar holds {weights.shape[0]} weights, expected {n}")
         else:
-            weights = np.array([float(v) for v in tail["weights"]])
+            weights = _numbers(tail, "weights", path, "tail.")
     prefix = None
     pf = doc.get("prefix")
     if pf:
-        prefix = DeconvParams(int(pf["l"]), float(pf["mu"]))
-    return PHRep(head, blocks, rate, n, weights, prefix=prefix)
+        prefix = DeconvParams(_take(pf, "l", int, path, "prefix."),
+                              _take(pf, "mu", float, path, "prefix."))
+    return PHRep(head, tuple(blocks), rate, n, weights, prefix=prefix)
 
 
 def read_file(path) -> tuple[str, MERep | PHRep, ToleranceConfig]:

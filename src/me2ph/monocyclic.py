@@ -200,11 +200,6 @@ class MonocyclicRep:
     def with_gamma(self, gamma: np.ndarray) -> "MonocyclicRep":
         return replace(self, gamma=np.asarray(gamma, dtype=float))
 
-    def to_me_rep(self, tol: ToleranceConfig = DEFAULT_TOL) -> MERep:
-        if self.gamma is None:
-            raise InvalidRepresentationError("MonocyclicRep: gamma not set")
-        return MERep(self.gamma, self.matrix, tol=tol)
-
 
 def build_generator(spec: SpectralData, tol: ToleranceConfig = DEFAULT_TOL) -> MonocyclicRep:
     """Assemble the block list for a spectrum satisfying the dominance condition.

@@ -95,7 +95,6 @@ def convert(
     *,
     paper_bounds: PaperBounds | None = None,
     max_order: int = 10_000_000,
-    f_inf_grid: int | None = None,
 ) -> tuple[PHRep, ConversionReport]:
     """Run the full construction and return the Markovian representation.
 
@@ -154,15 +153,15 @@ def convert(
         if paper_bounds is not None:
             tau = paper_bounds.tau
             bounds = compute_bounds(
-                mono, tau, f_inf_grid, tol=tol,
+                mono, tau, working_spec, tol=tol,
                 gamma_norm=paper_bounds.gamma_norm,
                 eps1=paper_bounds.eps1,
                 eps2=paper_bounds.eps2,
                 round_rate_to=paper_bounds.round_rate_to,
             )
         else:
-            tau = find_tau(mono, tol)
-            bounds = compute_bounds(mono, tau, f_inf_grid, tol=tol)
+            tau = find_tau(mono, working_spec, tol)
+            bounds = compute_bounds(mono, tau, working_spec, tol=tol)
         report.bounds = bounds
         if l + mono.order + bounds.n > max_order:
             raise NumericError(

@@ -13,13 +13,7 @@ from math import factorial
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .core import (
-    ComplexSpectrum,
-    MERep,
-    derivatives_at_zero,
-    first_nonzero_derivative,
-    mat_norm_inf,
-)
+from .core import MERep, derivatives_at_zero, first_nonzero_derivative, mat_norm_inf
 from .errors import InvalidRepresentationError, NumericError
 
 __all__ = [
@@ -82,13 +76,16 @@ class SpectralData:
         return sum(t.multiplicity for t in self.terms)
 
 
-def cluster_eigenvalues(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> ComplexSpectrum:
+def cluster_eigenvalues(A: np.ndarray,
+                        tol: ToleranceConfig = DEFAULT_TOL) -> tuple[tuple[complex, int], ...]:
     """Group the eigenvalues of ``A`` into conjugate-symmetric clusters.
 
-    Two eigenvalues merge when they differ by at most ``eig_cluster_rel``
-    times the infinity norm of ``A``; the cluster size is the algebraic
-    multiplicity.  Near-real eigenvalues are snapped onto the real axis so
-    that conjugate pairs come out exactly symmetric.
+    Returns ``(eigenvalue, multiplicity)`` pairs sorted by descending real
+    part, the members of a conjugate pair adjacent (positive imaginary part
+    first).  Two eigenvalues merge when they differ by at most
+    ``eig_cluster_rel`` times the infinity norm of ``A``; the cluster size is
+    the algebraic multiplicity.  Near-real eigenvalues are snapped onto the
+    real axis so that conjugate pairs come out exactly symmetric.
     """
     A = np.asarray(A)
     evs = np.linalg.eigvals(A)
@@ -120,13 +117,13 @@ def cluster_eigenvalues(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Co
         if center.imag != 0:
             pairs.append((center.conjugate(), len(cl)))
     pairs.sort(key=lambda p: (-p[0].real, -abs(p[0].imag), -p[0].imag))
-    spectrum = ComplexSpectrum(tuple(pairs))
-    if spectrum.total_multiplicity != A.shape[0]:
+    total = sum(m for _, m in pairs)
+    if total != A.shape[0]:
         raise NumericError(
             "cluster_eigenvalues: multiplicities do not sum to the dimension "
-            f"({spectrum.total_multiplicity} vs {A.shape[0]}); conjugate pairing failed"
+            f"({total} vs {A.shape[0]}); conjugate pairing failed"
         )
-    return spectrum
+    return tuple(pairs)
 
 
 def _coefficient_matrix(slots: list[tuple[complex, int]], rows: int) -> np.ndarray:
@@ -148,7 +145,7 @@ def analyze_spectrum(rep: MERep, tol: ToleranceConfig = DEFAULT_TOL) -> Spectral
     """
     spectrum = cluster_eigenvalues(rep.A, tol)
     slots: list[tuple[complex, int]] = []
-    for ev, mult in spectrum.pairs:
+    for ev, mult in spectrum:
         for j in range(1, mult + 1):
             slots.append((ev, j))
     n = len(slots)
@@ -169,7 +166,7 @@ def analyze_spectrum(rep: MERep, tol: ToleranceConfig = DEFAULT_TOL) -> Spectral
 
     by_eig: dict[complex, np.ndarray] = {}
     i = 0
-    for ev, mult in spectrum.pairs:
+    for ev, mult in spectrum:
         by_eig[ev] = coeffs[i : i + mult]
         i += mult
 
@@ -185,7 +182,7 @@ def analyze_spectrum(rep: MERep, tol: ToleranceConfig = DEFAULT_TOL) -> Spectral
     scale = max(float(np.abs(coeffs).max()), 1e-300)
     cut = tol.coeff_zero_rel * scale
     terms: list[SpectralTerm] = []
-    for ev, mult in spectrum.pairs:
+    for ev, mult in spectrum:
         cs = by_eig[ev]
         eff = mult
         while eff > 0 and abs(cs[eff - 1]) <= cut:
@@ -254,33 +251,9 @@ def expansion_values(spec: SpectralData, xs: np.ndarray) -> np.ndarray:
     return out.real
 
 
-def density_evaluator(rep: MERep, tol: ToleranceConfig = DEFAULT_TOL):
-    """Fast vectorized density evaluator for screening-grade grids.
-
-    Uses the spectral expansion when the coefficient extraction succeeds and
-    reproduces two probe points of the exact evaluation; otherwise falls back
-    to one matrix exponential per point.
-    """
-    from .core import pdf_eval, pdf_eval_many
-
-    try:
-        spec = analyze_spectrum(rep, tol)
-    except (NumericError, InvalidRepresentationError):
-        return lambda xs: pdf_eval_many(rep, xs)
-
-    def fast(xs):
-        return expansion_values(spec, xs)
-
-    try:
-        probes = np.array([0.37, 1.7]) / max(spec.lambda1, 1e-6)
-        exact = np.array([pdf_eval(rep, p) for p in probes])
-        scale = max(float(np.abs(exact).max()), 1e-300)
-        ok = np.abs(fast(probes) - exact).max() <= 1e-8 * scale
-    except NumericError:
-        ok = False
-    if not ok:
-        return lambda xs: pdf_eval_many(rep, xs)
-    return fast
+def density_evaluator(spec: SpectralData):
+    """The expansion of ``spec`` as a function of an array of points."""
+    return lambda xs: expansion_values(spec, xs)
 
 
 @dataclass(frozen=True)

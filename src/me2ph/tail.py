@@ -25,6 +25,7 @@ from .errors import (
     PositiveDensityError,
 )
 from .monocyclic import FEBlock, MonocyclicRep, chain_generator
+from .spectral import SpectralData, density_evaluator
 
 __all__ = [
     "BoundsReport",
@@ -161,13 +162,16 @@ def _log_rate_cost(density, tau: float, g: float, gn: float,
     return max(_log_rates(gn, g, tau, eps1, 0.9 * density_floor))
 
 
-def find_tau(mono: MonocyclicRep, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def find_tau(mono: MonocyclicRep, spec: SpectralData,
+             tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Pick a horizon ``tau`` with ``gamma exp(G tau)`` entrywise positive.
 
     Doubling from ``n1/lambda1`` always reaches a feasible point when the
     construction's preconditions hold.  Because the certified rate grows like
     ``exp(g tau)``, the search then walks the binary ladder back down while
     positivity survives and keeps the feasible point with the cheapest rate.
+    ``spec`` is the expansion of the density ``mono`` realizes; the rate of
+    each candidate depends on its infimum over ``[0, tau]``.
     """
     if mono.gamma is None:
         raise InvalidRepresentationError("find_tau: gamma not set")
@@ -197,9 +201,7 @@ def find_tau(mono: MonocyclicRep, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     if float(mono.gamma.min()) >= 0:
         return tau
 
-    from .spectral import density_evaluator
-
-    density = density_evaluator(mono.to_me_rep(tol), tol)
+    density = density_evaluator(spec)
     best, best_cost = tau, _log_rate_cost(density, tau, g, gn, e1)
     t = tau / 2
     for _ in range(tol.max_doublings):
@@ -219,7 +221,7 @@ def find_tau(mono: MonocyclicRep, tol: ToleranceConfig = DEFAULT_TOL) -> float:
 def compute_bounds(
     mono: MonocyclicRep,
     tau: float,
-    f_inf_grid: int | None = None,
+    spec: SpectralData,
     *,
     tol: ToleranceConfig = DEFAULT_TOL,
     gamma_norm: float | None = None,
@@ -230,10 +232,11 @@ def compute_bounds(
     """Derive the certified tail rate and order for a given ``tau``.
 
     ``eps1`` is the smallest entry of ``gamma exp(G tau)``; ``eps2`` a safety-
-    shrunk grid infimum of the density on ``[0, tau]``.  The keyword overrides
-    substitute externally supplied constants for the computed ones (used to
-    reproduce published figures); ``round_rate_to`` rounds the applied rate up
-    to the next multiple, which is always safe.
+    shrunk grid infimum on ``[0, tau]`` of the expansion ``spec``, the density
+    ``mono`` realizes.  The keyword overrides substitute externally supplied
+    constants for the computed ones (used to reproduce published figures);
+    ``round_rate_to`` rounds the applied rate up to the next multiple, which
+    is always safe.
     """
     if mono.gamma is None:
         raise InvalidRepresentationError("compute_bounds: gamma not set")
@@ -254,12 +257,8 @@ def compute_bounds(
     if eps2 is not None:
         e2 = float(eps2)
     else:
-        points = f_inf_grid if f_inf_grid is not None else 10 * math.ceil(g * tau)
-        points = max(points, 10)
-        xs = np.linspace(0.0, tau, points)
-        from .spectral import density_evaluator
-
-        vals = np.asarray(density_evaluator(mono.to_me_rep(tol), tol)(xs))
+        xs = np.linspace(0.0, tau, max(10 * math.ceil(g * tau), 10))
+        vals = density_evaluator(spec)(xs)
         e2 = tol.eps2_safety * float(vals.min())
         if e2 <= 0:
             raise PositiveDensityError(
@@ -281,8 +280,11 @@ def compute_bounds(
     )
 
 
-def _tail_sweep(gamma: np.ndarray, G: np.ndarray, rate: float, n: int,
-                chunk: int = 512):
+# powers of M formed per block of _tail_sweep steps
+_SWEEP_CHUNK = 512
+
+
+def _tail_sweep(gamma: np.ndarray, G: np.ndarray, rate: float, n: int):
     """Left-to-right products through ``M = I + G/rate``.
 
     Returns ``gamma M^n`` and the scalars ``q[j] = gamma M^j (-G 1)/rate`` for
@@ -291,7 +293,7 @@ def _tail_sweep(gamma: np.ndarray, G: np.ndarray, rate: float, n: int,
     successive vector-matrix products.
     """
     u = G.shape[0]
-    chunk = max(1, min(chunk, max(32, 4_000_000 // (u * u)), n))
+    chunk = max(1, min(_SWEEP_CHUNK, max(32, 4_000_000 // (u * u)), n))
     M = np.eye(u) + G / rate
     e = -(G @ np.ones(u)) / rate
     powers = np.empty((chunk, u, u))

@@ -205,12 +205,12 @@ def test_criterion_2d_tail_weight_sampling_bound():
         mono = solve_gamma(rep, build_generator(spec))
         if mono.gamma.min() >= 0:
             continue
-        tau = find_tau(mono)
-        bounds = compute_bounds(mono, tau)
+        tau = find_tau(mono, spec)
+        bounds = compute_bounds(mono, tau, spec)
         ph = append_tail(mono, bounds)
         lam, n = ph.tail_lambda, ph.tail_n
         v_by_power = ph.tail_weights[::-1]
-        f_vals = expansion_values(analyze_spectrum(mono.to_me_rep()), np.arange(n) / lam)
+        f_vals = expansion_values(spec, np.arange(n) / lam)
         assert np.abs(lam * v_by_power - f_vals).max() <= bounds.eps2 * (1 + 1e-9)
         done += 1
     assert done >= 200

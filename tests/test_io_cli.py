@@ -206,6 +206,46 @@ def test_pdf_cli_broken_invariant_is_input_error(capsys, negative_head_file):
     assert "error: input:" in capsys.readouterr().err
 
 
+def _input_error_in_every_command(tmp_path, capsys, doc, commands):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    args = {
+        "convert": [str(tmp_path / "x.json")],
+        "validate": [],
+        "pdf": ["--grid", "0:1:2"],
+    }
+    for command in commands:
+        assert main([command, str(path), *args[command]]) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: input:") and str(path) in err, err
+    return err
+
+
+def test_cli_block_missing_sigma_is_input_error(tmp_path, capsys):
+    doc = {"blocks": [{"b": 1}], "head_gamma": [1.0], "tail": None}
+    err = _input_error_in_every_command(tmp_path, capsys, doc, ("validate", "pdf"))
+    assert "blocks[0].sigma" in err
+
+
+def test_cli_tail_missing_n_is_input_error(tmp_path, capsys):
+    doc = {"blocks": [{"b": 1, "sigma": 2.0, "z": 0.0}], "head_gamma": [1.0],
+           "tail": {"lambda": 2.0}}
+    err = _input_error_in_every_command(tmp_path, capsys, doc, ("validate", "pdf"))
+    assert "tail.n" in err
+
+
+def test_cli_scalar_alpha_is_input_error(tmp_path, capsys):
+    doc = {"alpha": 1.0, "A": [[-1.0]]}
+    err = _input_error_in_every_command(tmp_path, capsys, doc, ("convert", "validate", "pdf"))
+    assert "'alpha'" in err
+
+
+def test_cli_string_tolerance_is_input_error(tmp_path, capsys):
+    doc = {"alpha": [1.0], "A": [[-1.0]], "tolerances": {"alpha_sum": "x"}}
+    err = _input_error_in_every_command(tmp_path, capsys, doc, ("convert", "validate", "pdf"))
+    assert "tolerances.alpha_sum" in err
+
+
 def test_validate_cli_me_file(capsys, worked_me_file):
     code = main(["validate", str(worked_me_file)])
     assert code == 0

@@ -210,7 +210,7 @@ def test_solve_gamma_random_real_spectra():
         spec = analyze_spectrum(rep)
         mono = solve_gamma(rep, build_generator(spec))
         xs = np.linspace(0.05, 8.0, 40)
-        assert pdf_eval_many(mono.to_me_rep(), xs) == pytest.approx(
+        assert pdf_eval_many(MERep(mono.gamma, mono.matrix), xs) == pytest.approx(
             pdf_eval_many(rep, xs), rel=1e-8, abs=1e-12
         )
 
@@ -222,6 +222,6 @@ def test_pdf_equivalence_through_generator():
         spec = analyze_spectrum(rep)
         mono = solve_gamma(rep, build_generator(spec))
         xs = np.linspace(0.02, 15.0, 100)
-        assert pdf_eval_many(mono.to_me_rep(), xs) == pytest.approx(
+        assert pdf_eval_many(MERep(mono.gamma, mono.matrix), xs) == pytest.approx(
             pdf_eval_many(rep, xs), rel=1e-7, abs=1e-12
         )

@@ -198,9 +198,9 @@ def test_dominant_asymptotics(worked_rep, worked_minimal):
 def test_cluster_eigenvalues_pairs_conjugates():
     spectrum = cluster_eigenvalues(A6)
     pairs = dict()
-    for ev, mult in spectrum.pairs:
+    for ev, mult in spectrum:
         pairs[complex(np.round(ev, 8))] = mult
     assert pairs[complex(-1.0)] == 2
     assert pairs[complex(-5, 3)] == 1
     assert pairs[complex(-5, -3)] == 1
-    assert spectrum.total_multiplicity == 6
+    assert sum(m for _, m in spectrum) == 6

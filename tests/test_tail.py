@@ -7,6 +7,9 @@ import pytest
 from scipy.linalg import expm
 from scipy.stats import gamma as gamma_dist
 
+import me2ph.core
+import me2ph.pipeline
+import me2ph.spectral
 import me2ph.tail
 from me2ph import (
     DeconvParams,
@@ -35,15 +38,20 @@ from genutil import damped_oscillation_rep, rep_from_terms
 
 
 @pytest.fixture(scope="module")
-def worked_mono(worked_residual):
-    spec = analyze_spectrum(worked_residual)
-    return solve_gamma(worked_residual, build_generator(spec))
+def worked_spec(worked_residual):
+    return analyze_spectrum(worked_residual)
 
 
 @pytest.fixture(scope="module")
-def worked_tailed(worked_mono):
+def worked_mono(worked_residual, worked_spec):
+    return solve_gamma(worked_residual, build_generator(worked_spec))
+
+
+@pytest.fixture(scope="module")
+def worked_tailed(worked_mono, worked_spec):
     bounds = compute_bounds(
-        worked_mono, 0.5, gamma_norm=1.5, eps1=0.05, eps2=0.069, round_rate_to=100.0
+        worked_mono, 0.5, worked_spec,
+        gamma_norm=1.5, eps1=0.05, eps2=0.069, round_rate_to=100.0,
     )
     return append_tail(worked_mono, bounds), bounds
 
@@ -58,35 +66,36 @@ def small_tailed_case(seed=3):
             break
     else:
         raise AssertionError("no draw needed a tail")
-    tau = find_tau(mono)
-    bounds = compute_bounds(mono, tau)
-    return rep, mono, bounds, append_tail(mono, bounds)
+    tau = find_tau(mono, spec)
+    bounds = compute_bounds(mono, tau, spec)
+    return rep, spec, mono, bounds, append_tail(mono, bounds)
 
 
 def test_tau_half_is_accepted_for_worked_example(worked_mono):
     assert float((worked_mono.gamma @ expm(G8 * 0.5)).min()) > 0
 
 
-def test_find_tau_returns_positive_vector(worked_mono):
-    tau = find_tau(worked_mono)
+def test_find_tau_returns_positive_vector(worked_mono, worked_spec):
+    tau = find_tau(worked_mono, worked_spec)
     assert float((worked_mono.gamma @ expm(G8 * tau)).min()) > 0
 
 
-def test_find_tau_accepts_first_candidate_for_nonnegative_gamma(worked_mono):
+def test_find_tau_accepts_first_candidate_for_nonnegative_gamma(worked_mono, worked_spec):
     mono = worked_mono.with_gamma(np.full(8, 1 / 8))
-    assert find_tau(mono) == pytest.approx(mono.n1 / mono.lambda1)
+    assert find_tau(mono, worked_spec) == pytest.approx(mono.n1 / mono.lambda1)
 
 
-def test_find_tau_requires_positive_first_coordinate(worked_mono):
+def test_find_tau_requires_positive_first_coordinate(worked_mono, worked_spec):
     g = np.array(worked_mono.gamma)
     g[0], g[1] = -g[0], g[1] + 2 * g[0]
     with pytest.raises(InvalidRepresentationError, match="first coordinate"):
-        find_tau(worked_mono.with_gamma(g))
+        find_tau(worked_mono.with_gamma(g), worked_spec)
 
 
-def test_compute_bounds_published_constants(worked_mono):
+def test_compute_bounds_published_constants(worked_mono, worked_spec):
     bounds = compute_bounds(
-        worked_mono, 0.5, gamma_norm=1.5, eps1=0.05, eps2=0.069, round_rate_to=100.0
+        worked_mono, 0.5, worked_spec,
+        gamma_norm=1.5, eps1=0.05, eps2=0.069, round_rate_to=100.0,
     )
     assert bounds.g == 10.0
     assert bounds.lambda_prime == pytest.approx(1.5 * 25 * np.exp(5) / (2 * 0.05 * 0.5))
@@ -97,9 +106,9 @@ def test_compute_bounds_published_constants(worked_mono):
     assert bounds.n == 403_300
 
 
-def test_bounds_satisfy_their_defining_equations(worked_mono):
-    tau = find_tau(worked_mono)
-    b = compute_bounds(worked_mono, tau)
+def test_bounds_satisfy_their_defining_equations(worked_mono, worked_spec):
+    tau = find_tau(worked_mono, worked_spec)
+    b = compute_bounds(worked_mono, tau, worked_spec)
     assert b.gamma_norm * (b.g * b.tau) ** 2 * np.exp(b.g * b.tau) / (
         2 * b.lambda_prime * b.tau
     ) == pytest.approx(b.eps1, rel=1e-12)
@@ -128,20 +137,43 @@ def test_append_tail_empty_when_gamma_nonnegative(worked_mono):
     assert ph.head_gamma == pytest.approx(mono.gamma)
 
 
-def test_append_tail_reports_offending_entry_when_rate_too_small(worked_mono):
-    bad = compute_bounds(worked_mono, 0.5, gamma_norm=1.5, eps1=1e6, eps2=1e6)
+def test_append_tail_reports_offending_entry_when_rate_too_small(worked_mono, worked_spec):
+    bad = compute_bounds(worked_mono, 0.5, worked_spec, gamma_norm=1.5, eps1=1e6, eps2=1e6)
     with pytest.raises(NumericError, match="stays negative"):
         append_tail(worked_mono, bad)
 
 
 def test_tail_weights_sample_the_density():
-    rep, mono, bounds, ph = small_tailed_case()
+    _, spec, mono, bounds, ph = small_tailed_case()
     lam, n = ph.tail_lambda, ph.tail_n
     # entry of power k approximates f(k/lam)/lam within eps2/lam for every k
     v_by_power = ph.tail_weights[::-1]
-    spec = analyze_spectrum(mono.to_me_rep())
     f_vals = expansion_values(spec, np.arange(n) / lam)
     assert np.abs(lam * v_by_power - f_vals).max() <= bounds.eps2 * (1 + 1e-9)
+
+
+def test_convert_long_body_tail_reads_working_spectrum(monkeypatch):
+    # a 14-state body: re-analysing it is ill conditioned, so the tail search
+    # must read the density off the spectrum convert already holds
+    def refuse(*args, **kwargs):
+        raise AssertionError("pdf_eval_many called")
+
+    orders = []
+    original = me2ph.spectral.analyze_spectrum
+
+    def recording(rep, *args, **kwargs):
+        orders.append(rep.order)
+        return original(rep, *args, **kwargs)
+
+    monkeypatch.setattr(me2ph.core, "pdf_eval_many", refuse)
+    monkeypatch.setattr(me2ph.spectral, "analyze_spectrum", recording)
+    monkeypatch.setattr(me2ph.pipeline, "analyze_spectrum", recording)
+    rep = rep_from_terms([(-1, [1]), (-1.8 + 3j, [0.55])])
+    ph, report = convert(rep)
+    assert report.monocyclic_order == 14
+    assert ph.tail_n == 3_454
+    assert ph.order == 3_468
+    assert orders and max(orders) <= rep.order
 
 
 def test_phrep_pdf_matches_residual_closed_form(worked_tailed):
@@ -180,7 +212,7 @@ def test_phrep_pdf_pure_erlang_mixture():
 def test_phrep_pdf_agrees_with_dense_small_case():
     # a certified rate is far above the smallest workable one; shrink the tail
     # to dense-checkable size while the transformed vector stays nonnegative
-    rep, mono, bounds, _ = small_tailed_case()
+    rep, _, mono, bounds, _ = small_tailed_case()
     ph = None
     for factor in (2.0, 4.0, 8.0, 16.0, 32.0):
         rate = bounds.g * factor
@@ -270,7 +302,7 @@ def test_evaluated_phrep_is_freed(worked_tailed):
 def test_phrep_moments_match_input_and_dense():
     from me2ph import moments
 
-    rep, mono, bounds, ph = small_tailed_case(seed=5)
+    rep, _, mono, bounds, ph = small_tailed_case(seed=5)
     # the tail extension is an exact transformation, so all moments carry over
     assert phrep_moments(ph, 5) == pytest.approx(moments(rep, 5), rel=1e-8)
 

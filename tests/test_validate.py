@@ -191,6 +191,19 @@ def test_mc_crosscheck_script_passes():
     assert "FAIL" not in proc.stdout and "[ok]" in proc.stdout
 
 
+def test_worked_example_script_passes():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_worked_example.py")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "FAIL" not in proc.stdout
+    assert "final order: 403309" in proc.stdout
+
+
 def test_random_markovian_reps_have_positive_density_and_dominance():
     rng = np.random.default_rng(2024)
     for _ in range(25):
