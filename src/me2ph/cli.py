@@ -80,8 +80,6 @@ def cmd_validate(args) -> int:
         other = _read(read_file, args.against)[1] if args.against is not None else None
     except ValueError as exc:
         return _fail("input", str(exc), EXIT_INPUT)
-    if args.tol is not None:
-        tol = tol.replace(equivalence_rel=args.tol)
 
     verdict: dict = {}
     try:
@@ -96,7 +94,8 @@ def cmd_validate(args) -> int:
             verdict["dec"] = all(b.keeps_dominant(obj.lambda1) for b in obj.blocks)
             verdict["positive_density"] = bool(verdict["markovian"])
         if other is not None:
-            eq = check_equivalence(other, obj, rel_tol=args.tol or 1e-5, tol=tol)
+            rel_tol = 1e-5 if args.tol is None else args.tol
+            eq = check_equivalence(other, obj, rel_tol=rel_tol, tol=tol)
             verdict["equivalence"] = {
                 "max_rel_error": eq.max_rel_error,
                 "moments_rel_error": eq.moments_rel_error,

@@ -94,16 +94,7 @@ class MERep:
 
 def pdf_eval(rep: MERep, x: float) -> float:
     """Density value ``-alpha A exp(A x) 1`` at a single point ``x >= 0``."""
-    if x < 0:
-        raise InvalidRepresentationError(f"pdf_eval: x must be >= 0, got {x}")
-    E = expm(rep.A * x)
-    if not np.all(np.isfinite(E)):
-        raise NumericError(
-            "pdf_eval: matrix exponential overflowed",
-            detail={"norm_inf": mat_norm_inf(rep.A) * x},
-        )
-    val = -(rep.alpha @ rep.A @ E).sum()
-    return float(np.real(val))
+    return float(pdf_eval_many(rep, [x])[0])
 
 
 def pdf_eval_many(rep: MERep, xs: Sequence[float]) -> np.ndarray:
@@ -111,7 +102,7 @@ def pdf_eval_many(rep: MERep, xs: Sequence[float]) -> np.ndarray:
 
     Per-point evaluation keeps full relative accuracy even where the density
     has decayed by hundreds of orders of magnitude, which the sign checks
-    depend on.
+    depend on.  A value that overflows raises ``NumericError``.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
@@ -122,6 +113,8 @@ def pdf_eval_many(rep: MERep, xs: Sequence[float]) -> np.ndarray:
     out = np.empty(xs.shape)
     for i, x in enumerate(xs.flat):
         out.flat[i] = float(np.real((lead @ expm(rep.A * x)).sum()))
+    if not np.all(np.isfinite(out)):
+        raise NumericError("pdf_eval_many: matrix exponential overflowed")
     return out
 
 

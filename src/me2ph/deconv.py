@@ -2,20 +2,19 @@
 
 A density with a zero of multiplicity ``l`` at the origin factors as the
 convolution of an Erlang(l, mu) density and a residual density that is
-strictly positive at 0, for any large enough ``mu``.  The residual keeps the
-same matrix; only the vector changes.  Reattaching the factor prepends ``l``
-pure Erlang states to a finished Markovian representation.
+strictly positive at 0, for any large enough ``mu``.  The split is a closed-form
+map on the coefficients of each term of the density's expansion.  Reattaching
+the factor prepends ``l`` pure Erlang states to a finished Markovian form.
 """
 
 from dataclasses import dataclass, replace
-from math import comb
 
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .core import MERep, first_nonzero_derivative
 from .errors import InvalidRepresentationError, PositiveDensityError
-from .spectral import SpectralData, analyze_spectrum
+from .spectral import SpectralData, minimal_representation, surviving_terms
 from .tail import PHRep
 
 __all__ = ["DeconvParams", "zero_multiplicity", "deconvolve", "choose_mu", "recompose"]
@@ -50,32 +49,34 @@ def zero_multiplicity(rep: MERep, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     return first[0]
 
 
-def deconvolve(rep: MERep, l: int, mu: float,
-               tol: ToleranceConfig = DEFAULT_TOL) -> MERep:
-    """Residual representation after removing an Erlang(l, mu) factor.
+def deconvolve(spec: SpectralData, l: int, mu: float,
+               tol: ToleranceConfig = DEFAULT_TOL) -> SpectralData:
+    """Expansion of the residual density after removing an Erlang(l, mu) factor.
 
-    The vector becomes ``alpha sum_i C(l,i) (A/mu)^i`` over i = 0..l; the
-    matrix is unchanged.  Positivity of the residual density is the caller's
-    check (see ``choose_mu``).
+    Applies ``(1 + D/mu)^l``, ``D = d/dx``, to every term ``p(x) e^(eta x)``:
+    each factor maps ``p`` to ``(1 + eta/mu) p + p'/mu``, and vanishing
+    coefficients are dropped.  Positivity is the caller's check (``choose_mu``).
     """
     if l == 0:
-        return rep
-    n = rep.order
-    acc = np.zeros_like(rep.alpha)
-    power = np.array(rep.alpha)
-    for i in range(l + 1):
-        acc = acc + comb(l, i) * power
-        power = power @ (rep.A / mu)
-    return MERep(acc, rep.A, tol=tol)
+        return spec
+    by_eig: dict[complex, np.ndarray] = {}
+    for term in spec.terms:
+        c = np.array(term.coeffs)  # c[k] multiplies x^k
+        for _ in range(l):
+            dc = np.append(np.arange(1, c.size) * c[1:], 0)
+            c = (1 + term.eigenvalue / mu) * c + dc / mu
+        by_eig[term.eigenvalue] = c
+    return surviving_terms(by_eig, tol)
 
 
-def choose_mu(rep: MERep, l: int, spec: SpectralData,
-              tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def choose_mu(spec: SpectralData, l: int,
+              tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, SpectralData, MERep]:
     """Doubling search for an Erlang rate making the residual density positive.
 
     Starts at twice the dominant rate and accepts the first candidate whose
     residual passes the positive-density check; termination is guaranteed for
-    valid inputs, so a long search signals a violated precondition.
+    valid inputs, so a long search signals a violated precondition.  Returns
+    the accepted rate, the residual's expansion and its minimal pair.
     """
     from .validate import check_positive_density
 
@@ -83,11 +84,10 @@ def choose_mu(rep: MERep, l: int, spec: SpectralData,
         raise InvalidRepresentationError("choose_mu: nothing to split off when l = 0")
     mu = 2.0 * spec.lambda1
     for _ in range(tol.max_doublings):
-        candidate = deconvolve(rep, l, mu, tol)
-        spec_y = analyze_spectrum(candidate, tol)
-        verdict = check_positive_density(candidate, spec_y, tol)
-        if verdict.ok:
-            return mu
+        candidate = deconvolve(spec, l, mu, tol)
+        residual = minimal_representation(candidate, tol)
+        if check_positive_density(residual, candidate, tol).ok:
+            return mu, candidate, residual
         mu *= 2
     raise PositiveDensityError(
         "choose_mu: positive-density or dominant-eigenvalue precondition likely "

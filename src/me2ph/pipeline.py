@@ -123,21 +123,20 @@ def convert(
 
     l = zero_multiplicity(minimal, tol)
     report.l = l
-    working = minimal
-    working_spec = spec
-    mu = None
+    working, working_spec, mu = minimal, spec, None
     if l > 0:
-        mu = paper_bounds.mu if paper_bounds is not None else choose_mu(minimal, l, spec, tol)
+        if paper_bounds is None:
+            mu, working_spec, working = choose_mu(spec, l, tol)
+        else:
+            mu = paper_bounds.mu
+            working_spec = deconvolve(spec, l, mu, tol)
+            working = minimal_representation(working_spec, tol)
+            pd = check_positive_density(working, working_spec, tol)
+            if not pd.ok:
+                raise PositiveDensityError(
+                    f"residual density after the Erlang split is not positive ({pd.detail})"
+                )
         report.mu = mu
-        residual = deconvolve(minimal, l, mu, tol)
-        # re-minimize: the factor removal may cancel an eigenvalue outright
-        working_spec = analyze_spectrum(residual, tol)
-        working = minimal_representation(working_spec, tol)
-        pd = check_positive_density(working, working_spec, tol)
-        if not pd.ok:
-            raise PositiveDensityError(
-                f"residual density after the Erlang split is not positive ({pd.detail})"
-            )
 
     mono = build_generator(working_spec, tol)
     mono = solve_gamma(working, mono, tol)

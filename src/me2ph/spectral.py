@@ -179,26 +179,27 @@ def analyze_spectrum(rep: MERep, tol: ToleranceConfig = DEFAULT_TOL) -> Spectral
         elif ev.imag == 0:
             by_eig[ev] = by_eig[ev].real + 0j
 
-    scale = max(float(np.abs(coeffs).max()), 1e-300)
+    return surviving_terms(by_eig, tol)
+
+
+def surviving_terms(by_eig: dict[complex, np.ndarray], tol: ToleranceConfig) -> SpectralData:
+    """Expansion from per-eigenvalue coefficients: those at most
+    ``coeff_zero_rel`` times the largest are zero, trailing zeros reduce a
+    term's multiplicity, and a term left with none is absent."""
+    scale = max(max(float(np.abs(cs).max()) for cs in by_eig.values()), 1e-300)
     cut = tol.coeff_zero_rel * scale
     terms: list[SpectralTerm] = []
-    for ev, mult in spectrum:
-        cs = by_eig[ev]
-        eff = mult
+    for ev, cs in by_eig.items():
+        eff = len(cs)
         while eff > 0 and abs(cs[eff - 1]) <= cut:
             eff -= 1
         if eff == 0:
             continue
         terms.append(SpectralTerm(ev, tuple(complex(c) for c in cs[:eff])))
-
     if not terms:
-        raise InvalidRepresentationError("analyze_spectrum: density is identically zero")
-    return SpectralData(tuple(terms), dominant=_dominant_index(terms))
-
-
-def _dominant_index(terms) -> int:
+        raise InvalidRepresentationError("surviving_terms: density is identically zero")
     best = max(range(len(terms)), key=lambda i: (terms[i].eigenvalue.real, terms[i].is_real))
-    return best
+    return SpectralData(tuple(terms), dominant=best)
 
 
 def minimal_representation(spec: SpectralData, tol: ToleranceConfig = DEFAULT_TOL) -> MERep:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from me2ph import MERep, PaperBounds, convert
+from me2ph import MERep, PaperBounds, SpectralData, SpectralTerm, convert
 
 SCALE = 102 / 139
 
@@ -94,6 +94,17 @@ def worked_rep() -> MERep:
 @pytest.fixture(scope="session")
 def worked_minimal() -> MERep:
     return MERep(ALPHA6, A6)
+
+
+@pytest.fixture(scope="session")
+def worked_spec() -> SpectralData:
+    """Exact expansion of the example's density, read off ``f_closed``."""
+    terms = [(-1, [1, 1]), (-3, [1]), (-4, [-10]), (-5 + 3j, [4 - 2j]), (-5 - 3j, [4 + 2j])]
+    return SpectralData(
+        tuple(SpectralTerm(complex(eta), tuple(SCALE * complex(c) for c in cs))
+              for eta, cs in terms),
+        dominant=0,
+    )
 
 
 @pytest.fixture(scope="session")

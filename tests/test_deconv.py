@@ -1,6 +1,9 @@
+from math import comb
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from me2ph import (
     MERep,
@@ -9,6 +12,7 @@ from me2ph import (
     choose_mu,
     convert,
     deconvolve,
+    minimal_representation,
     pdf_eval,
     pdf_eval_many,
     phrep_pdf,
@@ -16,6 +20,7 @@ from me2ph import (
     to_dense,
     zero_multiplicity,
 )
+from me2ph.spectral import expansion_values
 from conftest import ALPHA_RESIDUAL, fy_closed
 from genutil import erlang_damped_rep
 
@@ -45,8 +50,8 @@ def test_zero_multiplicity_trivial_cases():
     assert zero_multiplicity(erlang_rep(3, 1.0)) == 2
 
 
-def test_deconvolve_worked_example(worked_minimal, worked_residual):
-    out = deconvolve(worked_minimal, l=1, mu=10.0)
+def test_deconvolve_worked_example(worked_spec, worked_minimal, worked_residual):
+    out = minimal_representation(deconvolve(worked_spec, l=1, mu=10.0))
     assert out.alpha == pytest.approx(ALPHA_RESIDUAL, abs=1e-9)
     assert out.A == pytest.approx(worked_minimal.A)  # matrix unchanged
     assert complex(out.alpha.sum()) == pytest.approx(1.0, abs=1e-12)
@@ -56,34 +61,71 @@ def test_deconvolve_worked_example(worked_minimal, worked_residual):
 
 
 def test_deconvolve_l_zero_is_identity(worked_minimal):
-    assert deconvolve(worked_minimal, 0, 5.0) is worked_minimal
+    spec = analyze_spectrum(worked_minimal)
+    assert deconvolve(spec, 0, 5.0) is spec
 
 
 def test_deconvolve_erlang_value_at_zero():
     rep = erlang_rep(2, 1.0)
-    out = deconvolve(rep, l=1, mu=10.0)
+    out = minimal_representation(deconvolve(analyze_spectrum(rep), l=1, mu=10.0))
     # sum_i C(1,i) mu^-i f^(i)(0) = f'(0)/10 = 1/10
     assert pdf_eval(out, 0.0) == pytest.approx(0.1, abs=1e-12)
 
 
+def _residual_reference(rep: MERep, l: int, mu: float, xs) -> np.ndarray:
+    """sum_i C(l,i) mu^-i f^(i)(x), each derivative -alpha A^(i+1) expm(A x) 1."""
+    out = np.zeros(len(xs))
+    for k, x in enumerate(xs):
+        v = expm(rep.A * x) @ np.ones(rep.order)
+        for i in range(l + 1):
+            v = rep.A @ v
+            out[k] += comb(l, i) * mu**-i * float(np.real(-(rep.alpha @ v)))
+    return out
+
+
+@pytest.mark.parametrize("mu", [2.0, 4.0, 8.0, 10.0])
+def test_deconvolve_matches_derivative_reference(worked_spec, worked_minimal, mu):
+    out = deconvolve(worked_spec, 1, mu)
+    xs = np.linspace(0.0, 10.0, 60)
+    ref = _residual_reference(worked_minimal, 1, mu, xs)
+    assert expansion_values(out, xs) == pytest.approx(ref, rel=1e-10)
+    # (1 + D/mu) annihilates e^(-mu x): at mu = 4 the -4 term is gone
+    assert any(t.eigenvalue == -4 for t in out.terms) == (mu != 4.0)
+    assert out.order == (5 if mu == 4.0 else 6)
+    # the fitted input loses the same terms
+    assert deconvolve(analyze_spectrum(worked_minimal), 1, mu).order == out.order
+
+
+def test_deconvolve_l2_matches_derivative_reference():
+    rng = np.random.default_rng(7)
+    rep, l = erlang_damped_rep(rng)
+    while l != 2:
+        rep, l = erlang_damped_rep(rng)
+    spec = analyze_spectrum(rep)
+    for mu in (2.0 * spec.lambda1, 8.0):
+        out = deconvolve(spec, l, mu)
+        xs = np.linspace(0.0, 12.0, 60)
+        ref = _residual_reference(rep, l, mu, xs)
+        assert expansion_values(out, xs) == pytest.approx(ref, rel=1e-10)
+        assert [t.eigenvalue for t in out.terms] == [t.eigenvalue for t in spec.terms]
+
+
 def test_choose_mu_accepts_positive_residual(worked_minimal):
     spec = analyze_spectrum(worked_minimal)
-    mu = choose_mu(worked_minimal, 1, spec)
-    residual = deconvolve(worked_minimal, 1, mu)
+    mu, _spec_r, residual = choose_mu(spec, 1)
     xs = np.linspace(1e-3, 40.0, 1500)
     assert pdf_eval_many(residual, xs).min() > 0
     assert pdf_eval(residual, 0.0) > 0
     # the published choice mu = 10 passes the same gate
-    res10 = deconvolve(worked_minimal, 1, 10.0)
-    assert check_positive_density(res10, analyze_spectrum(res10)).ok
+    spec10 = deconvolve(spec, 1, 10.0)
+    assert check_positive_density(minimal_representation(spec10), spec10).ok
 
 
 def test_choose_mu_erlang():
     rep = erlang_rep(2, 1.0)
     spec = analyze_spectrum(rep)
-    mu = choose_mu(rep, 1, spec)
+    mu, _spec_r, residual = choose_mu(spec, 1)
     assert mu > spec.lambda1
-    residual = deconvolve(rep, 1, mu)
     xs = np.linspace(0.0, 40.0, 1500)
     assert pdf_eval_many(residual, xs).min() > 0
 

@@ -266,6 +266,30 @@ def test_validate_cli_against(tmp_path, capsys, worked_me_file):
     assert verdict["equivalence"]["pass"] is True
 
 
+def test_validate_cli_tol_zero_is_not_default(tmp_path, capsys, worked_me_file, worked_conversion):
+    out = tmp_path / "w.ph.json"
+    write_ph_file(worked_conversion[0], out)
+    verdicts = {}
+    for tol in ("0", "1e-6"):
+        assert main(["validate", str(out), "--against", str(worked_me_file), "--tol", tol]) == 0
+        verdicts[tol] = json.loads(capsys.readouterr().out)["equivalence"]
+    assert 0 < verdicts["0"]["max_rel_error"] < 1e-6
+    assert verdicts["0"]["pass"] is False
+    assert verdicts["1e-6"]["pass"] is True
+
+
+def test_cli_overflowing_density_is_numeric_error(tmp_path, capsys):
+    path = tmp_path / "growing.json"
+    path.write_text(json.dumps({"alpha": [1.0], "A": [[1000.0]]}))
+    for argv in (["pdf", str(path), "--grid", "0:1:2"],
+                 ["validate", str(path), "--against", str(path)]):
+        with np.errstate(over="ignore"):
+            assert main(argv) == 4, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: numeric:"), captured.err
+        assert "inf" not in captured.out.lower()
+
+
 def test_validate_cli_malformed(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2")

@@ -43,13 +43,35 @@ def test_choose_mu_gives_up_on_sign_changing_density():
     assert zero_multiplicity(rep) == 1
     spec = analyze_spectrum(rep)
     with pytest.raises(PositiveDensityError, match="doublings"):
-        choose_mu(rep, 1, spec)
+        choose_mu(spec, 1)
 
 
 def test_choose_mu_rejects_zero_multiplicity():
     rep = MERep(np.array([1.0]), np.array([[-1.0]]))
     with pytest.raises(InvalidRepresentationError, match="nothing to split"):
-        choose_mu(rep, 0, analyze_spectrum(rep))
+        choose_mu(analyze_spectrum(rep), 0)
+
+
+def test_convert_fits_input_once(monkeypatch, worked_rep):
+    # the Erlang split maps the input's expansion; nothing is re-fitted
+    from me2ph import deconv, pipeline, spectral
+
+    calls = []
+    fit = spectral.analyze_spectrum
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].order)
+        return fit(*args, **kwargs)
+
+    for module in (spectral, pipeline, deconv):
+        monkeypatch.setattr(module, "analyze_spectrum", counted, raising=False)
+    _, report = convert(worked_rep)
+    assert report.l == 1 and report.mu == 8.0
+    assert calls == [7]
+    calls.clear()
+    _, report = convert(worked_rep, paper_bounds=PaperBounds())
+    assert report.final_order == 403_309
+    assert calls == [7]
 
 
 def test_analyze_spectrum_reports_ill_conditioning():
