@@ -111,8 +111,10 @@ def pdf_eval_many(rep: MERep, xs: Sequence[float]) -> np.ndarray:
         raise InvalidRepresentationError("pdf_eval_many: grid points must be >= 0")
     lead = -(rep.alpha @ rep.A)
     out = np.empty(xs.shape)
-    for i, x in enumerate(xs.flat):
-        out.flat[i] = float(np.real((lead @ expm(rep.A * x)).sum()))
+    # an overflow is reported below as one NumericError, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, x in enumerate(xs.flat):
+            out.flat[i] = float(np.real((lead @ expm(rep.A * x)).sum()))
     if not np.all(np.isfinite(out)):
         raise NumericError("pdf_eval_many: matrix exponential overflowed")
     return out

@@ -367,8 +367,11 @@ def append_tail(mono: MonocyclicRep, bounds: BoundsReport,
 
 _GL_NODES = 96
 _GLX, _GLW = roots_legendre(_GL_NODES)
-# Poisson terms per vectorized step; bounds the working memory of one call
-_CHUNK = 1 << 16
+# Poisson terms per vectorized step; bounds the working memory of one call.
+# The step works in place on a few 256 KiB temporaries, small enough for the
+# C allocator to reuse heap memory instead of mapping (and page-faulting)
+# fresh memory on every step.
+_CHUNK = 1 << 15
 _MAX_JUMPS = 10_000_000
 # slow-chain size above which one jump is a sparse product: P has about two
 # nonzeros per row, so a sparse step is O(l + u) against O((l + u)^2) dense,
@@ -406,13 +409,19 @@ def _poisson_sum(seq: np.ndarray, rate: float, xs: np.ndarray, cdf: bool) -> np.
         log_coef = np.log(coef) - gammaln(np.arange(coef.size) + 1.0)
     log_c = np.log(np.maximum(c, 1e-300))
     out = np.zeros(c.size)
+    ramp = np.arange(max(_CHUNK, int(sizes.max(initial=0))))
     a = 0
     while a < c.size:
         # consecutive points whose windows fit in one chunk (at least one)
         b = max(int(np.searchsorted(offs, offs[a] + _CHUNK, side="right")) - 1, a + 1)
         span = sizes[a:b]
-        k = np.repeat(lo[a:b] - offs[a:b], span) + np.arange(offs[a], offs[b])
-        terms = np.exp(log_coef[k] + k * np.repeat(log_c[a:b], span) - np.repeat(c[a:b], span))
+        k = np.repeat(lo[a:b] - offs[a:b] + offs[a], span)
+        k += ramp[: k.size]
+        terms = np.repeat(log_c[a:b], span)
+        terms *= k
+        terms += log_coef[k]
+        terms -= np.repeat(c[a:b], span)
+        np.exp(terms, out=terms)
         nonempty = np.flatnonzero(span)
         if nonempty.size:
             out[a + nonempty] = np.add.reduceat(terms, offs[a:b][nonempty] - offs[a])

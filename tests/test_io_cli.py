@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import me2ph
 from me2ph import FEBlock, MERep, PHRep
 from me2ph.cli import main
 from me2ph.io import read_file, read_me_file, read_ph_file, write_me_file, write_ph_file
@@ -278,16 +283,23 @@ def test_validate_cli_tol_zero_is_not_default(tmp_path, capsys, worked_me_file, 
     assert verdicts["1e-6"]["pass"] is True
 
 
-def test_cli_overflowing_density_is_numeric_error(tmp_path, capsys):
+def test_cli_overflowing_density_is_numeric_error(tmp_path):
+    # a fresh interpreter, so that stderr holds exactly what a user sees,
+    # numpy's overflow warnings included
     path = tmp_path / "growing.json"
     path.write_text(json.dumps({"alpha": [1.0], "A": [[1000.0]]}))
+    src = str(Path(me2ph.__file__).parents[1])
+    path_dirs = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_dirs)}
+    run_main = "import sys; from me2ph.cli import main; sys.exit(main(sys.argv[1:]))"
     for argv in (["pdf", str(path), "--grid", "0:1:2"],
                  ["validate", str(path), "--against", str(path)]):
-        with np.errstate(over="ignore"):
-            assert main(argv) == 4, argv
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: numeric:"), captured.err
-        assert "inf" not in captured.out.lower()
+        proc = subprocess.run([sys.executable, "-c", run_main, *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 4, (argv, proc.stderr)
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: numeric:"), proc.stderr
+        assert "inf" not in proc.stdout.lower()
 
 
 def test_validate_cli_malformed(tmp_path):

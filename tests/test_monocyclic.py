@@ -7,6 +7,7 @@ from me2ph import (
     DecViolationError,
     FEBlock,
     MERep,
+    NumericError,
     analyze_spectrum,
     build_generator,
     check_equivalence,
@@ -225,3 +226,46 @@ def test_pdf_equivalence_through_generator():
         assert pdf_eval_many(MERep(mono.gamma, mono.matrix), xs) == pytest.approx(
             pdf_eval_many(rep, xs), rel=1e-7, abs=1e-12
         )
+
+
+def _kron_lstsq_w(rep, mono):
+    """Reference ``W``: ``A W = W G`` and ``W 1 = 1`` stacked into one dense
+    ``(n u + n) x n u`` system over the entries of ``W``, solved by least
+    squares."""
+    n, u = rep.order, mono.order
+    G = mono.matrix
+    dtype = complex if rep.is_complex() else float
+    eqs = np.kron(np.eye(u), rep.A) - np.kron(G.T, np.eye(n))
+    rowsum = np.kron(np.ones((1, u)), np.eye(n))
+    stacked = np.vstack([eqs, rowsum]).astype(dtype)
+    rhs = np.concatenate([np.zeros(n * u), np.ones(n)]).astype(dtype)
+    sol = np.linalg.lstsq(stacked, rhs, rcond=None)[0]
+    return sol.reshape((u, n)).T
+
+
+def _rel(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+def test_transformation_matrix_matches_least_squares_reference(worked_residual):
+    rng = np.random.default_rng(41)
+    reps = [worked_residual, *(damped_oscillation_rep(rng) for _ in range(4)),
+            rep_from_terms([(-1.0 + 0j, [0.4, 0.6])]),
+            rep_from_terms([(-1, [1]), (-1.1 + 14j, [0.1])])]
+    orders = []
+    for rep in reps:
+        mono = build_generator(analyze_spectrum(rep))
+        orders.append(mono.order)
+        W = solve_transformation_matrix(rep, mono)
+        ref = _kron_lstsq_w(rep, mono)
+        assert _rel(W, ref) <= 1e-9, mono.order
+        assert _rel(rep.alpha @ W, rep.alpha @ ref) <= 1e-9, mono.order
+    assert orders[0] == 8 and orders[-1] == 441
+
+
+def test_transformation_matrix_rejects_body_of_another_spectrum(worked_residual):
+    other = rep_from_terms([(-1.0 + 0j, [0.5]), (-2.0 + 0j, [0.8]), (-4.0 + 1j, [0.3])])
+    mono = build_generator(analyze_spectrum(other))
+    with pytest.raises(NumericError, match="does not contain") as info:
+        solve_transformation_matrix(worked_residual, mono)
+    assert info.value.detail["residual"] > 1e-8

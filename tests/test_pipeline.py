@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from me2ph import (
+    DEFAULT_TOL,
     InvalidRepresentationError,
     MERep,
     NumericError,
@@ -10,6 +11,8 @@ from me2ph import (
     analyze_spectrum,
     choose_mu,
     convert,
+    moments,
+    phrep_moments,
     zero_multiplicity,
 )
 from genutil import rep_from_terms
@@ -82,3 +85,11 @@ def test_analyze_spectrum_reports_ill_conditioning():
     with pytest.raises(NumericError, match="ill conditioned") as exc:
         analyze_spectrum(rep)
     assert exc.value.detail["cond"] > 1e13
+
+
+def test_convert_long_feedback_block():
+    # a 629-state feedback-Erlang block behind the dominant state
+    rep = rep_from_terms([(-1, [1]), (-1.1 + 20j, [0.1])])
+    ph, _ = convert(rep)
+    assert ph.u == 630 and ph.tail_n == 0
+    assert phrep_moments(ph, 3) == pytest.approx(moments(rep, 3), rel=DEFAULT_TOL.equivalence_rel)
