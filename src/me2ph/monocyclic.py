@@ -14,6 +14,7 @@ from functools import cached_property
 from math import atan, ceil, cos, pi, sin
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs, schur, solve_sylvester
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .core import MERep, mat_norm_inf
@@ -226,40 +227,112 @@ def build_generator(spec: SpectralData, tol: ToleranceConfig = DEFAULT_TOL) -> M
     return MonocyclicRep(tuple(blocks), n1=spec.n1, lambda1=lambda1)
 
 
+def _modal_form(A: np.ndarray, ctol: float) -> tuple[np.ndarray, np.ndarray | None, list[slice]]:
+    """``(D, V, spans)`` with ``A V = V D`` and ``D`` block diagonal: one
+    upper triangular block ``D[span, span]`` per cluster of eigenvalues, a
+    cluster being those within ``ctol`` of the same earliest one in Schur
+    order.
+
+    The Schur form of ``A`` is reordered so each cluster is contiguous, and
+    each cluster is then decoupled from the ones after it by a Sylvester
+    equation (Bavely & Stewart 1979).  An upper triangular ``A`` is its own
+    Schur form, so the block diagonal matrix of ``minimal_representation``
+    comes back as it is, with ``V = None`` for the identity.
+    """
+    n = A.shape[0]
+    T, V = A, None
+    if np.any(np.tril(A, -1)):
+        T, V = schur(A, output="complex")
+    diag = np.diag(T)
+    label = (np.abs(diag[:, None] - diag) <= ctol).argmax(axis=1)
+    order = np.argsort(label, kind="stable")
+    if np.any(order != np.arange(n)):
+        if V is None:
+            T, V = np.array(T), np.eye(n, dtype=T.dtype)
+        (trexc,) = get_lapack_funcs(("trexc",), (T,))
+        at = list(range(n))  # at[pos]: original index of the entry now at pos
+        for pos, want in enumerate(order):
+            i = at.index(want)
+            if i != pos:
+                T, V, info = trexc(T, V, i + 1, pos + 1)
+                if info:
+                    raise NumericError(f"_modal_form: Schur reordering failed (info {info})")
+                at.insert(pos, at.pop(i))
+        label = label[order]
+    ends = [*np.flatnonzero(np.diff(label)) + 1, n]
+    spans = [slice(s, e) for s, e in zip([0, *ends[:-1]], ends)]
+    if np.any(np.triu(T, 1)[label[:, None] != label]):
+        if V is None:
+            T, V = np.array(T), np.eye(n, dtype=T.dtype)
+        for c in spans[:-1]:
+            Y = solve_sylvester(T[c, c], -T[c.stop:, c.stop:], -T[c, c.stop:])
+            V[:, c.stop:] += V[:, c] @ Y
+            T[c, c.stop:] = 0
+    return T, V, spans
+
+
 def solve_transformation_matrix(rep: MERep, mono: MonocyclicRep) -> np.ndarray:
     """Solve ``A W = W G`` with ``W 1 = 1`` for the rectangular ``W``.
 
     A backward sweep over the columns of ``W``, O(n^2 u) with no linear
-    solve.  Only the last state of ``G`` exits, so ``G 1 = -exit e_u`` and
-    ``A 1 = A W 1 = W G 1`` fixes the last column.  Column ``j``'s equation
-    of ``A W = W G`` then gives column ``j - 1``: inside a block of rate
-    ``sigma``, ``w_(j-1) = (A + sigma I) w_j / sigma``; at the first column
-    ``p`` of a block with feedback ``z`` and last column ``q``,
-    ``w_(p-1) = ((A + sigma I) w_p - z sigma w_q) / e``, ``e`` the exit rate
-    of the block before.  Column 0's equation and ``W 1 = 1`` are not imposed
-    by the sweep; the residual check verifies both, and a significant
-    residual means the spectrum of ``G`` does not contain that of ``A``.
+    solve, run in modal coordinates: with ``A V = V D`` and ``D`` block
+    diagonal by eigenvalue cluster (``_modal_form``), ``W = V W_D`` where
+    ``D W_D = W_D G`` and ``W_D 1 = v = V^(-1) 1``.  Only the last state of
+    ``G`` exits, so ``G 1 = -exit e_u`` and ``D v = W_D G 1`` fixes the last
+    column.  Column ``j``'s equation of ``D W_D = W_D G`` then gives column
+    ``j - 1``: inside a block of rate ``sigma``,
+    ``w_(j-1) = (D + sigma I) w_j / sigma``; at the first column ``p`` of a
+    block with feedback ``z`` and last column ``q``,
+    ``w_(p-1) = ((D + sigma I) w_p - z sigma w_q) / e``, ``e`` the exit rate
+    of the block before.
+
+    Each step scales an eigenvalue ``lambda``'s part of a column by
+    ``1 + lambda / sigma``, which a fast eigenvalue swept back through a
+    long, slow block turns into growth by tens of orders of magnitude.  The
+    sweep therefore never carries a part where it is zero: a left
+    eigenvector of the block upper triangular ``G`` vanishes on every block
+    before the first one that holds its eigenvalue, so each cluster's
+    coordinates of ``W_D`` are set to zero in the columns before that
+    block.  In ``D`` the clusters do not mix, so no rounding from one
+    cluster leaks into another, and within a cluster all parts grow alike.
+    Column 0's equation and ``W 1 = 1`` are not imposed by the sweep; the
+    residual check verifies both on ``W``, and a significant residual means
+    the spectrum of ``G`` does not contain that of ``A``.
     """
     n, u = rep.order, mono.order
     A = rep.A
     blocks = mono.blocks
-    # cols[j] is column j of W
-    cols = np.empty((u, n), dtype=complex if rep.is_complex() else float)
-    cols[-1] = -(A @ np.ones(n)) / blocks[-1].exit_rate
+    D, V, spans = _modal_form(A, rep.tol.eig_cluster_rel * max(mat_norm_inf(A), 1.0))
+    # owner[i]: the first block with an eigenvalue nearest the center of
+    # coordinate i's cluster, the block that holds that eigenvalue
+    starts = [c.start for c in spans]
+    sizes = np.diff([*starts, n])
+    centers = np.add.reduceat(np.diag(D), starts) / sizes
+    block_evs = np.concatenate([blk.eigenvalues() for blk in blocks])
+    block_of = np.repeat(np.arange(len(blocks)), [blk.b for blk in blocks])
+    owner = np.repeat(block_of[np.abs(block_evs - centers[:, None]).argmin(axis=1)], sizes)
+    v = np.ones(n) if V is None else np.linalg.solve(V, np.ones(n))
+    # cols[j] is column j of W_D
+    cols = np.empty((u, n), dtype=D.dtype)
+    cols[-1] = -(D @ v) / blocks[-1].exit_rate
     q = u - 1
     for k in range(len(blocks) - 1, -1, -1):
         blk = blocks[k]
         p = q - blk.b + 1
         for j in range(q, p, -1):
-            # (A + sigma I) w / sigma, in the form that rounds least: on a
+            # (D + sigma I) w / sigma, in the form that rounds least: on a
             # 441-state block it stays within 1e-12 of an extended-precision
-            # sweep, against 6e-12 for (A w + sigma w) / sigma
-            cols[j - 1] = (A @ cols[j]) / blk.sigma + cols[j]
+            # sweep, against 6e-12 for (D w + sigma w) / sigma
+            cols[j - 1] = (D @ cols[j]) / blk.sigma + cols[j]
         if k:
-            step = A @ cols[p] + blk.sigma * (cols[p] - blk.z * cols[q])
+            step = D @ cols[p] + blk.sigma * (cols[p] - blk.z * cols[q])
             cols[p - 1] = step / blocks[k - 1].exit_rate
+            cols[p - 1, owner >= k] = 0
         q = p - 1
-    W = cols.T
+    W = cols.T if V is None else V @ cols.T
+    if not rep.is_complex():
+        # A and G are real, so the real part solves the same equations
+        W = W.real
 
     G = mono.matrix
     scale = max(mat_norm_inf(A), mat_norm_inf(G), 1.0)

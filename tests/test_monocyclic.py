@@ -251,6 +251,9 @@ def test_transformation_matrix_matches_least_squares_reference(worked_residual):
     rng = np.random.default_rng(41)
     reps = [worked_residual, *(damped_oscillation_rep(rng) for _ in range(4)),
             rep_from_terms([(-1.0 + 0j, [0.4, 0.6])]),
+            # a 63-state block, then a fast eigenvalue or a fast pair
+            rep_from_terms([(-1, [1]), (-1.1 + 2j, [0.1]), (-100, [0.5])]),
+            rep_from_terms([(-1, [1]), (-1.1 + 2j, [0.1]), (-5 + 40j, [0.3])]),
             rep_from_terms([(-1, [1]), (-1.1 + 14j, [0.1])])]
     orders = []
     for rep in reps:
@@ -269,3 +272,50 @@ def test_transformation_matrix_rejects_body_of_another_spectrum(worked_residual)
     with pytest.raises(NumericError, match="does not contain") as info:
         solve_transformation_matrix(worked_residual, mono)
     assert info.value.detail["residual"] > 1e-8
+
+
+def _dense_copy(rep, rng):
+    """The same distribution on a dense real matrix: each conjugate pair on
+    the diagonal becomes a real 2 x 2 block, then a random similarity ``M``
+    with ``M 1 = 1`` mixes every state into every other."""
+    n = rep.order
+    S = np.eye(n, dtype=complex)
+    d = np.diag(rep.A)
+    for i in np.flatnonzero(d.imag > 0):
+        assert d[i + 1] == d[i].conjugate()
+        S[i:i + 2, i:i + 2] = [[1 - 1j, 1j], [1 + 1j, -1j]]
+    B = rng.standard_normal((n, n))
+    M = S @ (np.eye(n) + 0.5 * (B - B.mean(axis=1, keepdims=True)))
+    alpha, A = rep.alpha @ M, np.linalg.solve(M, rep.A @ M)
+    assert np.abs(A.imag).max() < 1e-12 and np.abs(alpha.imag).max() < 1e-12
+    assert np.abs(np.tril(A.real, -1)).max() > 0.1
+    return MERep(alpha.real, A.real)
+
+
+@pytest.mark.parametrize("terms", [
+    # a fast eigenvalue after a 63-state block: the dense sweep grew its
+    # rounding by |1 - 100/21.1|^62, about 1e35
+    [(-1, [1]), (-1.1 + 2j, [0.1]), (-100, [0.5])],
+    [(-1, [1]), (-1.1 + 14j, [0.1]), (-3000, [0.5])],
+    [(-1.0, [0.4, 0.6]), (-2.5, [0.3])],
+])
+def test_transformation_matrix_of_a_dense_matrix(terms):
+    rep = rep_from_terms(terms)
+    mono = build_generator(analyze_spectrum(rep))
+    gamma = rep.alpha @ solve_transformation_matrix(rep, mono)
+    dense = _dense_copy(rep, np.random.default_rng(5))
+    W = solve_transformation_matrix(dense, mono)
+    assert W.dtype == float
+    assert _rel(dense.alpha @ W, gamma) <= 1e-9
+
+
+def test_transformation_matrix_regroups_a_split_eigenvalue():
+    # a triangular matrix whose repeated eigenvalue is split by another
+    # state: the modal form reorders it so the cluster is contiguous
+    rep = rep_from_terms([(-1.0, [0.4, 0.6]), (-2.5, [0.3])])
+    perm = [0, 2, 1]
+    shuffled = MERep(rep.alpha[perm], rep.A[np.ix_(perm, perm)])
+    assert not np.any(np.tril(shuffled.A, -1))
+    mono = build_generator(analyze_spectrum(rep))
+    gamma = rep.alpha @ solve_transformation_matrix(rep, mono)
+    assert _rel(shuffled.alpha @ solve_transformation_matrix(shuffled, mono), gamma) <= 1e-12

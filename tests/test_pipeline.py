@@ -93,3 +93,13 @@ def test_convert_long_feedback_block():
     ph, _ = convert(rep)
     assert ph.u == 630 and ph.tail_n == 0
     assert phrep_moments(ph, 3) == pytest.approx(moments(rep, 3), rel=DEFAULT_TOL.equivalence_rel)
+
+
+def test_convert_fast_pair_after_long_block():
+    # -5 +/- 40j gets a 32-state block behind the 63-state block of
+    # -1.1 +/- 2j, where each backward column step scales its part by
+    # |1 + (-5 + 40j) / 21.1|, about 2
+    rep = rep_from_terms([(-1, [1]), (-1.1 + 2j, [0.005]), (-5 + 40j, [0.01])])
+    ph, _ = convert(rep)
+    assert [blk.b for blk in ph.blocks] == [1, 63, 32] and ph.tail_n == 0
+    assert phrep_moments(ph, 3) == pytest.approx(moments(rep, 3), rel=DEFAULT_TOL.equivalence_rel)
