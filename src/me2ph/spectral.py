@@ -2,18 +2,22 @@
 
 The density of any representation expands as a finite sum of terms
 ``c[i,j] * x^(j-1) * exp(eta_i x)`` over the eigenvalues ``eta_i`` of the
-matrix.  ``analyze_spectrum`` recovers these coefficients exactly from the
-derivatives of the density at zero and drops eigenvalues that do not appear;
-``minimal_representation`` rebuilds the smallest pair realizing the same sum.
+matrix.  ``modal_form`` block diagonalizes the matrix by eigenvalue cluster
+(a Schur form reordered by cluster and decoupled by Sylvester equations), the
+one eigenvalue layer of the package.  ``analyze_spectrum`` reads each cluster's
+coefficients off its triangular block and drops eigenvalues that do not
+appear; ``minimal_representation`` rebuilds the smallest pair realizing the
+same sum.
 """
 
 from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs, schur
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .core import MERep, derivatives_at_zero, first_nonzero_derivative, mat_norm_inf
+from .core import MERep, first_nonzero_derivative, mat_norm_inf
 from .errors import InvalidRepresentationError, NumericError
 
 __all__ = [
@@ -21,6 +25,7 @@ __all__ = [
     "SpectralData",
     "DecReport",
     "CConditionReport",
+    "modal_form",
     "cluster_eigenvalues",
     "analyze_spectrum",
     "minimal_representation",
@@ -76,109 +81,134 @@ class SpectralData:
         return sum(t.multiplicity for t in self.terms)
 
 
-def cluster_eigenvalues(A: np.ndarray,
-                        tol: ToleranceConfig = DEFAULT_TOL) -> tuple[tuple[complex, int], ...]:
-    """Group the eigenvalues of ``A`` into conjugate-symmetric clusters.
+def modal_form(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
+    """``(T, V, clusters)`` with ``A V = V T`` and ``T`` block diagonal: one
+    upper triangular block ``T[span, span]`` per eigenvalue cluster, and
+    ``clusters`` each cluster's ``(center, span)`` in order along the
+    diagonal; ``V`` is None for the identity (Bavely & Stewart 1979).
 
-    Returns ``(eigenvalue, multiplicity)`` pairs sorted by descending real
-    part, the members of a conjugate pair adjacent (positive imaginary part
-    first).  Two eigenvalues merge when they differ by at most
-    ``eig_cluster_rel`` times the infinity norm of ``A``; the cluster size is
-    the algebraic multiplicity.  Near-real eigenvalues are snapped onto the
-    real axis so that conjugate pairs come out exactly symmetric.
+    Diagonal entries of the Schur form within ``eig_cluster_rel`` times the
+    infinity norm of ``A`` of the real axis are snapped onto it, and a cluster
+    is the entries within that distance of the same earliest one in Schur
+    order; its center is their mean.  For a real ``A`` the distance is taken
+    between the entries folded into the upper half plane, and a cluster off
+    the real axis is split into its upper and lower halves, which must be of
+    equal size and get exactly conjugate centers.  The Schur form of ``A`` is
+    reordered so each cluster is contiguous, and each cluster is then
+    decoupled from the ones after it by a triangular Sylvester equation.  An
+    upper triangular ``A`` is its own Schur form, so the block diagonal matrix
+    of ``minimal_representation`` comes back as it is.
     """
     A = np.asarray(A)
-    evs = np.linalg.eigvals(A)
+    n = A.shape[0]
     ctol = tol.eig_cluster_rel * max(mat_norm_inf(A), 1.0)
-    evs = np.where(np.abs(evs.imag) <= ctol, evs.real + 0j, evs)
-
-    # cluster the closed upper half plane, then mirror
-    upper = sorted(
-        (ev for ev in evs if ev.imag >= 0),
-        key=lambda e: (-e.real, e.imag),
-    )
-    clusters: list[list[complex]] = []
-    for ev in upper:
-        placed = False
-        for cl in clusters:
-            if abs(ev - cl[0]) <= ctol:
-                cl.append(ev)
-                placed = True
-                break
-        if not placed:
-            clusters.append([ev])
-
-    pairs: list[tuple[complex, int]] = []
-    for cl in clusters:
-        center = complex(np.mean(cl))
-        if abs(center.imag) <= ctol:
-            center = complex(center.real)
-        pairs.append((center, len(cl)))
-        if center.imag != 0:
-            pairs.append((center.conjugate(), len(cl)))
-    pairs.sort(key=lambda p: (-p[0].real, -abs(p[0].imag), -p[0].imag))
-    total = sum(m for _, m in pairs)
-    if total != A.shape[0]:
+    T, V = A, None
+    if np.any(np.tril(A, -1)):
+        T, V = schur(A, output="complex")
+    diag = np.diag(T)
+    diag = np.where(np.abs(diag.imag) <= ctol, diag.real + 0j, diag)
+    real = np.isrealobj(A)
+    key = diag.real + 1j * np.abs(diag.imag) if real else diag
+    # first[i] names i's cluster; it need not be an entry whose own first is
+    # itself, so clusters are labelled by its distinct values
+    first = (np.abs(key[:, None] - key) <= ctol).argmax(axis=1)
+    below = real & (diag.imag < 0)
+    if real and np.any(np.bincount(first, np.sign(diag.imag))):
         raise NumericError(
-            "cluster_eigenvalues: multiplicities do not sum to the dimension "
-            f"({total} vs {A.shape[0]}); conjugate pairing failed"
+            "modal_form: a cluster has no conjugate partner of the same size; "
+            "conjugate pairing failed"
         )
-    return tuple(pairs)
+    # clusters in order of 2 first + below: a real pair's lower half follows its upper
+    code = 2 * first + below
+    present = np.bincount(code, minlength=2 * n) > 0
+    label = np.cumsum(present)[code] - 1
+    roots, lower = np.divmod(np.flatnonzero(present), 2)
+    sizes = np.bincount(label)
+    # both halves of a real pair take the mean of their folded entries
+    mean = np.bincount(first, key.real) + 1j * np.bincount(first, key.imag)
+    mean = mean[roots] / np.bincount(first)[roots]
+    centers = [complex(z.conjugate() if b else z) for z, b in zip(mean, lower)]
+    order = np.argsort(label, kind="stable")
+    if np.any(order != np.arange(n)):
+        if V is None:
+            T, V = np.array(T), np.eye(n, dtype=T.dtype)
+        (trexc,) = get_lapack_funcs(("trexc",), (T,))
+        at = list(range(n))  # at[pos]: original index of the entry now at pos
+        for pos, want in enumerate(order):
+            i = at.index(want)
+            if i != pos:
+                T, V, info = trexc(T, V, i + 1, pos + 1)
+                if info:
+                    raise NumericError(f"modal_form: Schur reordering failed (info {info})")
+                at.insert(pos, at.pop(i))
+    ends = np.cumsum(sizes)
+    spans = [slice(int(e - m), int(e)) for m, e in zip(sizes, ends)]
+    label = label[order]
+    if np.any(np.triu(T, 1)[label[:, None] != label]):
+        if V is None:
+            T, V = np.array(T), np.eye(n, dtype=T.dtype)
+        (trsyl,) = get_lapack_funcs(("trsyl",), (T,))
+        for c in spans[:-1]:
+            # T[c, c] Y - Y T[rest, rest] = -T[c, rest] zeroes T[c, rest]
+            Y, scale, info = trsyl(T[c, c], T[c.stop:, c.stop:], -T[c, c.stop:], isgn=-1)
+            if info < 0:
+                raise NumericError(f"modal_form: Sylvester solve failed (info {info})")
+            V[:, c.stop:] += V[:, c] @ (Y / scale)
+            T[c, c.stop:] = 0
+    return T, V, tuple(zip(centers, spans))
 
 
-def _coefficient_matrix(slots: list[tuple[complex, int]], rows: int) -> np.ndarray:
-    """Rows k = 0..rows-1 of d^k/dx^k [x^(j-1) e^(eta x)] at x = 0 per slot."""
-    M = np.zeros((rows, len(slots)), dtype=complex)
-    for col, (eta, j) in enumerate(slots):
-        for k in range(j - 1, rows):
-            M[k, col] = factorial(k) // factorial(k - j + 1) * eta ** (k - j + 1)
-    return M
+def _center_order(eta: complex) -> tuple[float, float, float]:
+    """Sort key of cluster centers: descending real part, the members of a
+    conjugate pair adjacent (positive imaginary part first)."""
+    return -eta.real, -abs(eta.imag), -eta.imag
+
+
+def cluster_eigenvalues(A: np.ndarray,
+                        tol: ToleranceConfig = DEFAULT_TOL) -> tuple[tuple[complex, int], ...]:
+    """``(center, multiplicity)`` of each eigenvalue cluster of ``A``
+    (``modal_form``), sorted by ``_center_order``."""
+    pairs = ((eta, c.stop - c.start) for eta, c in modal_form(A, tol)[2])
+    return tuple(sorted(pairs, key=lambda p: _center_order(p[0])))
 
 
 def analyze_spectrum(rep: MERep, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralData:
-    """Recover the exponential-polynomial expansion of the density of ``rep``.
+    """Read the exponential-polynomial expansion of the density of ``rep``
+    off the modal form of its matrix.
 
-    Coefficients are obtained by matching the derivatives of the density at
-    zero (computed exactly as matrix products) against the derivatives of the
-    candidate terms; eigenvalues whose coefficients all vanish are dropped,
-    and trailing zero coefficients reduce a term's multiplicity.
+    With ``A V = V T``, ``a = alpha V`` and ``b = V^(-1) 1``, the density is
+    ``-a exp(T x) T b``.  A cluster of center ``eta`` and size ``m`` adds
+    ``exp(eta x) sum_k x^k / k! (-a_c N^k T_cc b_c)`` for ``k < m``, where
+    ``N = T_cc - eta I`` is its nilpotent part.  For a real pair, a cluster
+    below the real axis takes the conjugates of its partner's coefficients.
+    Eigenvalues whose coefficients all vanish are dropped, and trailing zero
+    coefficients reduce a term's multiplicity (``surviving_terms``).
     """
-    spectrum = cluster_eigenvalues(rep.A, tol)
-    slots: list[tuple[complex, int]] = []
-    for ev, mult in spectrum:
-        for j in range(1, mult + 1):
-            slots.append((ev, j))
-    n = len(slots)
-    try:
-        M = _coefficient_matrix(slots, n)
-    except OverflowError as exc:
-        raise NumericError(
-            f"analyze_spectrum: derivative powers of the {n} eigenvalue slots overflow"
-        ) from exc
-    rhs = derivatives_at_zero(rep, n).astype(complex)
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > 1e13:
-        raise NumericError(
-            "analyze_spectrum: coefficient system is ill conditioned",
-            detail={"cond": cond},
-        )
-    coeffs = np.linalg.solve(M, rhs)
-
+    T, V, clusters = modal_form(rep.A, tol)
+    a, b = rep.alpha, np.ones(rep.order)
+    if V is not None:
+        cond = np.linalg.cond(V)
+        if not np.isfinite(cond) or cond > 1e13:
+            raise NumericError(
+                "analyze_spectrum: modal basis is ill conditioned", detail={"cond": cond}
+            )
+        a, b = a @ V, np.linalg.solve(V, b)
+    # N is block diagonal: the nilpotent part of every cluster at once
+    centers = [eta for eta, _ in clusters]
+    sizes = [c.stop - c.start for _, c in clusters]
+    N = T - np.diag(np.repeat(centers, sizes))
+    v = T @ b
+    coeffs = np.empty((len(clusters), max(sizes)), dtype=complex)
+    for k in range(max(sizes)):
+        coeffs[:, k] = np.add.reduceat(-a * v, [c.start for _, c in clusters]) / factorial(k)
+        v = N @ v
+    mirror = not rep.is_complex()
     by_eig: dict[complex, np.ndarray] = {}
-    i = 0
-    for ev, mult in spectrum:
-        by_eig[ev] = coeffs[i : i + mult]
-        i += mult
-
-    # conjugate symmetry is exact in the underlying density; enforce it
-    for ev in list(by_eig):
-        if ev.imag > 0 and ev.conjugate() in by_eig:
-            avg = (by_eig[ev] + np.conj(by_eig[ev.conjugate()])) / 2
-            by_eig[ev] = avg
-            by_eig[ev.conjugate()] = np.conj(avg)
-        elif ev.imag == 0:
-            by_eig[ev] = by_eig[ev].real + 0j
-
+    for i in sorted(range(len(clusters)), key=lambda i: _center_order(centers[i])):
+        eta, cs = centers[i], coeffs[i, : sizes[i]]
+        if eta.imag < 0 and mirror:
+            cs = np.conj(by_eig[eta.conjugate()])
+        by_eig[eta] = cs.real if eta.imag == 0 else cs
     return surviving_terms(by_eig, tol)
 
 

@@ -15,7 +15,7 @@ from me2ph import (
     phrep_moments,
     zero_multiplicity,
 )
-from genutil import rep_from_terms
+from genutil import random_markovian_rep, rep_from_terms
 
 
 def test_convert_rejects_unstable_spectrum():
@@ -78,13 +78,35 @@ def test_convert_fits_input_once(monkeypatch, worked_rep):
 
 
 def test_analyze_spectrum_reports_ill_conditioning():
-    n = 8
-    A = np.diag(np.linspace(-1.0, -1.0 - 6e-5, n))
-    alpha = np.full(n, 1.0 / n)
-    rep = MERep(alpha, A)
+    # a chain through eigenvalues 3e-6 apart, just outside one cluster: the
+    # basis that separates them is singular to working precision
+    A = np.diag([-1.0, -1.0 - 3e-6, -1.0 - 6e-6]) + np.diag([1.0, 1.0], 1)
+    rep = MERep(np.full(3, 1.0 / 3), A)
     with pytest.raises(NumericError, match="ill conditioned") as exc:
         analyze_spectrum(rep)
     assert exc.value.detail["cond"] > 1e13
+
+
+def test_analyze_spectrum_separates_close_diagonal_eigenvalues():
+    # eight eigenvalues within 6e-5 of each other, each its own cluster
+    lam = np.linspace(-1.0, -1.0 - 6e-5, 8)
+    alpha = np.full(8, 1.0 / 8)
+    spec = analyze_spectrum(MERep(alpha, np.diag(lam)))
+    assert [t.eigenvalue for t in spec.terms] == list(lam)
+    assert all(t.multiplicity == 1 for t in spec.terms)
+    got = np.array([t.coeffs[0] for t in spec.terms])
+    assert got == pytest.approx(alpha * -lam, rel=1e-15)
+
+
+@pytest.mark.parametrize("order", [12, 20, 40])
+def test_convert_high_order_markovian(order):
+    rng = np.random.default_rng(order)
+    for _ in range(3):
+        rep = random_markovian_rep(rng, order)
+        ph, _ = convert(rep)
+        assert phrep_moments(ph, 3) == pytest.approx(
+            moments(rep, 3), rel=DEFAULT_TOL.equivalence_rel
+        )
 
 
 def test_convert_long_feedback_block():

@@ -11,7 +11,8 @@ from me2ph import (
     minimal_representation,
     pdf_eval_many,
 )
-from conftest import A6, ALPHA6, f_closed
+from me2ph.spectral import modal_form
+from conftest import A6, A7, ALPHA6, f_closed
 from genutil import random_markovian_rep, rep_from_terms
 
 
@@ -65,6 +66,19 @@ def test_build_then_recover_round_trip():
             eta = min(terms, key=lambda e: abs(e - t.eigenvalue))
             assert abs(t.eigenvalue - eta) < 1e-7
             assert np.asarray(t.coeffs) == pytest.approx(terms[eta], abs=1e-7)
+
+
+@pytest.mark.parametrize("which", ["worked_minimal", "worked_rep"])
+def test_worked_example_expansion_is_exact(which, worked_spec, request):
+    spec = analyze_spectrum(request.getfixturevalue(which))
+    exact = {t.eigenvalue: np.array(t.coeffs) for t in worked_spec.terms}
+    scale = max(np.abs(cs).max() for cs in exact.values())
+    assert len(spec.terms) == len(exact)
+    for t in spec.terms:
+        eta = min(exact, key=lambda e: abs(e - t.eigenvalue))
+        assert abs(t.eigenvalue - eta) <= 1e-14 * abs(eta)
+        assert np.abs(np.array(t.coeffs) - exact[eta]).max() <= 1e-14 * scale
+    assert abs(minimal_representation(spec).alpha.sum() - 1.0) <= 1e-14
 
 
 def test_minimal_representation_worked_example(worked_rep):
@@ -204,3 +218,38 @@ def test_cluster_eigenvalues_pairs_conjugates():
     assert pairs[complex(-5, 3)] == 1
     assert pairs[complex(-5, -3)] == 1
     assert sum(m for _, m in spectrum) == 6
+
+
+def test_modal_form_chained_eigenvalues_keep_their_own_clusters():
+    # -1 - 8e-6 lies within the cluster tolerance of -1 - 4e-6, which joins
+    # the cluster of -1: it stays a cluster of its own, not one with -5
+    A = np.diag([-1.0, -1.0 - 4e-6, -1.0 - 8e-6, -5.0])
+    clusters = modal_form(A)[2]
+    assert [c.stop - c.start for _, c in clusters] == [2, 1, 1]
+    assert [eta for eta, _ in clusters] == pytest.approx([-1.0 - 2e-6, -1.0 - 8e-6, -5.0], abs=1e-15)
+    spec = analyze_spectrum(MERep(np.full(4, 0.25), A))
+    got = {t.eigenvalue: t.coeffs for t in spec.terms}
+    assert len(got) == 3
+    assert got[-5.0] == pytest.approx((1.25,), rel=1e-14)
+    assert got[-1.0 - 8e-6] == pytest.approx((0.25 * (1 + 8e-6),), rel=1e-14)
+    assert abs(minimal_representation(spec).alpha.sum() - 1.0) <= 1e-14
+
+
+def test_modal_form_merges_near_real_pair():
+    # eigenvalues -1 +- 0.8e-6 i are snapped onto the real axis and form one
+    # real cluster of size 2, so no part of the density is lost
+    A = np.array([[-1.0, 0.8e-6], [-0.8e-6, -1.0]])
+    assert [c.stop - c.start for _, c in modal_form(A)[2]] == [2]
+    rep = MERep(np.array([0.5, 0.5]), A)
+    spec = analyze_spectrum(rep)
+    assert [t.eigenvalue for t in spec.terms] == [pytest.approx(-1.0, abs=1e-15)]
+    assert spec.terms[0].coeffs[0] == pytest.approx(1.0, rel=1e-12)
+    assert abs(minimal_representation(spec).alpha.sum() - 1.0) <= 1e-14
+
+
+def test_modal_form_conjugate_partners_are_exact():
+    # on a dense real matrix each cluster above the real axis has a partner
+    # of the same size whose center is its exact conjugate
+    spectrum = dict(cluster_eigenvalues(A7))
+    upper = [eta for eta in spectrum if eta.imag > 0]
+    assert upper and all(spectrum[eta.conjugate()] == spectrum[eta] for eta in upper)
