@@ -75,6 +75,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.monte_carlo < 0:
+        return _fail("input", f"monte carlo sample count {args.monte_carlo} is negative", EXIT_INPUT)
     try:
         kind, obj, tol = _read(read_file, args.input)
         other = _read(read_file, args.against)[1] if args.against is not None else None
@@ -87,7 +89,7 @@ def cmd_validate(args) -> int:
         if kind == "me":
             spec = analyze_spectrum(obj, tol)
             verdict["dec"] = bool(check_dec(spec, tol).ok)
-            verdict["positive_density"] = bool(check_positive_density(obj, spec, tol).ok)
+            verdict["positive_density"] = bool(check_positive_density(spec, tol).ok)
         else:
             # structural: every block keeps the leading rate dominant; a
             # Markovian representation with reachable states has positive density
@@ -117,7 +119,7 @@ def _parse_grid(spec: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:count, got {spec!r}")
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 1 or stop < start or start < 0:
+    if count < 1 or not 0 <= start <= stop < np.inf:
         raise ValueError(f"bad grid {spec!r}")
     return np.linspace(start, stop, count)
 

@@ -23,7 +23,6 @@ __all__ = [
     "pdf_eval_many",
     "moments",
     "derivatives_at_zero",
-    "first_nonzero_derivative",
 ]
 
 
@@ -107,7 +106,7 @@ def pdf_eval_many(rep: MERep, xs: Sequence[float]) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
         return np.zeros(0)
-    if xs.min() < 0:
+    if not xs.min() >= 0:  # also when a point is NaN
         raise InvalidRepresentationError("pdf_eval_many: grid points must be >= 0")
     lead = -(rep.alpha @ rep.A)
     out = np.empty(xs.shape)
@@ -129,18 +128,6 @@ def derivatives_at_zero(rep: MERep, count: int) -> np.ndarray:
         out[k] = float(np.real(-(rep.alpha @ v)))
         v = rep.A @ v
     return out
-
-
-def first_nonzero_derivative(rep: MERep,
-                             tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, float] | None:
-    """``(k, f^(k)(0))`` for the smallest ``k <= order`` whose derivative at 0
-    is nonzero relative to ``||A||_inf^(k+1)``; None when all of them vanish."""
-    derivs = derivatives_at_zero(rep, rep.order + 1)
-    norm_a = mat_norm_inf(rep.A)
-    for k, d in enumerate(derivs):
-        if abs(d) > tol.deriv_zero_rel * norm_a ** (k + 1):
-            return k, float(d)
-    return None
 
 
 def moments(rep: MERep, k_max: int) -> list[float]:

@@ -3,8 +3,9 @@
 A density with a zero of multiplicity ``l`` at the origin factors as the
 convolution of an Erlang(l, mu) density and a residual density that is
 strictly positive at 0, for any large enough ``mu``.  The split is a closed-form
-map on the coefficients of each term of the density's expansion.  Reattaching
-the factor prepends ``l`` pure Erlang states to a finished Markovian form.
+map on the coefficients of each term of the density's expansion, off which
+``l`` and the residual's positivity are read too.  Reattaching the factor
+prepends ``l`` pure Erlang states to a finished Markovian form.
 """
 
 from dataclasses import dataclass, replace
@@ -12,10 +13,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .core import MERep, first_nonzero_derivative
 from .errors import InvalidRepresentationError, PositiveDensityError
-from .spectral import SpectralData, minimal_representation, surviving_terms
+from .spectral import SpectralData, first_nonzero_derivative, surviving_terms
 from .tail import PHRep
+from .validate import check_positive_density
 
 __all__ = ["DeconvParams", "zero_multiplicity", "deconvolve", "choose_mu", "recompose"]
 
@@ -30,20 +31,20 @@ class DeconvParams:
     def __post_init__(self):
         if self.l < 0 or int(self.l) != self.l:
             raise InvalidRepresentationError(f"DeconvParams: l must be a nonnegative integer, got {self.l}")
-        if self.l > 0 and not self.mu > 0:
-            raise InvalidRepresentationError(f"DeconvParams: mu must be positive, got {self.mu}")
+        if self.l > 0 and not 0 < self.mu < np.inf:
+            raise InvalidRepresentationError(f"DeconvParams: mu must be positive and finite, got {self.mu}")
 
 
-def zero_multiplicity(rep: MERep, tol: ToleranceConfig = DEFAULT_TOL) -> int:
+def zero_multiplicity(spec: SpectralData, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Multiplicity of the density's zero at the origin.
 
-    Returns the smallest ``l`` whose derivative at 0 is nonzero relative to
-    ``||A||_inf^(l+1)``; 0 means the density is already positive at 0.
+    Returns the order of the expansion's first nonzero derivative at 0
+    (``first_nonzero_derivative``); 0 means the density is positive at 0.
     """
-    first = first_nonzero_derivative(rep, tol)
+    first = first_nonzero_derivative(spec, tol)
     if first is None:
         raise InvalidRepresentationError(
-            f"zero_multiplicity: all derivatives through order {rep.order} vanish; "
+            f"zero_multiplicity: all derivatives through order {spec.order} vanish; "
             "the input does not define a valid density"
         )
     return first[0]
@@ -70,24 +71,21 @@ def deconvolve(spec: SpectralData, l: int, mu: float,
 
 
 def choose_mu(spec: SpectralData, l: int,
-              tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, SpectralData, MERep]:
+              tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, SpectralData]:
     """Doubling search for an Erlang rate making the residual density positive.
 
     Starts at twice the dominant rate and accepts the first candidate whose
-    residual passes the positive-density check; termination is guaranteed for
-    valid inputs, so a long search signals a violated precondition.  Returns
-    the accepted rate, the residual's expansion and its minimal pair.
+    residual expansion passes the positive-density check; termination is
+    guaranteed for valid inputs, so a long search signals a violated
+    precondition.  Returns the accepted rate and the residual's expansion.
     """
-    from .validate import check_positive_density
-
     if l < 1:
         raise InvalidRepresentationError("choose_mu: nothing to split off when l = 0")
     mu = 2.0 * spec.lambda1
     for _ in range(tol.max_doublings):
         candidate = deconvolve(spec, l, mu, tol)
-        residual = minimal_representation(candidate, tol)
-        if check_positive_density(residual, candidate, tol).ok:
-            return mu, candidate, residual
+        if check_positive_density(candidate, tol).ok:
+            return mu, candidate
         mu *= 2
     raise PositiveDensityError(
         "choose_mu: positive-density or dominant-eigenvalue precondition likely "

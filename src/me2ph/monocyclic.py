@@ -42,8 +42,8 @@ class FEBlock:
     def __post_init__(self):
         if self.b < 1 or int(self.b) != self.b:
             raise InvalidRepresentationError(f"FEBlock: b must be a positive integer, got {self.b}")
-        if not self.sigma > 0:
-            raise InvalidRepresentationError(f"FEBlock: sigma must be > 0, got {self.sigma}")
+        if not 0 < self.sigma < np.inf:
+            raise InvalidRepresentationError(f"FEBlock: sigma must be positive and finite, got {self.sigma}")
         if not (0 <= self.z < 1):
             raise InvalidRepresentationError(f"FEBlock: z must lie in [0, 1), got {self.z}")
 
@@ -265,7 +265,7 @@ def solve_transformation_matrix(rep: MERep, mono: MonocyclicRep) -> np.ndarray:
     owner = np.empty(n, dtype=int)
     for eta, c in clusters:
         owner[c] = block_of[np.abs(block_evs - eta).argmin()]
-    v = np.ones(n) if V is None else np.linalg.solve(V, np.ones(n))
+    v = np.linalg.solve(V, np.ones(n))
     # cols[j] is column j of W_D
     cols = np.empty((u, n), dtype=D.dtype)
     cols[-1] = -(D @ v) / blocks[-1].exit_rate
@@ -283,7 +283,7 @@ def solve_transformation_matrix(rep: MERep, mono: MonocyclicRep) -> np.ndarray:
             cols[p - 1] = step / blocks[k - 1].exit_rate
             cols[p - 1, owner >= k] = 0
         q = p - 1
-    W = cols.T if V is None else V @ cols.T
+    W = V @ cols.T
     if not rep.is_complex():
         # A and G are real, so the real part solves the same equations
         W = W.real

@@ -1,9 +1,11 @@
 """End-to-end conversion of a matrix-exponential pair into Markovian form.
 
-Order of operations: minimize, check the dominance and positivity conditions,
-split off an Erlang factor if the density vanishes at 0, build the monocyclic
-generator and its initial vector, append the certified Erlang tail if the
-vector has negative entries, and finally reattach the Erlang factor.
+Order of operations: read the density's expansion, check the dominance and
+positivity conditions on it, split off an Erlang factor if the density
+vanishes at 0, build the monocyclic generator and its initial vector (from the
+minimal pair of the remaining expansion, the one pair built), append the
+certified Erlang tail if the vector has negative entries, and finally
+reattach the Erlang factor.
 """
 
 from dataclasses import dataclass, field
@@ -105,8 +107,7 @@ def convert(
     report = ConversionReport(input_order=rep.order)
 
     spec = analyze_spectrum(rep, tol)
-    minimal = minimal_representation(spec, tol)
-    report.minimal_order = minimal.order
+    report.minimal_order = spec.order
     report.eigenvalues = [_fmt_eig(t) for t in spec.terms]
 
     dec = check_dec(spec, tol)
@@ -117,21 +118,20 @@ def convert(
         raise InvalidRepresentationError(
             "convert: spectrum has an eigenvalue with nonnegative real part"
         )
-    pd = check_positive_density(minimal, spec, tol)
+    pd = check_positive_density(spec, tol)
     if not pd.ok:
         raise PositiveDensityError(f"{pd.failed_part}: {pd.detail}")
 
-    l = zero_multiplicity(minimal, tol)
+    l = zero_multiplicity(spec, tol)
     report.l = l
-    working, working_spec, mu = minimal, spec, None
+    working_spec, mu = spec, None
     if l > 0:
         if paper_bounds is None:
-            mu, working_spec, working = choose_mu(spec, l, tol)
+            mu, working_spec = choose_mu(spec, l, tol)
         else:
             mu = paper_bounds.mu
             working_spec = deconvolve(spec, l, mu, tol)
-            working = minimal_representation(working_spec, tol)
-            pd = check_positive_density(working, working_spec, tol)
+            pd = check_positive_density(working_spec, tol)
             if not pd.ok:
                 raise PositiveDensityError(
                     f"residual density after the Erlang split is not positive ({pd.detail})"
@@ -139,7 +139,7 @@ def convert(
         report.mu = mu
 
     mono = build_generator(working_spec, tol)
-    mono = solve_gamma(working, mono, tol)
+    mono = solve_gamma(minimal_representation(working_spec, tol), mono, tol)
     report.blocks = [f"({b.b},{b.sigma:g},{b.z:g})" for b in mono.blocks]
     report.monocyclic_order = mono.order
     gamma_min = float(mono.gamma.min())

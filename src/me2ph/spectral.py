@@ -11,13 +11,13 @@ same sum.
 """
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, perm
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, schur
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .core import MERep, first_nonzero_derivative, mat_norm_inf
+from .core import MERep, mat_norm_inf
 from .errors import InvalidRepresentationError, NumericError
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "cluster_eigenvalues",
     "analyze_spectrum",
     "minimal_representation",
+    "first_nonzero_derivative",
     "check_dec",
     "check_c_conditions",
 ]
@@ -85,7 +86,7 @@ def modal_form(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
     """``(T, V, clusters)`` with ``A V = V T`` and ``T`` block diagonal: one
     upper triangular block ``T[span, span]`` per eigenvalue cluster, and
     ``clusters`` each cluster's ``(center, span)`` in order along the
-    diagonal; ``V`` is None for the identity (Bavely & Stewart 1979).
+    diagonal (Bavely & Stewart 1979).
 
     Diagonal entries of the Schur form within ``eig_cluster_rel`` times the
     infinity norm of ``A`` of the real axis are snapped onto it, and a cluster
@@ -96,15 +97,14 @@ def modal_form(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
     equal size and get exactly conjugate centers.  The Schur form of ``A`` is
     reordered so each cluster is contiguous, and each cluster is then
     decoupled from the ones after it by a triangular Sylvester equation.  An
-    upper triangular ``A`` is its own Schur form, so the block diagonal matrix
-    of ``minimal_representation`` comes back as it is.
+    upper triangular ``A`` is its own Schur form (``V = I``), so the block
+    diagonal matrix of ``minimal_representation`` comes back as it is.
     """
     A = np.asarray(A)
     n = A.shape[0]
     ctol = tol.eig_cluster_rel * max(mat_norm_inf(A), 1.0)
-    T, V = A, None
-    if np.any(np.tril(A, -1)):
-        T, V = schur(A, output="complex")
+    T, V = (schur(A, output="complex") if np.any(np.tril(A, -1))
+            else (np.array(A), np.eye(n, dtype=A.dtype)))
     diag = np.diag(T)
     diag = np.where(np.abs(diag.imag) <= ctol, diag.real + 0j, diag)
     real = np.isrealobj(A)
@@ -130,8 +130,6 @@ def modal_form(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
     centers = [complex(z.conjugate() if b else z) for z, b in zip(mean, lower)]
     order = np.argsort(label, kind="stable")
     if np.any(order != np.arange(n)):
-        if V is None:
-            T, V = np.array(T), np.eye(n, dtype=T.dtype)
         (trexc,) = get_lapack_funcs(("trexc",), (T,))
         at = list(range(n))  # at[pos]: original index of the entry now at pos
         for pos, want in enumerate(order):
@@ -145,8 +143,6 @@ def modal_form(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
     spans = [slice(int(e - m), int(e)) for m, e in zip(sizes, ends)]
     label = label[order]
     if np.any(np.triu(T, 1)[label[:, None] != label]):
-        if V is None:
-            T, V = np.array(T), np.eye(n, dtype=T.dtype)
         (trsyl,) = get_lapack_funcs(("trsyl",), (T,))
         for c in spans[:-1]:
             # T[c, c] Y - Y T[rest, rest] = -T[c, rest] zeroes T[c, rest]
@@ -185,14 +181,12 @@ def analyze_spectrum(rep: MERep, tol: ToleranceConfig = DEFAULT_TOL) -> Spectral
     coefficients reduce a term's multiplicity (``surviving_terms``).
     """
     T, V, clusters = modal_form(rep.A, tol)
-    a, b = rep.alpha, np.ones(rep.order)
-    if V is not None:
-        cond = np.linalg.cond(V)
-        if not np.isfinite(cond) or cond > 1e13:
-            raise NumericError(
-                "analyze_spectrum: modal basis is ill conditioned", detail={"cond": cond}
-            )
-        a, b = a @ V, np.linalg.solve(V, b)
+    cond = np.linalg.cond(V)
+    if not np.isfinite(cond) or cond > 1e13:
+        raise NumericError(
+            "analyze_spectrum: modal basis is ill conditioned", detail={"cond": cond}
+        )
+    a, b = rep.alpha @ V, np.linalg.solve(V, np.ones(rep.order))
     # N is block diagonal: the nilpotent part of every cluster at once
     centers = [eta for eta, _ in clusters]
     sizes = [c.stop - c.start for _, c in clusters]
@@ -268,6 +262,21 @@ def minimal_representation(spec: SpectralData, tol: ToleranceConfig = DEFAULT_TO
         alpha = alpha.real
         A = A.real
     return MERep(alpha, A, tol=tol)
+
+
+def first_nonzero_derivative(spec: SpectralData,
+                             tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, float] | None:
+    """``(k, f^(k)(0))`` for the smallest ``k <= order`` whose derivative at 0
+    is nonzero relative to ``s^(k+1)``, ``s = max |eta| + [m > 1]`` the infinity
+    norm of the minimal pair's matrix; None when all of them vanish.  A term
+    ``c x^j e^(eta x)`` adds ``c k!/(k-j)! eta^(k-j)`` to ``f^(k)(0)``."""
+    scale = max(abs(t.eigenvalue) + (t.multiplicity > 1) for t in spec.terms)
+    for k in range(spec.order + 1):
+        d = sum(c * perm(k, j) * t.eigenvalue ** (k - j)
+                for t in spec.terms for j, c in enumerate(t.coeffs[: k + 1]))
+        if abs(d.real) > tol.deriv_zero_rel * scale ** (k + 1):
+            return k, d.real
+    return None
 
 
 def expansion_values(spec: SpectralData, xs: np.ndarray) -> np.ndarray:
@@ -348,6 +357,6 @@ def check_c_conditions(rep: MERep, spec: SpectralData,
     c1 = all(t.eigenvalue.real < 0 for t in spec.terms)
     c2 = any(t.is_real for t in _at_top(spec, tol))
     c3 = abs(complex(rep.alpha.sum()) - 1.0) <= tol.alpha_sum
-    order, value = first_nonzero_derivative(rep, tol) or (None, None)
+    order, value = first_nonzero_derivative(spec, tol) or (None, None)
     c4 = value is not None and value > 0
     return CConditionReport(c1, c2, c3, c4, order, value)

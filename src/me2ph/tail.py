@@ -90,6 +90,8 @@ class PHRep:
             raise InvalidRepresentationError(
                 f"PHRep: tail_n={self.tail_n} but {w.shape[0]} weights given"
             )
+        if not (np.isfinite(head).all() and np.isfinite(w).all() and np.isfinite(self.tail_lambda)):
+            raise InvalidRepresentationError("PHRep: non-finite entries")
         if self.tail_n > 0 and not self.tail_lambda > 0:
             raise InvalidRepresentationError("PHRep: tail rate must be positive")
         if head.size and head.min() < 0:
@@ -391,7 +393,10 @@ def _window(c):
     """
     c = np.asarray(c, dtype=float)
     half = 10.0 * np.sqrt(c) + 25.0
-    return np.maximum(np.floor(c - half), 0.0).astype(np.int64), np.ceil(c + half).astype(np.int64)
+    hi = np.ceil(c + half)
+    if not np.all(hi < 2.0**63):  # compared before the cast to int64, which wraps
+        raise NumericError(f"PHRep evaluation: over 2^63 jumps at rate x = {np.max(c):g}")
+    return np.maximum(np.floor(c - half), 0.0).astype(np.int64), hi.astype(np.int64)
 
 
 def _poisson_sum(seq: np.ndarray, rate: float, xs: np.ndarray, cdf: bool) -> np.ndarray:
@@ -552,6 +557,8 @@ def _prefix_into_tail(ph: PHRep, xs: np.ndarray, cdf: bool) -> np.ndarray:
 
 def _evaluate(ph: PHRep, xs: np.ndarray, cdf: bool) -> np.ndarray:
     """pdf or cdf of the structured representation at every ``x >= 0``."""
+    if np.isnan(xs).any():
+        raise InvalidRepresentationError("PHRep evaluation: x is NaN")
     out = np.zeros(xs.shape)
     if xs.size == 0:
         return out

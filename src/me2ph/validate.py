@@ -6,8 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .core import MERep, moments, pdf_eval_many
-from .spectral import SpectralData
+from .core import moments, pdf_eval_many
+from .spectral import SpectralData, expansion_values, first_nonzero_derivative
 from .tail import PHRep, phrep_cdf_grid, phrep_moments, phrep_pdf
 
 __all__ = [
@@ -72,17 +72,15 @@ class PositiveDensityVerdict:
     detail: str | None = None
 
 
-def check_positive_density(rep: MERep, spec: SpectralData,
+def check_positive_density(spec: SpectralData,
                            tol: ToleranceConfig = DEFAULT_TOL) -> PositiveDensityVerdict:
-    """Best-effort positivity check of the density on (0, inf).
+    """Best-effort positivity check of the density on (0, inf), from its expansion.
 
     Three parts: a grid check on a bounded window, the sign of the dominant
     asymptotic coefficient for the far tail, and the first nonzero derivative
     at the origin for the near field.  A full decision procedure does not
     exist; the window and grid density are configurable.
     """
-    from .spectral import expansion_values
-
     lam1, n1 = spec.lambda1, spec.n1
     if lam1 <= 0:
         return PositiveDensityVerdict(False, "tail", "density diverges (unstable eigenvalue)")
@@ -101,14 +99,10 @@ def check_positive_density(rep: MERep, spec: SpectralData,
         return PositiveDensityVerdict(
             False, "tail", f"leading asymptotic coefficient {c_top:.6g} is not positive"
         )
-    from .spectral import check_c_conditions
-
-    creport = check_c_conditions(rep, spec, tol)
-    if not creport.c4_nonneg_start:
+    order, value = first_nonzero_derivative(spec, tol) or (None, None)
+    if value is None or value <= 0:
         return PositiveDensityVerdict(
-            False, "origin",
-            f"first nonzero derivative at 0 (order {creport.first_nonzero_order}) "
-            f"is {creport.first_nonzero_value}",
+            False, "origin", f"first nonzero derivative at 0 (order {order}) is {value}"
         )
     return PositiveDensityVerdict(True)
 

@@ -72,7 +72,7 @@ def test_criterion_1_worked_example_regression(worked_rep):
 
     # zero at the origin has multiplicity 1; the first derivative is 918/139,
     # cross-checked against the closed form by finite differences
-    assert zero_multiplicity(minimal) == 1
+    assert zero_multiplicity(spec) == 1
     d1 = float(-(minimal.alpha @ minimal.A @ minimal.A @ np.ones(6)).real)
     assert d1 == pytest.approx(918 / 139, abs=1e-9)
     h = 1e-6
@@ -225,13 +225,13 @@ def test_criterion_2e_markovian_implies_density_and_dominance():
         rep = random_markovian_rep(rng, int(rng.integers(2, 7)))
         spec = analyze_spectrum(rep)
         assert check_dec(spec).ok
-        assert check_positive_density(rep, spec).ok
+        assert check_positive_density(spec).ok
     # multi-class structured generator: dominant eigenvalue -1, conditions hold
     rep = MERep(np.full(10, 0.1), multi_class_generator())
     spec = analyze_spectrum(rep)
     report = check_dec(spec)
     assert report.ok and report.dominant_eigenvalue == pytest.approx(-1.0, abs=1e-9)
-    assert check_positive_density(rep, spec).ok
+    assert check_positive_density(spec).ok
     _timed_suite(started)
     _report("criterion 2e (positive density and dominance of Markovian pairs, 201 cases)")
 

@@ -211,6 +211,25 @@ def test_pdf_cli_broken_invariant_is_input_error(capsys, negative_head_file):
     assert "error: input:" in capsys.readouterr().err
 
 
+def test_cli_non_finite_structured_entries_are_input_errors(tmp_path, capsys):
+    # json reads NaN and Infinity; every '< 0' test is false on NaN
+    good = {"prefix": None, "blocks": [{"b": 1, "sigma": 1.0, "z": 0.0}],
+            "head_gamma": [0.5], "tail": {"lambda": 2.0, "n": 1, "weights": [0.5]}}
+    bad = [{"head_gamma": [float("nan")]},
+           {"tail": {"lambda": 2.0, "n": 1, "weights": [float("nan")]}},
+           {"tail": {"lambda": float("inf"), "n": 1, "weights": [0.5]}},
+           {"blocks": [{"b": 1, "sigma": float("inf"), "z": 0.0}]},
+           {"prefix": {"l": 1, "mu": float("inf")}}]
+    path = tmp_path / "nonfinite.ph.json"
+    for change in bad:
+        path.write_text(json.dumps({**good, **change}))
+        for argv in (["validate"], ["pdf", "--grid", "0:1:2"]):
+            assert main([argv[0], str(path), *argv[1:]]) == 1, change
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: input:"), change
+            assert captured.out == ""
+
+
 def _input_error_in_every_command(tmp_path, capsys, doc, commands):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc))
@@ -318,6 +337,10 @@ def test_validate_cli_monte_carlo(tmp_path, capsys, worked_me_file):
     assert verdict["monte_carlo"]["samples"] == 5000
     assert 0 < verdict["monte_carlo"]["ks"] < 0.05
     assert main(["validate", str(worked_me_file), "--monte-carlo", "100"]) == 1
+    capsys.readouterr()
+    assert main(["validate", str(out), "--monte-carlo", "-5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: input:") and captured.out == ""
 
 
 def test_validate_cli_missing_against_file(tmp_path, capsys, worked_me_file):
@@ -364,5 +387,14 @@ def test_pdf_cli_ph_and_me_agree(tmp_path, capsys, worked_me_file):
         assert fp == pytest.approx(fm, rel=1e-5)
 
 
-def test_pdf_cli_bad_grid(tmp_path, worked_me_file):
+def test_pdf_cli_bad_grid(tmp_path, capsys, worked_me_file):
     assert main(["pdf", str(worked_me_file), "--grid", "nope"]) == 1
+    ph_path = tmp_path / "exp.ph.json"
+    write_ph_file(PHRep(np.ones(1), (FEBlock(1, 1.0, 0.0),), 0.0, 0, np.zeros(0)), ph_path)
+    for path in (worked_me_file, ph_path):
+        for grid in ("0:inf:3", "nan:1:3", "0:nan:3"):
+            assert main(["pdf", str(path), "--grid", grid]) == 1, grid
+            assert capsys.readouterr().err.startswith("error: input:"), grid
+        # finite bounds at which the density cannot be evaluated
+        assert main(["pdf", str(path), "--grid", "0:1e308:3"]) == 4
+        assert capsys.readouterr().err.startswith("error: numeric:")

@@ -9,6 +9,7 @@ from me2ph import (
     PaperBounds,
     PositiveDensityError,
     analyze_spectrum,
+    check_equivalence,
     choose_mu,
     convert,
     moments,
@@ -43,8 +44,8 @@ def test_choose_mu_gives_up_on_sign_changing_density():
     # vanishing at the origin but genuinely negative further out: no rate can
     # make the residual positive, so the search must terminate with an error
     rep = rep_from_terms([(-1.0 + 0j, [0.0, 1.0]), (-2.0 + 4j, [0.0, 2.5])])
-    assert zero_multiplicity(rep) == 1
     spec = analyze_spectrum(rep)
+    assert zero_multiplicity(spec) == 1
     with pytest.raises(PositiveDensityError, match="doublings"):
         choose_mu(spec, 1)
 
@@ -75,6 +76,40 @@ def test_convert_fits_input_once(monkeypatch, worked_rep):
     _, report = convert(worked_rep, paper_bounds=PaperBounds())
     assert report.final_order == 403_309
     assert calls == [7]
+
+
+def test_convert_builds_one_pair(monkeypatch, worked_rep):
+    # the existence checks and the search for mu read the expansion; the one
+    # pair built is the working expansion's, for solve_gamma
+    from me2ph import deconv, pipeline, spectral
+
+    calls = []
+    build = spectral.minimal_representation
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].order)
+        return build(*args, **kwargs)
+
+    for module in (spectral, pipeline, deconv):
+        monkeypatch.setattr(module, "minimal_representation", counted, raising=False)
+    _, report = convert(worked_rep)
+    assert report.l == 1 and report.mu == 8.0
+    assert calls == [6]
+    calls.clear()
+    _, report = convert(worked_rep, paper_bounds=PaperBounds())
+    assert report.final_order == 403_309
+    assert calls == [6]
+
+
+def test_convert_hypoexponential_chain_with_close_rates():
+    # the residual pairs of rejected mu candidates sum to 1 only within
+    # 5e-9 here; no such pair is built, so the search runs to an accepted mu
+    rates = np.array([0.5093234057159697, 1.0307577654879247, 1.5815864017793297,
+                      1.8098084871864912, 2.3999260455494222, 2.6400207615279028])
+    rep = MERep(np.eye(6)[0], np.diag(-rates) + np.diag(rates[:-1], 1))
+    ph, report = convert(rep)
+    assert report.l == 5 and report.final_order == ph.order == 11
+    assert check_equivalence(rep, ph).max_rel_error < 1e-7
 
 
 def test_analyze_spectrum_reports_ill_conditioning():

@@ -8,12 +8,14 @@ from me2ph import (
     check_c_conditions,
     check_dec,
     cluster_eigenvalues,
+    deconvolve,
     minimal_representation,
     pdf_eval_many,
 )
-from me2ph.spectral import modal_form
+from me2ph.core import derivatives_at_zero, mat_norm_inf
+from me2ph.spectral import first_nonzero_derivative, modal_form
 from conftest import A6, A7, ALPHA6, f_closed
-from genutil import random_markovian_rep, rep_from_terms
+from genutil import erlang_damped_rep, random_markovian_rep, rep_from_terms
 
 
 def test_worked_example_spectrum(worked_rep):
@@ -144,6 +146,36 @@ def test_c_conditions_worked_example(worked_minimal):
     fd = (f_closed(2 * h) - 2 * f_closed(h) + f_closed(0.0)) / h**2 / 2  # noqa: unused sanity
     fd1 = (f_closed(h) - f_closed(0.0)) / h
     assert report.first_nonzero_value == pytest.approx(fd1, rel=1e-4)
+
+
+def _pair_first_nonzero(spec):
+    """Reference: derivatives at 0 from powers of the minimal pair's matrix,
+    under the same threshold."""
+    rep = minimal_representation(spec)
+    scale = mat_norm_inf(rep.A)
+    for k, d in enumerate(derivatives_at_zero(rep, spec.order + 1)):
+        if abs(d) > DEFAULT_TOL.deriv_zero_rel * scale ** (k + 1):
+            return k, d
+    return None
+
+
+def test_first_nonzero_derivative_matches_pair_formula(worked_rep):
+    erlang3 = MERep(np.array([1.0, 0.0, 0.0]), np.diag([-1.0] * 3) + np.diag([1.0, 1.0], 1))
+    worked = analyze_spectrum(worked_rep)
+    specs = [worked, analyze_spectrum(erlang3)]
+    specs += [deconvolve(worked, 1, mu) for mu in (2.0, 4.0, 8.0, 10.0)]
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        rep, l = erlang_damped_rep(rng)
+        spec = analyze_spectrum(rep)
+        specs += [spec] + [deconvolve(spec, l, f * spec.lambda1) for f in (2.0, 4.0, 8.0)]
+    orders = set()
+    for spec in specs:
+        got, ref = first_nonzero_derivative(spec), _pair_first_nonzero(spec)
+        assert got[0] == ref[0]
+        assert got[1] == pytest.approx(ref[1], rel=1e-10)
+        orders.add(got[0])
+    assert orders == {0, 1, 2}
 
 
 def test_c3_fails_when_unnormalized(worked_minimal):

@@ -288,6 +288,23 @@ def test_phrep_pdf_refuses_too_many_jumps():
         phrep_pdf(ph, 100.0)
 
 
+@pytest.mark.parametrize("ph", [
+    pytest.param(PHRep(np.ones(1), (FEBlock(1, 1.0, 0.0),), 0.0, 0, np.zeros(0)), id="body"),
+    pytest.param(PHRep(np.array([0.5]), (FEBlock(1, 1.0, 0.0),), 2.0, 1, np.array([0.5])),
+                 id="body-and-tail"),
+])
+def test_phrep_evaluation_refuses_huge_and_nan_points(ph):
+    # a jump count past int64 is refused before it is cast
+    for x in (1e300, np.inf):
+        with pytest.raises(NumericError, match="jumps"):
+            phrep_pdf(ph, x)
+        with pytest.raises(NumericError, match="jumps"):
+            phrep_cdf_grid(ph, np.array([0.0, x]))
+    for evaluate in (phrep_pdf, phrep_cdf_grid):
+        with pytest.raises(InvalidRepresentationError, match="NaN"):
+            evaluate(ph, np.array([1.0, np.nan]))
+
+
 def test_evaluated_phrep_is_freed(worked_tailed):
     ph = replace(worked_tailed[0])
     phrep_pdf(ph, np.array([0.5, 1.0]))

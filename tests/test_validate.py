@@ -77,6 +77,17 @@ ONE_STATE = (FEBlock(1, 1.0, 0.0),)
     pytest.param(lambda: PHRep(np.array([1.0]), ONE_STATE, 0.0, 0, np.zeros(0),
                                prefix=DeconvParams(1, 0.0)),
                  id="prefix-rate-zero"),
+    pytest.param(lambda: PHRep(np.array([np.nan]), ONE_STATE, 0.0, 0, np.zeros(0)),
+                 id="nan-head-entry"),
+    pytest.param(lambda: PHRep(np.array([0.5]), ONE_STATE, 2.0, 1, np.array([np.nan])),
+                 id="nan-tail-weight"),
+    pytest.param(lambda: PHRep(np.array([0.5]), ONE_STATE, np.inf, 1, np.array([0.5])),
+                 id="tail-rate-infinite"),
+    pytest.param(lambda: PHRep(np.array([1.0]), (FEBlock(1, np.inf, 0.0),), 0.0, 0, np.zeros(0)),
+                 id="block-sigma-infinite"),
+    pytest.param(lambda: PHRep(np.array([1.0]), ONE_STATE, 0.0, 0, np.zeros(0),
+                               prefix=DeconvParams(1, np.inf)),
+                 id="prefix-rate-infinite"),
 ])
 def test_phrep_constructor_rejects_non_markovian(build):
     with pytest.raises(InvalidRepresentationError):
@@ -93,7 +104,7 @@ def test_markovian_structured_checks_mass_against_caller_tolerance():
 
 def test_positive_density_worked_example(worked_minimal):
     spec = analyze_spectrum(worked_minimal)
-    assert check_positive_density(worked_minimal, spec).ok
+    assert check_positive_density(spec).ok
 
 
 def test_positive_density_detects_sign_change():
@@ -102,14 +113,14 @@ def test_positive_density_detects_sign_change():
     # confirm the dip is real before trusting the checker
     xs = np.linspace(0.01, 5.0, 800)
     assert pdf_eval_many(rep, xs).min() < 0
-    verdict = check_positive_density(rep, spec)
+    verdict = check_positive_density(spec)
     assert not verdict.ok
     assert verdict.failed_part == "grid"
 
 
 def test_positive_density_exponential():
     rep = MERep(np.array([1.0]), np.array([[-1.0]]))
-    assert check_positive_density(rep, analyze_spectrum(rep)).ok
+    assert check_positive_density(analyze_spectrum(rep)).ok
 
 
 def test_equivalence_self(worked_rep):
@@ -212,7 +223,7 @@ def test_random_markovian_reps_have_positive_density_and_dominance():
         assert check_dec(spec).ok
         xs = np.linspace(0.01, 30.0, 400)
         assert pdf_eval_many(rep, xs).min() > 0
-        assert check_positive_density(rep, spec).ok
+        assert check_positive_density(spec).ok
 
 
 def test_multi_class_generator_dominance():
@@ -224,4 +235,4 @@ def test_multi_class_generator_dominance():
     report = check_dec(spec)
     assert report.ok
     assert report.dominant_eigenvalue == pytest.approx(-1.0, abs=1e-9)
-    assert check_positive_density(rep, spec).ok
+    assert check_positive_density(spec).ok
