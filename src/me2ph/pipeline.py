@@ -102,7 +102,7 @@ def convert(
 
     Raises ``DecViolationError`` or ``PositiveDensityError`` when the input
     fails the corresponding existence condition, and ``NumericError`` when the
-    certified order would exceed ``max_order``.
+    order, with the certified tail if one is needed, would exceed ``max_order``.
     """
     report = ConversionReport(input_order=rep.order)
 
@@ -145,9 +145,8 @@ def convert(
     gamma_min = float(mono.gamma.min())
     report.gamma_min = gamma_min
 
-    if gamma_min >= 0:
-        ph = PHRep(np.clip(mono.gamma, 0.0, None), mono.blocks, 0.0, 0, np.zeros(0), tol=tol)
-    else:
+    bounds = None
+    if gamma_min < 0:
         report.tail_needed = True
         if paper_bounds is not None:
             tau = paper_bounds.tau
@@ -162,12 +161,15 @@ def convert(
             tau = find_tau(mono, working_spec, tol)
             bounds = compute_bounds(mono, tau, working_spec, tol=tol)
         report.bounds = bounds
-        if l + mono.order + bounds.n > max_order:
-            raise NumericError(
-                f"convert: certified order {l + mono.order + bounds.n} exceeds "
-                f"the limit {max_order}",
-                detail={"n": bounds.n, "max_order": max_order},
-            )
+    n = bounds.n if bounds is not None else 0
+    if l + mono.order + n > max_order:
+        raise NumericError(
+            f"convert: order {l + mono.order + n} exceeds the limit {max_order}",
+            detail={"n": n, "max_order": max_order},
+        )
+    if bounds is None:
+        ph = PHRep(np.clip(mono.gamma, 0.0, None), mono.blocks, 0.0, 0, np.zeros(0), tol=tol)
+    else:
         ph = append_tail(mono, bounds, tol)
 
     if l > 0:

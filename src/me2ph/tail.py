@@ -25,7 +25,7 @@ from .errors import (
     PositiveDensityError,
 )
 from .monocyclic import FEBlock, MonocyclicRep, chain_generator
-from .spectral import SpectralData, density_evaluator
+from .spectral import SpectralData, expansion_values
 
 __all__ = [
     "BoundsReport",
@@ -154,14 +154,15 @@ def _check_rates(log_lp: float, log_lpp: float) -> None:
         )
 
 
-def _log_rate_cost(density, tau: float, g: float, gn: float,
-                   eps1: float) -> float:
-    """Logarithm of the certified tail rate a given ``tau`` would lead to."""
-    xs = np.linspace(0.0, tau, 17)
-    density_floor = float(np.min(density(xs)))
-    if density_floor <= 0:
-        return math.inf
-    return max(_log_rates(gn, g, tau, eps1, 0.9 * density_floor))
+def _eps2(spec: SpectralData, tau: float, g: float, tol: ToleranceConfig) -> float:
+    """Certified ``eps2``: the safety-shrunk grid infimum of the density on ``[0, tau]``."""
+    xs = np.linspace(0.0, tau, max(10 * math.ceil(g * tau), 10))
+    return tol.eps2_safety * float(expansion_values(spec, xs).min())
+
+
+def _order(tau: float, rate: float) -> int:
+    """``ceil(tau * rate)``, forgiving the rounding of a product meant exact."""
+    return math.ceil(tau * rate - 1e-9 * max(1.0, tau * rate))
 
 
 def find_tau(mono: MonocyclicRep, spec: SpectralData,
@@ -172,8 +173,8 @@ def find_tau(mono: MonocyclicRep, spec: SpectralData,
     construction's preconditions hold.  Because the certified rate grows like
     ``exp(g tau)``, the search then walks the binary ladder back down while
     positivity survives and keeps the feasible point with the cheapest rate.
-    ``spec`` is the expansion of the density ``mono`` realizes; the rate of
-    each candidate depends on its infimum over ``[0, tau]``.
+    ``spec`` is the expansion of the density ``mono`` realizes; each candidate
+    is priced by the rate ``compute_bounds`` would certify for it.
     """
     if mono.gamma is None:
         raise InvalidRepresentationError("find_tau: gamma not set")
@@ -203,14 +204,22 @@ def find_tau(mono: MonocyclicRep, spec: SpectralData,
     if float(mono.gamma.min()) >= 0:
         return tau
 
-    density = density_evaluator(spec)
-    best, best_cost = tau, _log_rate_cost(density, tau, g, gn, e1)
+    def log_rate(t: float, e1: float) -> float:
+        # the rate compute_bounds would certify; a lambda' past the limit
+        # alone rules the rung out before its eps2 grid is built
+        log_lp = _log_rates(gn, g, t, e1, math.inf)[0]
+        if log_lp > _LOG_RATE_LIMIT:
+            return math.inf
+        e2 = _eps2(spec, t, g, tol)
+        return max(_log_rates(gn, g, t, e1, e2)) if e2 > 0 else math.inf
+
+    best, best_cost = tau, log_rate(tau, e1)
     t = tau / 2
     for _ in range(tol.max_doublings):
         e1 = smallest_entry(t)
         if e1 <= 0:
             break
-        cost = _log_rate_cost(density, t, g, gn, e1)
+        cost = log_rate(t, e1)
         if cost < best_cost:
             best, best_cost = t, cost
         elif cost > best_cost + 3.0:
@@ -259,13 +268,11 @@ def compute_bounds(
     if eps2 is not None:
         e2 = float(eps2)
     else:
-        xs = np.linspace(0.0, tau, max(10 * math.ceil(g * tau), 10))
-        vals = density_evaluator(spec)(xs)
-        e2 = tol.eps2_safety * float(vals.min())
+        e2 = _eps2(spec, tau, g, tol)
         if e2 <= 0:
             raise PositiveDensityError(
-                f"density is not positive on [0, {tau}] (grid minimum "
-                f"{vals.min():.3e}); an Erlang factor may need splitting off first"
+                f"density is not positive on [0, {tau}] (safety-shrunk grid "
+                f"minimum {e2:.3e}); an Erlang factor may need splitting off first"
             )
 
     log_lp, log_lpp = _log_rates(gn, g, tau, e1, e2)
@@ -275,10 +282,9 @@ def compute_bounds(
     rate = max(lp, lpp)
     if round_rate_to:
         rate = math.ceil(rate / round_rate_to) * round_rate_to
-    n = math.ceil(tau * rate - 1e-9 * max(1.0, tau * rate))
     return BoundsReport(
         tau=tau, g=g, gamma_norm=gn, eps1=e1, eps2=e2,
-        lambda_prime=lp, lambda_dprime=lpp, rate=float(rate), n=int(n),
+        lambda_prime=lp, lambda_dprime=lpp, rate=float(rate), n=_order(tau, rate),
     )
 
 
@@ -295,7 +301,7 @@ def _tail_sweep(gamma: np.ndarray, G: np.ndarray, rate: float, n: int):
     successive vector-matrix products.
     """
     u = G.shape[0]
-    chunk = max(1, min(_SWEEP_CHUNK, max(32, 4_000_000 // (u * u)), n))
+    chunk = max(1, min(_SWEEP_CHUNK, 4_000_000 // (u * u), n))
     M = np.eye(u) + G / rate
     e = -(G @ np.ones(u)) / rate
     powers = np.empty((chunk, u, u))
@@ -345,7 +351,7 @@ def append_tail(mono: MonocyclicRep, bounds: BoundsReport,
             return PHRep(head, mono.blocks, rate, n, q[::-1].copy(), tol=tol)
         if attempt == 0:
             rate *= 2
-            n = math.ceil(bounds.tau * rate - 1e-9 * max(1.0, bounds.tau * rate))
+            n = _order(bounds.tau, rate)
     bad_head = int(head.argmin())
     bad_tail = int(q.argmin()) if n else -1
     raise NumericError(
@@ -504,54 +510,31 @@ def _slow_chain(ph: PHRep, x_max: float):
     return s, rate
 
 
-def _slow_through_tail(ph: PHRep, xs: np.ndarray, s: np.ndarray, rate: float,
-                       cdf: bool) -> np.ndarray:
-    """Slow-chain paths that go on through all ``n`` tail stages:
-    Gauss-Legendre over the Erlang(n, lam) window, cut at ``t = x``."""
-    n, lam = ph.tail_n, ph.tail_lambda
-    t_lo, t_hi = np.array(_window(n)) / lam
-    top = np.minimum(xs, t_hi)
-    live = np.flatnonzero(top > t_lo)
-    t, w = _gl(t_lo, top[live])
-    inner = _poisson_sum(s, rate, (xs[live, None] - t).ravel(), cdf).reshape(t.shape)
-    out = np.zeros(xs.shape)
-    out[live] = (w * _erlang(n, lam, t, False) * inner).sum(axis=1)
-    return out
+def _through_tail(xs: np.ndarray, slow, fast, breaks, width: float) -> np.ndarray:
+    """``int slow(x - t) fast(t) dt`` over ``[breaks[0], min(x, breaks[-1])]``
+    at every ``x``: a path's part before the tail against the tail.
 
-
-def _prefix_into_tail(ph: PHRep, xs: np.ndarray, cdf: bool) -> np.ndarray:
-    """Paths from the prefix straight into the tail: the Erlang(l, mu) prefix
-    against the tail mixture, on fixed composite panels over ``[0, r_hi]``.
-
-    The mixture has short-scale features (low-order Erlang terms) below
-    ``80/lam`` and its edge inside the Erlang(n, lam) window, so the panels
-    break there; elsewhere they span at most ``_PANEL_SPAN`` time constants
-    of the slow chain.  Panels wholly below ``x`` share their nodes across
-    all ``x``; only the panel that contains ``x`` gets fresh nodes, on
-    ``[panel start, x]``.
+    Composite Gauss-Legendre, with panels that break at ``breaks`` and span at
+    most ``width`` in between.  Panels wholly below ``x`` share their nodes
+    across all ``x``; only the panel that contains ``x`` gets fresh nodes, on
+    ``[panel start, x]``.  ``slow`` and ``fast`` take flat arrays of times.
     """
-    n, lam = ph.tail_n, ph.tail_lambda
-    l, mu = ph.prefix.l, ph.prefix.mu
-    weights = ph.tail_weights[::-1]
-    width = _PANEL_SPAN / _slow_rate(ph)
-    r_lo, r_hi = np.array(_window(n)) / lam
-    breaks = np.unique(np.clip([0.0, 80.0 / lam, r_lo, r_hi], 0.0, r_hi))
     edges = [breaks[:1]]
     for a, b in zip(breaks[:-1], breaks[1:]):
-        edges.append(np.linspace(a, b, math.ceil((b - a) / width) + 1)[1:])
+        edges.append(np.linspace(a, b, max(math.ceil((b - a) / width), 1) + 1)[1:])
     edges = np.concatenate(edges)
 
     out = np.zeros(xs.shape)
-    sv, w = _gl(edges[:-1], edges[1:])
-    wg = w * _poisson_sum(weights, lam, sv.ravel(), False).reshape(sv.shape)
+    t, w = _gl(edges[:-1], edges[1:])
+    wf = w * fast(t.ravel()).reshape(t.shape)
     for p, b in enumerate(edges[1:]):
         past = np.flatnonzero(xs >= b)
-        out[past] += _erlang(l, mu, xs[past, None] - sv[p], cdf) @ wg[p]
+        out[past] += slow((xs[past, None] - t[p]).ravel()).reshape(-1, _GL_NODES) @ wf[p]
     panel = np.searchsorted(edges, xs, side="right") - 1
-    live = np.flatnonzero(panel < edges.size - 1)
-    sv, w = _gl(edges[panel[live]], xs[live])
-    g = _poisson_sum(weights, lam, sv.ravel(), False).reshape(sv.shape)
-    out[live] += (w * g * _erlang(l, mu, xs[live, None] - sv, cdf)).sum(axis=1)
+    live = np.flatnonzero((panel >= 0) & (panel < edges.size - 1))
+    t, w = _gl(edges[panel[live]], xs[live])
+    inner = slow((xs[live, None] - t).ravel()).reshape(t.shape)
+    out[live] += (w * fast(t.ravel()).reshape(t.shape) * inner).sum(axis=1)
     return out
 
 
@@ -562,14 +545,28 @@ def _evaluate(ph: PHRep, xs: np.ndarray, cdf: bool) -> np.ndarray:
     out = np.zeros(xs.shape)
     if xs.size == 0:
         return out
-    n = ph.tail_n
+    n, lam, weights = ph.tail_n, ph.tail_lambda, ph.tail_weights[::-1]
+    if n:
+        r_lo, r_hi = np.array(_window(n)) / lam
     if n and ph.prefix_length:
-        out += _prefix_into_tail(ph, xs, cdf)
+        # panels break where the mixture changes scale: its low-order Erlang
+        # terms below 80/lam, and its edge inside the Erlang(n, lam) window
+        l, mu = ph.prefix.l, ph.prefix.mu
+        out += _through_tail(
+            xs, lambda t: _erlang(l, mu, t, cdf), lambda t: _poisson_sum(weights, lam, t, False),
+            np.unique(np.clip([0.0, 80.0 / lam, r_lo, r_hi], 0.0, r_hi)),
+            _PANEL_SPAN / _slow_rate(ph),
+        )
     elif n:
-        out += _poisson_sum(ph.tail_weights[::-1], ph.tail_lambda, xs, cdf)
+        out += _poisson_sum(weights, lam, xs, cdf)
     if ph.head_gamma.sum() > 0:
         s, rate = _slow_chain(ph, float(xs.max()))
-        out += _slow_through_tail(ph, xs, s, rate, cdf) if n else _poisson_sum(s, rate, xs, cdf)
+        if n:
+            # one panel over the Erlang(n, lam) window
+            out += _through_tail(xs, lambda t: _poisson_sum(s, rate, t, cdf),
+                                 lambda t: _erlang(n, lam, t, False), [r_lo, r_hi], math.inf)
+        else:
+            out += _poisson_sum(s, rate, xs, cdf)
     return out
 
 
@@ -593,6 +590,13 @@ def _erlang_moments(order, rate: float, k_max: int) -> np.ndarray:
     return out
 
 
+def _add_moments(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Raw moments of the sum of two independent parts, from theirs:
+    ``sum_j C(k, j) a_j b_(k-j)`` (``a_0``, ``b_0`` are the parts' masses)."""
+    return np.array([sum(math.comb(k, j) * a[j] * b[k - j] for j in range(k + 1))
+                     for k in range(len(a))])
+
+
 def phrep_moments(ph: PHRep, k_max: int) -> list[float]:
     """Raw moments through the structure, never densifying the matrix."""
     head_mass = float(ph.head_gamma.sum())
@@ -608,24 +612,14 @@ def phrep_moments(ph: PHRep, k_max: int) -> list[float]:
             fact *= j
             p[j] = fact * float(ph.head_gamma @ y)
 
-    inner = np.zeros(k_max + 1)
+    inner = p
     if ph.tail_n:
-        em_full = _erlang_moments(ph.tail_n, ph.tail_lambda, k_max)[:, 0]
-        for k in range(k_max + 1):
-            inner[k] += sum(math.comb(k, j) * p[j] * em_full[k - j] for j in range(k + 1))
-        em_orders = _erlang_moments(np.arange(1, ph.tail_n + 1), ph.tail_lambda, k_max)
-        inner += em_orders @ ph.tail_weights[::-1]
-    else:
-        inner = p
-
-    if ph.prefix is not None and ph.prefix.l > 0:
-        ep = _erlang_moments(ph.prefix.l, ph.prefix.mu, k_max)[:, 0]
-        total = np.zeros(k_max + 1)
-        for k in range(k_max + 1):
-            total[k] = sum(math.comb(k, j) * ep[j] * inner[k - j] for j in range(k + 1))
-    else:
-        total = inner
-    return [float(v) for v in total[1:]]
+        # column m - 1 holds Erlang(m, lam); the head's paths run through all n
+        em = _erlang_moments(np.arange(1, ph.tail_n + 1), ph.tail_lambda, k_max)
+        inner = _add_moments(p, em[:, -1]) + em @ ph.tail_weights[::-1]
+    if ph.prefix_length:
+        inner = _add_moments(_erlang_moments(ph.prefix.l, ph.prefix.mu, k_max)[:, 0], inner)
+    return [float(v) for v in inner[1:]]
 
 
 def phrep_cdf_grid(ph: PHRep, xs: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .core import moments, pdf_eval_many
+from .errors import InvalidRepresentationError
 from .spectral import SpectralData, expansion_values, first_nonzero_derivative
 from .tail import PHRep, phrep_cdf_grid, phrep_moments, phrep_pdf
 
@@ -208,6 +209,8 @@ def simulate_absorption_times(ph: PHRep, samples: int, rng) -> np.ndarray:
 def monte_carlo_check(ph: PHRep, samples: int = 100_000, seed: int = 0) -> float:
     """One-sample KS statistic of simulated absorption times against the
     structured distribution function.  Deterministic per seed."""
+    if samples < 1:
+        raise InvalidRepresentationError(f"monte_carlo_check: {samples} samples; need at least 1")
     rng = np.random.default_rng(seed)
     times = np.sort(simulate_absorption_times(ph, samples, rng))
     hi = float(times[-1]) * 1.02 + 1e-9

@@ -155,6 +155,15 @@ def test_convert_cli_max_order(tmp_path, capsys, worked_me_file):
     assert "numeric" in capsys.readouterr().err
 
 
+def test_convert_cli_max_order_without_tail(tmp_path, capsys):
+    inp = tmp_path / "body.json"
+    out = tmp_path / "x.json"
+    write_me_file(rep_from_terms([(-1.0, [1.0]), (-1.1 + 2j, [0.3])]), inp)
+    assert main(["convert", str(inp), str(out), "--max-order", "10"]) == 4
+    assert "numeric" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_convert_cli_rate_overflow_exits_numeric(tmp_path, capsys):
     # its 195-state body overflows the derivative powers of the spectral
     # fit, and the certified rate lambda' alone is far beyond 1e15

@@ -30,6 +30,24 @@ def test_convert_enforces_order_limit(worked_rep):
         convert(worked_rep, paper_bounds=PaperBounds(), max_order=100_000)
 
 
+def test_convert_enforces_order_limit_without_tail():
+    # a 64-state body with a nonnegative vector: no tail, still above the limit
+    rep = rep_from_terms([(-1.0, [1.0]), (-1.1 + 2j, [0.3])])
+    with pytest.raises(NumericError, match="order 64 exceeds the limit 10"):
+        convert(rep, max_order=10)
+    assert convert(rep, max_order=64)[0].order == 64
+
+
+def test_convert_worked_example_computed_tail(worked_rep):
+    # the tau ladder prices each rung by the bound compute_bounds certifies
+    ph, report = convert(worked_rep)
+    b = report.bounds
+    assert b.tau == 0.5
+    assert b.n == 950_965
+    assert abs(b.eps2 - 0.029211928006851035) <= 1e-12
+    assert ph.order == report.final_order == 950_974
+
+
 def test_convert_erlang_reports_prefix():
     A = np.array([[-1.0, 1.0], [0.0, -1.0]])
     ph, report = convert(MERep(np.array([1.0, 0.0]), A))

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -279,6 +280,63 @@ def test_sparse_slow_chain_step_matches_dense(monkeypatch):
     sparse = phrep_pdf(ph, xs), phrep_cdf_grid(ph, xs)
     for d, s in zip(dense, sparse):
         assert s == pytest.approx(d, rel=1e-12, abs=1e-300)
+
+
+_BLOCKS = (FEBlock(1, 1.0, 0.0), FEBlock(3, 4.0, 0.4), FEBlock(4, 6.0, 0.7))
+_HEAD = np.array([0.1, 0.0, 0.15, 0.05, 0.1, 0.0, 0.2, 0.05])
+_WEIGHTS = np.array([0.05, 0.1, 0.1, 0.1])
+
+
+@pytest.mark.parametrize("ph, xs", [
+    pytest.param(PHRep(np.zeros(8), _BLOCKS, 8.0, 4, _WEIGHTS / _WEIGHTS.sum()),
+                 np.linspace(0.0, 3.0, 25), id="tail"),
+    pytest.param(PHRep(_HEAD / _HEAD.sum(), _BLOCKS, 0.0, 0, np.zeros(0)),
+                 np.linspace(0.0, 8.0, 33), id="body"),
+    pytest.param(PHRep(_HEAD, _BLOCKS, 8.0, 4, _WEIGHTS),
+                 np.linspace(0.0, 8.0, 33), id="body-tail"),
+    pytest.param(PHRep(np.zeros(8), _BLOCKS, 8.0, 4, _WEIGHTS / _WEIGHTS.sum(),
+                       prefix=DeconvParams(2, 5.0)),
+                 np.linspace(0.0, 6.0, 25), id="prefix-tail"),
+    pytest.param(PHRep(_HEAD / _HEAD.sum(), _BLOCKS, 0.0, 0, np.zeros(0),
+                       prefix=DeconvParams(2, 5.0)),
+                 np.linspace(0.0, 8.0, 33), id="prefix-body"),
+    pytest.param(PHRep(_HEAD, _BLOCKS, 8.0, 4, _WEIGHTS, prefix=DeconvParams(2, 5.0)),
+                 np.linspace(0.0, 8.0, 33), id="prefix-body-tail"),
+    # the Erlang(3, 0.5) window [0, 92] spans many panels of 16/6, and the
+    # grid lies inside it
+    pytest.param(PHRep(_HEAD, _BLOCKS, 0.5, 3, np.array([0.05, 0.15, 0.15]),
+                       prefix=DeconvParams(2, 5.0)),
+                 np.linspace(0.0, 30.0, 31), id="prefix-body-slow-tail"),
+])
+def test_phrep_evaluators_match_dense_generator(ph, xs):
+    b, B = to_dense(ph)
+    ones = np.ones(b.size)
+    survival = np.array([b @ expm(B * x) for x in xs])
+    assert phrep_pdf(ph, xs) == pytest.approx(survival @ (-B @ ones), rel=1e-10, abs=1e-14)
+    assert np.abs(phrep_cdf_grid(ph, xs) - (1.0 - survival @ ones)).max() <= 1e-12
+
+
+def test_tail_sweep_chunk_stays_in_memory_budget():
+    # at u = 600 the power stack is held to 4M floats (32 MB), not 32 powers
+    u, n, rate = 600, 30, 10.0
+    rng = np.random.default_rng(4)
+    G = rng.normal(size=(u, u)) / (2 * np.sqrt(u)) - 2.0 * np.eye(u)
+    gamma = rng.random(u)
+    tracemalloc.start()
+    try:
+        head, q = me2ph.tail._tail_sweep(gamma, G, rate, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    M = np.eye(u) + G / rate
+    e = -(G @ np.ones(u)) / rate
+    v, ref = gamma, np.empty(n)
+    for j in range(n):
+        ref[j] = v @ e
+        v = v @ M
+    assert head == pytest.approx(v, rel=1e-12, abs=1e-12 * np.abs(v).max())
+    assert q == pytest.approx(ref, rel=1e-12, abs=1e-12 * np.abs(ref).max())
 
 
 def test_phrep_pdf_refuses_too_many_jumps():

@@ -155,6 +155,13 @@ def test_monte_carlo_erlang():
     assert ks <= 0.01
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_monte_carlo_refuses_empty_sample(samples):
+    ph, _ = convert(MERep(np.array([1.0]), np.array([[-1.0]])))
+    with pytest.raises(InvalidRepresentationError, match="samples"):
+        monte_carlo_check(ph, samples=samples)
+
+
 def test_monte_carlo_deterministic(worked_conversion):
     ph, _ = convert(erlang_rep(2, 1.0))
     a = monte_carlo_check(ph, samples=20_000, seed=5)
