@@ -2,10 +2,12 @@
 
 Input files carry ``alpha`` and ``A``; complex entries are encoded as
 two-element ``[re, im]`` arrays.  Output files carry the Erlang prefix, the
-feedback-Erlang blocks, the head vector, and the tail; tails with more than
-one million weights stream to a little-endian float64 sidecar next to the
-JSON document.  Floats are written with shortest round-trip precision, so
-write followed by read is bit exact.
+feedback-Erlang blocks, the head vector, and the tail's rate and size; the
+tail's weights go to the little-endian float64 sidecar ``<name>.weights``
+next to the JSON document, which names it in ``tail.weights_path``.  The
+reader also takes inline ``tail.weights``, as earlier versions wrote them.
+Floats are written with shortest round-trip precision, so write followed by
+read is bit exact.
 """
 
 import json
@@ -26,10 +28,7 @@ __all__ = [
     "write_me_file",
     "read_ph_file",
     "write_ph_file",
-    "WEIGHTS_SIDECAR_THRESHOLD",
 ]
-
-WEIGHTS_SIDECAR_THRESHOLD = 1_000_000
 
 
 def _is_number(v) -> bool:
@@ -116,6 +115,8 @@ def write_me_file(rep: MERep, path) -> None:
 
 
 def write_ph_file(ph: PHRep, path) -> None:
+    """Write ``ph`` to ``path``; a tail's weights go first to the sidecar
+    ``<name>.weights`` beside it."""
     path = Path(path)
     doc = {
         "prefix": (
@@ -128,16 +129,10 @@ def write_ph_file(ph: PHRep, path) -> None:
     }
     if ph.tail_n == 0:
         doc["tail"] = None
-    elif ph.tail_n > WEIGHTS_SIDECAR_THRESHOLD:
-        sidecar = path.name + ".weights"
-        ph.tail_weights.astype("<f8").tofile(path.with_name(sidecar))
-        doc["tail"] = {"lambda": ph.tail_lambda, "n": ph.tail_n, "weights_path": sidecar}
     else:
-        doc["tail"] = {
-            "lambda": ph.tail_lambda,
-            "n": ph.tail_n,
-            "weights": [float(v) for v in ph.tail_weights],
-        }
+        sidecar = path.name + ".weights"
+        np.asarray(ph.tail_weights, dtype="<f8").tofile(path.with_name(sidecar))
+        doc["tail"] = {"lambda": ph.tail_lambda, "n": ph.tail_n, "weights_path": sidecar}
     path.write_text(json.dumps(doc, indent=1) + "\n")
 
 
@@ -151,6 +146,21 @@ def _numbers(doc, key: str, path, where: str = "") -> np.ndarray:
     if not all(_is_number(v) for v in values):
         raise ValueError(f"{path}: entries of '{where}{key}' must be numbers")
     return np.array(values, dtype=float)
+
+
+def _sidecar_weights(name, n: int, path: Path) -> np.ndarray:
+    """The ``n`` float64 weights of the sidecar ``name``: a plain file name
+    beside ``path``, of exactly ``8 n`` bytes."""
+    where = f"{path}: field 'tail.weights_path'"
+    if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+        raise ValueError(f"{where} must be a file name beside the document, got {name!r}")
+    sidecar = path.with_name(name)
+    if not sidecar.is_file():
+        raise ValueError(f"{where}: no file {name!r} beside the document")
+    size = sidecar.stat().st_size
+    if size != 8 * n:
+        raise ValueError(f"{where}: {name!r} holds {size} bytes, expected {8 * n} for {n} weights")
+    return np.fromfile(sidecar, dtype="<f8")
 
 
 def _ph_from_doc(doc, path: Path) -> PHRep:
@@ -170,12 +180,7 @@ def _ph_from_doc(doc, path: Path) -> PHRep:
         rate = _take(tail, "lambda", float, path, "tail.")
         n = _take(tail, "n", int, path, "tail.")
         if "weights_path" in tail:
-            sidecar = tail["weights_path"]
-            if not isinstance(sidecar, str):
-                raise ValueError(f"{path}: field 'tail.weights_path' must be a file name")
-            weights = np.fromfile(path.with_name(sidecar), dtype="<f8")
-            if weights.shape[0] != n:
-                raise ValueError(f"{path}: sidecar holds {weights.shape[0]} weights, expected {n}")
+            weights = _sidecar_weights(tail["weights_path"], n, path)
         else:
             weights = _numbers(tail, "weights", path, "tail.")
     prefix = None

@@ -80,6 +80,53 @@ def test_ph_file_sidecar_for_huge_tails(tmp_path):
     assert np.array_equal(loaded.tail_weights, weights)
 
 
+def _half_tail(n: int) -> PHRep:
+    """Mass 1/2 on one exponential state, 1/2 spread over an n-weight tail."""
+    return PHRep(np.array([0.5]), (FEBlock(1, 1.0, 0.0),), 10.0, n, np.full(n, 0.5 / n))
+
+
+def test_ph_file_small_tail_goes_to_sidecar(tmp_path):
+    ph = _half_tail(3)
+    path = tmp_path / "small.json"
+    write_ph_file(ph, path)
+    sidecar = tmp_path / "small.json.weights"
+    assert sidecar.read_bytes() == ph.tail_weights.astype("<f8").tobytes()
+    assert len(sidecar.read_bytes()) == 24
+    tail = json.loads(path.read_text())["tail"]
+    assert tail == {"lambda": 10.0, "n": 3, "weights_path": "small.json.weights"}
+    assert np.array_equal(read_ph_file(path).tail_weights, ph.tail_weights)
+
+
+def test_ph_file_document_size_does_not_depend_on_tail(tmp_path):
+    docs = {}
+    for n in (3, 100_000):
+        path = tmp_path / f"n{n}" / "out.json"
+        path.parent.mkdir()
+        write_ph_file(_half_tail(n), path)
+        docs[n] = path.read_text()
+    # the documents differ in the digits of n alone
+    assert docs[100_000].replace('"n": 100000', '"n": 3') == docs[3]
+    assert len(docs[3]) < 300
+
+
+def test_ph_file_reads_inline_weights(tmp_path, capsys):
+    # the layout earlier versions wrote for tails of up to a million weights
+    weights = [0.1, 0.2, 0.123456789012345678, 0.5 - 0.1 - 0.2 - 0.123456789012345678]
+    path = tmp_path / "inline.ph.json"
+    path.write_text(json.dumps({
+        "prefix": None,
+        "blocks": [{"b": 1, "sigma": 1.0, "z": 0.0}],
+        "head_gamma": [0.5],
+        "tail": {"lambda": 10.0, "n": 4, "weights": weights},
+    }))
+    loaded = read_ph_file(path)
+    assert np.array_equal(loaded.tail_weights, np.array(weights))
+    assert loaded.tail_weights.tobytes() == np.array(weights, dtype="<f8").tobytes()
+    assert (loaded.tail_lambda, loaded.tail_n, loaded.order) == (10.0, 4, 5)
+    assert main(["validate", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["markovian"] is True
+
+
 def test_read_file_kinds(tmp_path, worked_conversion):
     me_path, ph_path, other = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
     write_me_file(MERep(np.array([1.0]), np.array([[-2.0]])), me_path)
@@ -118,14 +165,20 @@ def test_convert_cli_worked_example_paper_bounds(tmp_path, capsys, worked_me_fil
 
 
 def test_convert_cli_deterministic_output(tmp_path, capsys, worked_me_file):
-    out1 = tmp_path / "a.json"
-    out2 = tmp_path / "b.json"
+    # the same output name in two directories: each document names its sidecar
+    out1 = tmp_path / "a" / "out.json"
+    out2 = tmp_path / "b" / "out.json"
+    out1.parent.mkdir()
+    out2.parent.mkdir()
     assert main(["convert", str(worked_me_file), str(out1), "--paper-bounds"]) == 0
     first = capsys.readouterr().out
     assert main(["convert", str(worked_me_file), str(out2), "--paper-bounds"]) == 0
     second = capsys.readouterr().out
     assert first == second
     assert out1.read_bytes() == out2.read_bytes()
+    weights1 = out1.with_name("out.json.weights").read_bytes()
+    assert len(weights1) == 8 * read_ph_file(out1).tail_n > 0
+    assert weights1 == out2.with_name("out.json.weights").read_bytes()
 
 
 def test_convert_cli_dec_violation(tmp_path, capsys):
@@ -277,6 +330,51 @@ def test_cli_string_tolerance_is_input_error(tmp_path, capsys):
     doc = {"alpha": [1.0], "A": [[-1.0]], "tolerances": {"alpha_sum": "x"}}
     err = _input_error_in_every_command(tmp_path, capsys, doc, ("convert", "validate", "pdf"))
     assert "tolerances.alpha_sum" in err
+
+
+@pytest.mark.parametrize("name, data, detail", [
+    ("w.weights", b"\0" * 4, "holds 20 bytes, expected 16"),
+    ("missing.weights", None, "no file 'missing.weights'"),
+    ("../w.weights", None, "must be a file name"),
+    ("ABSOLUTE", None, "must be a file name"),
+    ("", None, "must be a file name"),
+    ("..", None, "must be a file name"),
+    ("w.weights", "nan", "non-finite"),
+], ids=["trailing-bytes", "missing", "parent-dir", "absolute", "empty", "dot-dot", "nan"])
+def test_cli_bad_sidecar_is_input_error(tmp_path, capsys, name, data, detail):
+    doc_dir = tmp_path / "doc"
+    doc_dir.mkdir()
+    path = doc_dir / "tail.ph.json"
+
+    def write_doc(weights_path):
+        path.write_text(json.dumps({
+            "prefix": None, "blocks": [{"b": 1, "sigma": 1.0, "z": 0.0}], "head_gamma": [0.5],
+            "tail": {"lambda": 2.0, "n": 2, "weights_path": weights_path},
+        }))
+
+    # two good weights beside the document, one directory up, and at an
+    # absolute path: each would read if its name were accepted
+    good = np.array([0.25, 0.25], dtype="<f8").tobytes()
+    for target in (doc_dir / "w.weights", tmp_path / "w.weights", tmp_path / "abs.weights"):
+        target.write_bytes(good)
+    write_doc("w.weights")
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+
+    if name == "ABSOLUTE":
+        name = str(tmp_path / "abs.weights")
+    if data == "nan":
+        (doc_dir / name).write_bytes(np.array([np.nan, 0.25], dtype="<f8").tobytes())
+    elif data is not None:
+        (doc_dir / name).write_bytes(good + data)
+    write_doc(name)
+    for argv in (["validate"], ["pdf", "--grid", "0:1:2"]):
+        assert main([argv[0], str(path), *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: input:") and detail in captured.err, captured.err
+        if data != "nan":
+            assert f"{path}: field 'tail.weights_path'" in captured.err
+        assert captured.out == ""
 
 
 def test_validate_cli_me_file(capsys, worked_me_file):
