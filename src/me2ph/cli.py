@@ -2,8 +2,9 @@
 
 Exit codes of ``convert``: 0 success, 2 dominant-eigenvalue condition failed,
 3 positive-density condition failed, 4 numeric failure (ill conditioning or
-order limits), 1 unreadable, malformed or invalid input.  Failures print one
-machine-parseable line ``error: <kind>: <detail>`` on stderr.
+order limits), 1 unreadable, malformed or invalid input, or an output that
+cannot be written.  Failures print one machine-parseable line
+``error: <kind>: <detail>`` on stderr.
 """
 
 import argparse
@@ -60,7 +61,10 @@ def cmd_convert(args) -> int:
         return _fail("positive-density", str(exc), EXIT_DENSITY)
     except Me2PhError as exc:
         return _fail("numeric", str(exc), EXIT_NUMERIC)
-    write_ph_file(ph, args.output)
+    try:
+        write_ph_file(ph, args.output)
+    except OSError as exc:
+        return _fail("output", str(exc), EXIT_INPUT)
     for line in report.lines():
         print(line)
     if report.bounds is not None:

@@ -98,12 +98,7 @@ def _me_from_doc(doc, path) -> tuple[MERep, ToleranceConfig]:
         raise ValueError(f"{path}: field 'A' must be a square list of rows")
     A = [[_decode_entry(v, "A", path) for v in row] for row in rows]
     tol = _tolerances(doc["tolerances"], path) if doc.get("tolerances") is not None else DEFAULT_TOL
-    arr_a = np.array(alpha)
-    arr_m = np.array(A)
-    if not (np.iscomplexobj(arr_a) or np.iscomplexobj(arr_m)):
-        arr_a = arr_a.astype(float)
-        arr_m = arr_m.astype(float)
-    return MERep(arr_a, arr_m, tol=tol), tol
+    return MERep(alpha, A, tol=tol), tol
 
 
 def write_me_file(rep: MERep, path) -> None:

@@ -288,37 +288,55 @@ def compute_bounds(
     )
 
 
-# powers of M formed per block of _tail_sweep steps
+# Chains of up to _STACK_STATES states step through a stack of about sqrt(n)
+# powers of M (at most _SWEEP_CHUNK), one batched product per chunk; larger
+# ones take one product per jump, about twice as fast at u = 127-190.
+# A body has about two nonzeros per row, so above _SPARSE_STATES that product
+# is sparse: O(u) against O(u^2), but its fixed cost (about 6 us against 2 us
+# on one x86 core) loses below about 200 states.
+_STACK_STATES = 64
 _SWEEP_CHUNK = 512
+_SPARSE_STATES = 200
 
 
-def _tail_sweep(gamma: np.ndarray, G: np.ndarray, rate: float, n: int):
-    """Left-to-right products through ``M = I + G/rate``.
+def _tail_sweep(start: np.ndarray, Q: np.ndarray, rate: float, n: int):
+    """Randomization of the chain ``Q`` at ``rate``: left-to-right products
+    through ``M = I + Q/rate``.
 
-    Returns ``gamma M^n`` and the scalars ``q[j] = gamma M^j (-G 1)/rate`` for
-    ``j = 0..n-1``.  Work is O(n u^2); powers of ``M`` are only formed up to
-    the chunk size, which keeps the evaluation a blocked version of plain
-    successive vector-matrix products.
+    Returns ``start M^n`` and the scalars ``q[j] = start M^j e`` for
+    ``j = 0..n-1``, where ``e = max(-Q 1, 0)/rate`` is the per-jump exit
+    probability.  Work is O(n u^2), or O(n u) for a sparse step.
     """
-    u = G.shape[0]
-    chunk = max(1, min(_SWEEP_CHUNK, 4_000_000 // (u * u), n))
-    M = np.eye(u) + G / rate
-    e = -(G @ np.ones(u)) / rate
-    powers = np.empty((chunk, u, u))
-    powers[0] = M
-    for i in range(1, chunk):
-        powers[i] = powers[i - 1] @ M
+    u = Q.shape[0]
+    M = np.eye(u) + Q / rate
+    # rows without an exit may sum to -1e-17: a negative q_j has no logarithm
+    e = np.maximum(-(Q @ np.ones(u)), 0.0) / rate
     q = np.empty(n)
-    v = np.array(gamma, dtype=float)
-    j = 0
-    while j < n:
-        c = min(chunk, n - j)
-        rows = np.einsum("i,kij->kj", v, powers[:c])
-        q[j] = v @ e
-        if c > 1:
+    v = np.array(start, dtype=float)
+    if u <= _STACK_STATES:
+        chunk = max(1, min(_SWEEP_CHUNK, math.isqrt(n)))
+        powers = np.empty((chunk, u, u))
+        powers[0] = M
+        for i in range(1, chunk):
+            powers[i] = powers[i - 1] @ M
+        for j in range(0, n, chunk):
+            c = min(chunk, n - j)
+            rows = v @ powers[:c]
+            q[j] = v @ e
             q[j + 1 : j + c] = rows[: c - 1] @ e
-        v = rows[c - 1]
-        j += c
+            v = rows[c - 1]
+        return v, q
+    if u > _SPARSE_STATES:
+        # imported here, as only long bodies need it: it adds about 40 ms to
+        # importing the package
+        from scipy.sparse import csr_matrix
+
+        step = csr_matrix(M.T).dot
+    else:
+        step = M.T.dot
+    for j in range(n):
+        q[j] = v @ e
+        v = step(v)
     return v, q
 
 
@@ -369,9 +387,10 @@ def append_tail(mono: MonocyclicRep, bounds: BoundsReport,
 #
 # Every path through a PHRep makes a Poisson number of jumps: the tail at
 # rate ``tail_lambda``, and the prefix and body (the "slow chain") once they
-# are uniformized at their largest rate.  So pdf and cdf are windowed Poisson
-# sums of nonnegative jump-count sequences.  Where a path crosses from one
-# rate to the other, the two parts meet in a convolution done by quadrature.
+# are uniformized at their largest rate by ``_tail_sweep``, which also builds
+# the tail.  So pdf and cdf are windowed Poisson sums of nonnegative jump-count
+# sequences.  Where a path crosses from one rate to the other, the two parts
+# meet in a convolution done by quadrature.
 
 _GL_NODES = 96
 _GLX, _GLW = roots_legendre(_GL_NODES)
@@ -382,11 +401,6 @@ _GLX, _GLW = roots_legendre(_GL_NODES)
 # 0.079-0.089 to 0.061-0.066 s (2-core x86, numpy 2.4).
 _CHUNK = 1 << 15
 _MAX_JUMPS = 10_000_000
-# slow-chain size above which one jump is a sparse product: P has about two
-# nonzeros per row, so a sparse step is O(l + u) against O((l + u)^2) dense,
-# but its fixed cost (about 6 us against 2 us on one x86 core) loses below
-# about 200 states
-_SPARSE_STATES = 200
 _PANEL_SPAN = 16.0
 
 
@@ -467,20 +481,21 @@ def _slow_chain(ph: PHRep, x_max: float):
     """Prefix then body, started from ``head_gamma``, uniformized at its
     largest diagonal rate.
 
-    Returns the rate and the sequence ``s[k]``: the probability of leaving the
-    body (into the tail, or absorbed when there is none) at jump ``k + 1``.
-    Paths from the prefix straight into the tail are not part of it.
+    Returns the sequence ``s[k]``, the probability of leaving the body (into
+    the tail, or absorbed when there is none) at jump ``k + 1``, and the rate.
+    Paths from the prefix straight into the tail are not part of it, so the
+    prefix starts with, and hands on, only the head's mass.
     """
     l, u = ph.prefix_length, ph.u
     Q = np.zeros((l + u, l + u))
     Q[l:, l:] = ph.matrix
     start = np.zeros(l + u)
     if l:
-        mu = ph.prefix.mu
+        mu, mass = ph.prefix.mu, ph.head_gamma.sum()
         Q[range(l), range(l)] = -mu
         Q[range(l - 1), range(1, l)] = mu
-        Q[l - 1, l:] = mu * ph.head_gamma
-        start[0] = 1.0
+        Q[l - 1, l:] = mu * ph.head_gamma / mass
+        start[0] = mass
     else:
         start[:] = ph.head_gamma
     rate = _slow_rate(ph)
@@ -490,24 +505,7 @@ def _slow_chain(ph: PHRep, x_max: float):
             f"PHRep evaluation: {length} slow-chain jumps needed at x = {x_max}, "
             f"above the limit {_MAX_JUMPS}"
         )
-    P = np.eye(l + u) + Q / rate
-    if l + u > _SPARSE_STATES:
-        # imported here, as only long bodies need it: it adds about 40 ms to
-        # importing the package
-        from scipy.sparse import csr_matrix
-
-        step = csr_matrix(P.T).dot
-    else:
-        step = P.T.dot
-    leave = np.zeros(l + u)
-    # rows without an exit may sum to -1e-17: a negative s_k has no logarithm
-    leave[l:] = np.maximum(-(ph.matrix @ np.ones(u)), 0.0) / rate
-    s = np.empty(length)
-    v = start
-    for k in range(length):
-        s[k] = v @ leave
-        v = step(v)
-    return s, rate
+    return _tail_sweep(start, Q, rate, length)[1], rate
 
 
 def _through_tail(xs: np.ndarray, slow, fast, breaks, width: float) -> np.ndarray:

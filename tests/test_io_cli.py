@@ -428,6 +428,23 @@ def test_cli_overflowing_density_is_numeric_error(tmp_path):
         assert "inf" not in proc.stdout.lower()
 
 
+@pytest.mark.parametrize("output", ["nodir/out.json", "taken"], ids=["missing-dir", "is-dir"])
+def test_convert_cli_unwritable_output_is_one_error_line(tmp_path, output):
+    inp = tmp_path / "exp.json"
+    inp.write_text(json.dumps({"alpha": [1.0], "A": [[-1.0]]}))
+    (tmp_path / "taken").mkdir()
+    src = str(Path(me2ph.__file__).parents[1])
+    path_dirs = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_dirs)}
+    run_main = "import sys; from me2ph.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", run_main, "convert", str(inp), str(tmp_path / output)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: output:"), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_validate_cli_malformed(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2")

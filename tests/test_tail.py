@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.linalg import expm
 from scipy.stats import gamma as gamma_dist
 
@@ -269,22 +270,32 @@ def test_phrep_pdf_long_feedback_erlang_body():
     assert phrep_pdf(ph, xs) == pytest.approx(pdf_eval_many(rep, xs), rel=1e-9)
 
 
-def test_sparse_slow_chain_step_matches_dense(monkeypatch):
-    blocks = (FEBlock(1, 1.0, 0.0), FEBlock(3, 4.0, 0.4), FEBlock(4, 6.0, 0.7))
-    head = np.array([0.1, 0.0, 0.15, 0.05, 0.1, 0.0, 0.2, 0.05])
-    ph = PHRep(head, blocks, 8.0, 4, np.array([0.05, 0.1, 0.1, 0.1]),
-               prefix=DeconvParams(2, 5.0))
-    xs = np.linspace(0.0, 8.0, 33)
-    dense = phrep_pdf(ph, xs), phrep_cdf_grid(ph, xs)
-    monkeypatch.setattr(me2ph.tail, "_SPARSE_STATES", 0)
-    sparse = phrep_pdf(ph, xs), phrep_cdf_grid(ph, xs)
-    for d, s in zip(dense, sparse):
-        assert s == pytest.approx(d, rel=1e-12, abs=1e-300)
-
-
 _BLOCKS = (FEBlock(1, 1.0, 0.0), FEBlock(3, 4.0, 0.4), FEBlock(4, 6.0, 0.7))
 _HEAD = np.array([0.1, 0.0, 0.15, 0.05, 0.1, 0.0, 0.2, 0.05])
 _WEIGHTS = np.array([0.05, 0.1, 0.1, 0.1])
+
+
+def test_sparse_slow_chain_step_matches_dense(monkeypatch):
+    # each stepping regime of the sweep forced in turn, on a 10-state
+    # prefix-body chain and on a bare sweep of its body
+    ph = PHRep(_HEAD, _BLOCKS, 8.0, 4, _WEIGHTS, prefix=DeconvParams(2, 5.0))
+    xs = np.linspace(0.0, 8.0, 33)
+    built = []
+    csr = scipy.sparse.csr_matrix
+    monkeypatch.setattr(scipy.sparse, "csr_matrix", lambda a: built.append(a) or csr(a))
+    regimes = {"stack": {}, "dense": {"_STACK_STATES": 0},
+               "sparse": {"_STACK_STATES": 0, "_SPARSE_STATES": 0}}
+    results = {}
+    for regime, limits in regimes.items():
+        with monkeypatch.context() as m:
+            for name, value in limits.items():
+                m.setattr(me2ph.tail, name, value)
+            head, q = me2ph.tail._tail_sweep(_HEAD, ph.matrix, 6.0, 40)
+            results[regime] = (phrep_pdf(ph, xs), phrep_cdf_grid(ph, xs), head, q)
+    assert len(built) == 3  # pdf, cdf and the bare sweep each stepped sparse
+    for regime in ("dense", "sparse"):
+        for ref, got in zip(results["stack"], results[regime]):
+            assert got == pytest.approx(ref, rel=1e-12, abs=1e-300)
 
 
 @pytest.mark.parametrize("ph, xs", [
@@ -317,7 +328,7 @@ def test_phrep_evaluators_match_dense_generator(ph, xs):
 
 
 def test_tail_sweep_chunk_stays_in_memory_budget():
-    # at u = 600 the power stack is held to 4M floats (32 MB), not 32 powers
+    # at u = 600 the sweep takes a sparse product per jump: no stack of powers
     u, n, rate = 600, 30, 10.0
     rng = np.random.default_rng(4)
     G = rng.normal(size=(u, u)) / (2 * np.sqrt(u)) - 2.0 * np.eye(u)
@@ -332,6 +343,22 @@ def test_tail_sweep_chunk_stays_in_memory_budget():
     M = np.eye(u) + G / rate
     e = -(G @ np.ones(u)) / rate
     v, ref = gamma, np.empty(n)
+    for j in range(n):
+        ref[j] = v @ e
+        v = v @ M
+    assert head == pytest.approx(v, rel=1e-12, abs=1e-12 * np.abs(v).max())
+    assert q == pytest.approx(ref, rel=1e-12, abs=1e-12 * np.abs(ref).max())
+
+
+def test_tail_sweep_long_cycle_body_matches_stepwise():
+    # the long-cycle k = 6 body: 190 states, one dense product per jump
+    ph, _ = convert(rep_from_terms([(-1.0, [1.0]), (-1.1 + 6j, [0.3])]))
+    assert ph.u == 190
+    G, rate, n = ph.matrix, max(b.sigma for b in ph.blocks), 2_692
+    head, q = me2ph.tail._tail_sweep(ph.head_gamma, G, rate, n)
+    M = np.eye(ph.u) + G / rate
+    e = np.maximum(-(G @ np.ones(ph.u)), 0.0) / rate
+    v, ref = ph.head_gamma, np.empty(n)
     for j in range(n):
         ref[j] = v @ e
         v = v @ M
