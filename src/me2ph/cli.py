@@ -81,6 +81,10 @@ def cmd_convert(args) -> int:
 def cmd_validate(args) -> int:
     if args.monte_carlo < 0:
         return _fail("input", f"monte carlo sample count {args.monte_carlo} is negative", EXIT_INPUT)
+    if args.seed < 0:
+        return _fail("input", f"seed {args.seed} is negative", EXIT_INPUT)
+    if args.tol is not None and not args.tol >= 0:
+        return _fail("input", f"tolerance {args.tol} is not a nonnegative number", EXIT_INPUT)
     try:
         kind, obj, tol = _read(read_file, args.input)
         other = _read(read_file, args.against)[1] if args.against is not None else None
@@ -110,7 +114,11 @@ def cmd_validate(args) -> int:
         if args.monte_carlo:
             if kind != "ph":
                 return _fail("input", "monte carlo check needs a structured file", EXIT_INPUT)
-            ks = monte_carlo_check(obj, samples=args.monte_carlo, seed=args.seed)
+            try:
+                ks = monte_carlo_check(obj, samples=args.monte_carlo, seed=args.seed)
+            except MemoryError:
+                return _fail("input", f"{args.monte_carlo} monte carlo samples do not fit in memory",
+                             EXIT_INPUT)
             verdict["monte_carlo"] = {"ks": ks, "samples": args.monte_carlo, "seed": args.seed}
     except Me2PhError as exc:
         return _fail("numeric", str(exc), EXIT_NUMERIC)
@@ -125,7 +133,10 @@ def _parse_grid(spec: str) -> np.ndarray:
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 1 or not 0 <= start <= stop < np.inf:
         raise ValueError(f"bad grid {spec!r}")
-    return np.linspace(start, stop, count)
+    try:
+        return np.linspace(start, stop, count)
+    except MemoryError:
+        raise ValueError(f"grid {spec!r}: {count} points do not fit in memory") from None
 
 
 def cmd_pdf(args) -> int:

@@ -130,13 +130,13 @@ def derivatives_at_zero(rep: MERep, count: int) -> np.ndarray:
     return out
 
 
-def moments(rep: MERep, k_max: int) -> list[float]:
-    """Raw moments ``E[X^k] = k! alpha (-A)^(-k) 1`` for k = 1..k_max."""
-    if k_max < 1:
-        raise InvalidRepresentationError("moments: k_max must be >= 1")
-    negA = -rep.A
-    y = np.ones(rep.order, dtype=negA.dtype)
-    out = []
+def moment_series(alpha, A, k_max: int) -> np.ndarray:
+    """``k! alpha (-A)^(-k) 1`` for k = 0..k_max, one solve per k; ``alpha``
+    need not sum to 1, so a part of a representation gets its partial moments."""
+    negA = -A
+    y = np.ones(negA.shape[0], dtype=negA.dtype)
+    out = np.empty(k_max + 1)
+    out[0] = np.real(alpha.sum())
     fact = 1.0
     for k in range(1, k_max + 1):
         try:
@@ -144,5 +144,12 @@ def moments(rep: MERep, k_max: int) -> list[float]:
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"moments: singular matrix ({exc})") from exc
         fact *= k
-        out.append(float(np.real(rep.alpha @ y)) * fact)
+        out[k] = float(np.real(alpha @ y)) * fact
     return out
+
+
+def moments(rep: MERep, k_max: int) -> list[float]:
+    """Raw moments ``E[X^k] = k! alpha (-A)^(-k) 1`` for k = 1..k_max."""
+    if k_max < 1:
+        raise InvalidRepresentationError("moments: k_max must be >= 1")
+    return [float(v) for v in moment_series(rep.alpha, rep.A, k_max)[1:]]

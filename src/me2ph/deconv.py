@@ -8,31 +8,17 @@ map on the coefficients of each term of the density's expansion, off which
 prepends ``l`` pure Erlang states to a finished Markovian form.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import InvalidRepresentationError, PositiveDensityError
 from .spectral import SpectralData, first_nonzero_derivative, surviving_terms
-from .tail import PHRep
+from .tail import DeconvParams, PHRep
 from .validate import check_positive_density
 
 __all__ = ["DeconvParams", "zero_multiplicity", "deconvolve", "choose_mu", "recompose"]
-
-
-@dataclass(frozen=True)
-class DeconvParams:
-    """Erlang factor split off in front of the distribution: length and rate."""
-
-    l: int
-    mu: float
-
-    def __post_init__(self):
-        if self.l < 0 or int(self.l) != self.l:
-            raise InvalidRepresentationError(f"DeconvParams: l must be a nonnegative integer, got {self.l}")
-        if self.l > 0 and not 0 < self.mu < np.inf:
-            raise InvalidRepresentationError(f"DeconvParams: mu must be positive and finite, got {self.mu}")
 
 
 def zero_multiplicity(spec: SpectralData, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -102,7 +88,7 @@ def recompose(ph: PHRep, l: int, mu: float) -> PHRep:
     """
     if l == 0:
         return ph
-    if ph.prefix is not None and ph.prefix.l > 0:
+    if ph.prefix is not None:
         raise InvalidRepresentationError("recompose: representation already has a prefix")
     if mu <= ph.lambda1:
         raise InvalidRepresentationError(

@@ -18,9 +18,8 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .core import MERep
-from .deconv import DeconvParams
 from .monocyclic import FEBlock
-from .tail import PHRep
+from .tail import DeconvParams, PHRep
 
 __all__ = [
     "read_file",
@@ -111,24 +110,26 @@ def write_me_file(rep: MERep, path) -> None:
 
 def write_ph_file(ph: PHRep, path) -> None:
     """Write ``ph`` to ``path``; a tail's weights go first to the sidecar
-    ``<name>.weights`` beside it."""
+    ``<name>.weights`` beside it, which is removed again if the document
+    cannot be written."""
     path = Path(path)
+    sidecar = path.with_name(path.name + ".weights")
     doc = {
-        "prefix": (
-            {"l": ph.prefix.l, "mu": ph.prefix.mu}
-            if ph.prefix is not None and ph.prefix.l > 0
-            else None
-        ),
+        "prefix": {"l": ph.prefix.l, "mu": ph.prefix.mu} if ph.prefix is not None else None,
         "blocks": [{"b": b.b, "sigma": b.sigma, "z": b.z} for b in ph.blocks],
         "head_gamma": [float(v) for v in ph.head_gamma],
     }
     if ph.tail_n == 0:
         doc["tail"] = None
     else:
-        sidecar = path.name + ".weights"
-        np.asarray(ph.tail_weights, dtype="<f8").tofile(path.with_name(sidecar))
-        doc["tail"] = {"lambda": ph.tail_lambda, "n": ph.tail_n, "weights_path": sidecar}
-    path.write_text(json.dumps(doc, indent=1) + "\n")
+        np.asarray(ph.tail_weights, dtype="<f8").tofile(sidecar)
+        doc["tail"] = {"lambda": ph.tail_lambda, "n": ph.tail_n, "weights_path": sidecar.name}
+    try:
+        path.write_text(json.dumps(doc, indent=1) + "\n")
+    except OSError:
+        if ph.tail_n:
+            sidecar.unlink(missing_ok=True)
+        raise
 
 
 def read_ph_file(path) -> PHRep:
@@ -178,11 +179,9 @@ def _ph_from_doc(doc, path: Path) -> PHRep:
             weights = _sidecar_weights(tail["weights_path"], n, path)
         else:
             weights = _numbers(tail, "weights", path, "tail.")
-    prefix = None
     pf = doc.get("prefix")
-    if pf:
-        prefix = DeconvParams(_take(pf, "l", int, path, "prefix."),
-                              _take(pf, "mu", float, path, "prefix."))
+    prefix = (DeconvParams(_take(pf, "l", int, path, "prefix."), _take(pf, "mu", float, path, "prefix."))
+              if pf else None)
     return PHRep(head, tuple(blocks), rate, n, weights, prefix=prefix)
 
 

@@ -18,7 +18,7 @@ from scipy.linalg import expm
 from scipy.special import gammainc, gammaln, roots_legendre
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .core import mat_norm_inf, vec_norm1
+from .core import mat_norm_inf, moment_series, vec_norm1
 from .errors import (
     InvalidRepresentationError,
     NumericError,
@@ -60,6 +60,20 @@ class BoundsReport:
     n: int
 
 
+@dataclass(frozen=True)
+class DeconvParams:
+    """Erlang factor split off in front of the distribution: length and rate."""
+
+    l: int
+    mu: float
+
+    def __post_init__(self):
+        if self.l < 0 or int(self.l) != self.l:
+            raise InvalidRepresentationError(f"DeconvParams: l must be a nonnegative integer, got {self.l}")
+        if self.l > 0 and not 0 < self.mu < np.inf:
+            raise InvalidRepresentationError(f"DeconvParams: mu must be positive and finite, got {self.mu}")
+
+
 @dataclass(frozen=True, eq=False)
 class PHRep:
     """Markovian representation: optional Erlang prefix, feedback-Erlang body,
@@ -67,7 +81,8 @@ class PHRep:
 
     ``tail_weights`` follows the transformed-vector layout left to right:
     entry ``k`` is ``gamma (I + G/lam)^(n-1-k) (-G 1) / lam`` and starts the
-    absorption path ``n - k`` exponential stages before the end.
+    absorption path ``n - k`` exponential stages before the end.  A prefix
+    of length 0 is stored as ``None``.
     """
 
     head_gamma: np.ndarray
@@ -75,7 +90,7 @@ class PHRep:
     tail_lambda: float
     tail_n: int
     tail_weights: np.ndarray
-    prefix: object | None = None  # optional Erlang factor with fields l, mu
+    prefix: DeconvParams | None = None
     tol: ToleranceConfig = DEFAULT_TOL
 
     def __post_init__(self):
@@ -101,8 +116,11 @@ class PHRep:
         total = head.sum() + w.sum()
         if abs(total - 1.0) > self.tol.alpha_sum:
             raise InvalidRepresentationError(f"PHRep: initial mass sums to {total}")
-        if self.prefix is not None and self.prefix.l > 0 and not self.prefix.mu > 0:
-            raise InvalidRepresentationError("PHRep: prefix rate must be positive")
+        if self.prefix is not None:
+            if not isinstance(self.prefix, DeconvParams):
+                raise InvalidRepresentationError(f"PHRep: prefix must be DeconvParams, got {self.prefix!r}")
+            if self.prefix.l == 0:
+                object.__setattr__(self, "prefix", None)
         head = np.array(head)
         head.setflags(write=False)
         w = np.array(w)
@@ -131,6 +149,26 @@ class PHRep:
     def matrix(self) -> np.ndarray:
         """Dense body generator (feedback-Erlang blocks only)."""
         return chain_generator(self.blocks)
+
+
+def _behind_prefix(prefix: DeconvParams | None, Q: np.ndarray, start: np.ndarray):
+    """Initial vector and generator of the Erlang ``prefix`` in front of the
+    chain ``Q``; ``(start, Q)`` without a prefix.
+
+    The prefix starts with all of ``start``'s mass, and its last state feeds
+    ``Q`` in proportion to ``start``.
+    """
+    start = np.asarray(start, dtype=float)
+    if prefix is None:
+        return start, Q
+    l, mass = prefix.l, start.sum()
+    B = np.zeros((l + Q.shape[0],) * 2)
+    B[:l, :l] = FEBlock(l, prefix.mu, 0.0).matrix()
+    B[l:, l:] = Q
+    B[l - 1, l:] = prefix.mu * start / mass
+    b = np.zeros(B.shape[0])
+    b[0] = mass
+    return b, B
 
 
 _LOG_RATE_LIMIT = math.log(1e15)
@@ -474,7 +512,7 @@ def _erlang(m: int, rate: float, t: np.ndarray, cdf: bool) -> np.ndarray:
 
 def _slow_rate(ph: PHRep) -> float:
     """Largest diagonal rate of the prefix and the body."""
-    return max([blk.sigma for blk in ph.blocks] + ([ph.prefix.mu] if ph.prefix_length else []))
+    return max([blk.sigma for blk in ph.blocks] + ([ph.prefix.mu] if ph.prefix else []))
 
 
 def _slow_chain(ph: PHRep, x_max: float):
@@ -486,18 +524,7 @@ def _slow_chain(ph: PHRep, x_max: float):
     Paths from the prefix straight into the tail are not part of it, so the
     prefix starts with, and hands on, only the head's mass.
     """
-    l, u = ph.prefix_length, ph.u
-    Q = np.zeros((l + u, l + u))
-    Q[l:, l:] = ph.matrix
-    start = np.zeros(l + u)
-    if l:
-        mu, mass = ph.prefix.mu, ph.head_gamma.sum()
-        Q[range(l), range(l)] = -mu
-        Q[range(l - 1), range(1, l)] = mu
-        Q[l - 1, l:] = mu * ph.head_gamma / mass
-        start[0] = mass
-    else:
-        start[:] = ph.head_gamma
+    start, Q = _behind_prefix(ph.prefix, ph.matrix, ph.head_gamma)
     rate = _slow_rate(ph)
     length = int(_window(rate * x_max)[1]) + 1
     if length > _MAX_JUMPS:
@@ -546,7 +573,7 @@ def _evaluate(ph: PHRep, xs: np.ndarray, cdf: bool) -> np.ndarray:
     n, lam, weights = ph.tail_n, ph.tail_lambda, ph.tail_weights[::-1]
     if n:
         r_lo, r_hi = np.array(_window(n)) / lam
-    if n and ph.prefix_length:
+    if n and ph.prefix:
         # panels break where the mixture changes scale: its low-order Erlang
         # terms below 80/lam, and its edge inside the Erlang(n, lam) window
         l, mu = ph.prefix.l, ph.prefix.mu
@@ -597,25 +624,14 @@ def _add_moments(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def phrep_moments(ph: PHRep, k_max: int) -> list[float]:
     """Raw moments through the structure, never densifying the matrix."""
-    head_mass = float(ph.head_gamma.sum())
     # partial moments through the head: p[j] = j! * head (-G)^(-j) 1
-    p = np.zeros(k_max + 1)
-    p[0] = head_mass
-    if head_mass > 0:
-        y = np.ones(ph.u)
-        fact = 1.0
-        negG = -ph.matrix
-        for j in range(1, k_max + 1):
-            y = np.linalg.solve(negG, y)
-            fact *= j
-            p[j] = fact * float(ph.head_gamma @ y)
-
+    p = moment_series(ph.head_gamma, ph.matrix, k_max)
     inner = p
     if ph.tail_n:
         # column m - 1 holds Erlang(m, lam); the head's paths run through all n
         em = _erlang_moments(np.arange(1, ph.tail_n + 1), ph.tail_lambda, k_max)
         inner = _add_moments(p, em[:, -1]) + em @ ph.tail_weights[::-1]
-    if ph.prefix_length:
+    if ph.prefix:
         inner = _add_moments(_erlang_moments(ph.prefix.l, ph.prefix.mu, k_max)[:, 0], inner)
     return [float(v) for v in inner[1:]]
 
@@ -637,29 +653,6 @@ def to_dense(ph: PHRep, limit: int = 10_000):
         raise NumericError(
             f"to_dense: order {order} exceeds the densification limit {limit}"
         )
-    u, n, l = ph.u, ph.tail_n, ph.prefix_length
-    B = np.zeros((order, order))
-    b = np.zeros(order)
-    G = ph.matrix
-    at = l
-    B[at : at + u, at : at + u] = G
-    exit_col = -(G @ np.ones(u))
-    if n:
-        B[at : at + u, at + u] = exit_col
-        for k in range(n):
-            i = at + u + k
-            B[i, i] = -ph.tail_lambda
-            if k < n - 1:
-                B[i, i + 1] = ph.tail_lambda
-    inner_b = np.concatenate([ph.head_gamma, ph.tail_weights])
-    if l:
-        mu = ph.prefix.mu
-        for k in range(l):
-            B[k, k] = -mu
-            if k < l - 1:
-                B[k, k + 1] = mu
-        B[l - 1, l : order] = mu * inner_b
-        b[0] = 1.0
-    else:
-        b[l : order] = inner_b
-    return b, B
+    tail = (FEBlock(ph.tail_n, ph.tail_lambda, 0.0),) if ph.tail_n else ()
+    return _behind_prefix(ph.prefix, chain_generator(ph.blocks + tail),
+                          np.concatenate([ph.head_gamma, ph.tail_weights]))

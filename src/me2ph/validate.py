@@ -201,7 +201,7 @@ def simulate_absorption_times(ph: PHRep, samples: int, rng) -> np.ndarray:
     if in_tail.any():
         orders = ph.tail_n - (picks[in_tail] - ph.u)
         t[in_tail] = rng.gamma(orders, 1.0 / ph.tail_lambda)
-    if ph.prefix is not None and ph.prefix.l > 0:
+    if ph.prefix is not None:
         t += rng.gamma(ph.prefix.l, 1.0 / ph.prefix.mu, size=samples)
     return t
 

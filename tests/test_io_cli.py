@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import me2ph
-from me2ph import FEBlock, MERep, PHRep
+from me2ph import DeconvParams, FEBlock, MERep, PHRep
 from me2ph.cli import main
 from me2ph.io import read_file, read_me_file, read_ph_file, write_me_file, write_ph_file
 from conftest import SCALE
@@ -65,6 +65,15 @@ def test_ph_file_round_trip(tmp_path, worked_conversion):
     assert np.array_equal(loaded.tail_weights, ph.tail_weights)
     assert loaded.blocks == ph.blocks
     assert (loaded.prefix.l, loaded.prefix.mu) == (ph.prefix.l, ph.prefix.mu)
+
+
+def test_ph_file_empty_prefix_is_none(tmp_path):
+    ph = PHRep(np.ones(1), (FEBlock(1, 1.0, 0.0),), 0.0, 0, np.zeros(0), prefix=DeconvParams(0, 0.0))
+    assert ph.prefix is None and ph.order == 1
+    path = tmp_path / "exp.ph.json"
+    write_ph_file(ph, path)
+    assert json.loads(path.read_text())["prefix"] is None
+    assert read_ph_file(path).prefix is None
 
 
 def test_ph_file_sidecar_for_huge_tails(tmp_path):
@@ -443,6 +452,53 @@ def test_convert_cli_unwritable_output_is_one_error_line(tmp_path, output):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: output:"), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_convert_cli_failed_document_write_leaves_no_sidecar(tmp_path, capsys):
+    # the output has a 211-state tail, whose weights are written before the document
+    inp = tmp_path / "anchor.json"
+    write_me_file(rep_from_terms([(-1.0, [1.0]),
+                                  (complex(-1.8886, 1.5962), [1.3108 * np.exp(5.793j) / 2])]), inp)
+    (tmp_path / "taken").mkdir()
+    assert main(["convert", str(inp), str(tmp_path / "taken")]) == 1
+    assert capsys.readouterr().err.startswith("error: output:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["anchor.json", "taken"]
+    assert main(["convert", str(inp), str(tmp_path / "out.json")]) == 0
+    assert (tmp_path / "out.json.weights").stat().st_size == 8 * 211
+
+
+def _one_input_error(capsys, argv) -> None:
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: input:"), captured.err
+
+
+@pytest.fixture()
+def exp_ph_file(tmp_path):
+    path = tmp_path / "exp.ph.json"
+    write_ph_file(PHRep(np.ones(1), (FEBlock(1, 1.0, 0.0),), 0.0, 0, np.zeros(0)), path)
+    return path
+
+
+def test_validate_cli_negative_seed_is_input_error(capsys, exp_ph_file):
+    _one_input_error(capsys, ["validate", str(exp_ph_file), "--monte-carlo", "10", "--seed", "-1"])
+
+
+def test_validate_cli_negative_tol_is_input_error(capsys, exp_ph_file):
+    for tol in ("-1", "nan"):
+        _one_input_error(capsys, ["validate", str(exp_ph_file), "--against", str(exp_ph_file),
+                                  "--tol", tol])
+
+
+def test_validate_cli_monte_carlo_beyond_memory_is_input_error(capsys, exp_ph_file):
+    # 10^15 float64 samples are 7.1 PiB: the allocation is refused at once, using no memory
+    _one_input_error(capsys, ["validate", str(exp_ph_file), "--monte-carlo", str(10**15)])
+
+
+def test_pdf_cli_grid_beyond_memory_is_input_error(capsys, exp_ph_file):
+    _one_input_error(capsys, ["pdf", str(exp_ph_file), "--grid", f"0:1:{10**15}"])
 
 
 def test_validate_cli_malformed(tmp_path):

@@ -327,6 +327,29 @@ def test_phrep_evaluators_match_dense_generator(ph, xs):
     assert np.abs(phrep_cdf_grid(ph, xs) - (1.0 - survival @ ones)).max() <= 1e-12
 
 
+def test_to_dense_matches_pair_built_entry_by_entry():
+    ph = PHRep(_HEAD, _BLOCKS, 8.0, 4, _WEIGHTS, prefix=DeconvParams(2, 5.0))
+    b, B = to_dense(ph)
+    ref = np.zeros((14, 14))
+    # prefix: states 0-1 at rate 5, the last feeding the body and the tail
+    ref[0, 0], ref[0, 1], ref[1, 1] = -5.0, 5.0, -5.0
+    ref[1, 2:] = 5.0 * np.concatenate([_HEAD, _WEIGHTS])
+    # body: FE(1, 1, 0) at 2, FE(3, 4, 0.4) at 3-5, FE(4, 6, 0.7) at 6-9
+    ref[2, 2], ref[2, 3] = -1.0, 1.0
+    for i in (3, 4, 5):
+        ref[i, i] = -4.0
+    ref[3, 4], ref[4, 5], ref[5, 3], ref[5, 6] = 4.0, 4.0, 0.4 * 4.0, 0.6 * 4.0
+    for i in (6, 7, 8, 9):
+        ref[i, i] = -6.0
+    ref[6, 7], ref[7, 8], ref[8, 9], ref[9, 6], ref[9, 10] = 6.0, 6.0, 6.0, 0.7 * 6.0, 0.3 * 6.0
+    # tail: Erlang(4, 8) at 10-13, absorbing from 13
+    for i in (10, 11, 12, 13):
+        ref[i, i] = -8.0
+    ref[10, 11], ref[11, 12], ref[12, 13] = 8.0, 8.0, 8.0
+    assert np.abs(b - np.eye(1, 14)[0]).max() <= 1e-15
+    assert np.abs(B - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
 def test_tail_sweep_chunk_stays_in_memory_budget():
     # at u = 600 the sweep takes a sparse product per jump: no stack of powers
     u, n, rate = 600, 30, 10.0

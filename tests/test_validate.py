@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -88,6 +89,9 @@ ONE_STATE = (FEBlock(1, 1.0, 0.0),)
     pytest.param(lambda: PHRep(np.array([1.0]), ONE_STATE, 0.0, 0, np.zeros(0),
                                prefix=DeconvParams(1, np.inf)),
                  id="prefix-rate-infinite"),
+    pytest.param(lambda: PHRep(np.array([1.0]), ONE_STATE, 0.0, 0, np.zeros(0),
+                               prefix=SimpleNamespace(l=1, mu=2.0)),
+                 id="prefix-not-deconv-params"),
 ])
 def test_phrep_constructor_rejects_non_markovian(build):
     with pytest.raises(InvalidRepresentationError):
