@@ -18,7 +18,7 @@ class ToleranceConfig:
     # spectral terms whose coefficients all fall below this times the largest
     # coefficient are treated as absent from the density
     coeff_zero_rel: float = 1e-9
-    # zero-derivative threshold at x = 0, relative to ||A||_inf^(k+1), A minimal
+    # zero-derivative threshold at x = 0, relative to max|eta|^(k+1)
     deriv_zero_rel: float = 1e-9
     # clamp window for tail-extension vector entries, relative to ||gamma||_1
     markov_slack_rel: float = 1e-12

@@ -153,3 +153,13 @@ def moments(rep: MERep, k_max: int) -> list[float]:
     if k_max < 1:
         raise InvalidRepresentationError("moments: k_max must be >= 1")
     return [float(v) for v in moment_series(rep.alpha, rep.A, k_max)[1:]]
+
+
+def mean_scale(rep: MERep) -> float:
+    """The unit of time the construction runs in: the power of two ``s`` with
+    the mean of ``(alpha, s A)`` in ``[1/2, 1)``, so scaling by it is exact.
+    1 when the mean is not positive and finite."""
+    mean = float(moment_series(rep.alpha, rep.A, 1)[1])
+    if not 0 < mean < np.inf:
+        return 1.0
+    return float(np.ldexp(1.0, np.frexp(mean)[1]))

@@ -101,7 +101,7 @@ def fe_block_for(eigenvalue: complex, lambda1: float,
         return FEBlock(1, a, 0.0)
 
     gap = a - lambda1
-    if gap <= tol.eig_cluster_rel * max(abs(eigenvalue), lambda1, 1.0):
+    if gap <= tol.eig_cluster_rel * max(abs(eigenvalue), lambda1):
         raise DecViolationError(
             f"complex pair {-a}+/-{c}j has real part at the dominant eigenvalue "
             f"-{lambda1}; no finite chain can embed it"
@@ -128,7 +128,7 @@ def fe_block_for(eigenvalue: complex, lambda1: float,
     evs = block.eigenvalues()
     target = complex(-a, c)
     err = np.abs(evs - target).min()
-    if err > tol.fe_eig_check * max(1.0, abs(target)):
+    if err > tol.fe_eig_check * abs(target):
         raise NumericError(
             f"fe_block_for: constructed block misses {target} by {err:.3e}"
         )
@@ -289,7 +289,7 @@ def solve_transformation_matrix(rep: MERep, mono: MonocyclicRep) -> np.ndarray:
         W = W.real
 
     G = mono.matrix
-    scale = max(mat_norm_inf(A), mat_norm_inf(G), 1.0)
+    scale = max(mat_norm_inf(A), mat_norm_inf(G))
     res = max(
         float(np.abs(A @ W - W @ G).max()) / scale,
         float(np.abs(W @ np.ones(u) - 1.0).max()),

@@ -5,15 +5,17 @@ positivity conditions on it, split off an Erlang factor if the density
 vanishes at 0, build the monocyclic generator and its initial vector (from the
 minimal pair of the remaining expansion, the one pair built), append the
 certified Erlang tail if the vector has negative entries, and finally
-reattach the Erlang factor.
+reattach the Erlang factor.  The checks read the expansion in the input's
+units; the construction runs in units of its mean, a power of two
+(``core.mean_scale``), so ``(alpha, 2^j A)`` converts to the exact rescaling.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .core import MERep
+from .core import MERep, mean_scale
 from .deconv import choose_mu, deconvolve, recompose, zero_multiplicity
 from .errors import DecViolationError, InvalidRepresentationError, NumericError, PositiveDensityError
 from .monocyclic import build_generator, solve_gamma
@@ -30,7 +32,7 @@ class PaperBounds:
 
     Substituting these for the computed quantities reproduces the published
     tail figures exactly (rate 806600, order 403309).  Meaningless for other
-    inputs.
+    inputs.  They are in the example's own units of time.
     """
 
     mu: float = 10.0
@@ -122,26 +124,27 @@ def convert(
     if not pd.ok:
         raise PositiveDensityError(f"{pd.failed_part}: {pd.detail}")
 
-    l = zero_multiplicity(spec, tol)
+    # from here on rates are in units of 1/s and times in units of s
+    s = mean_scale(rep)
+    working_spec, mu = spec.scaled(s), None
+    l = zero_multiplicity(working_spec, tol)
     report.l = l
-    working_spec, mu = spec, None
     if l > 0:
         if paper_bounds is None:
-            mu, working_spec = choose_mu(spec, l, tol)
+            mu, working_spec = choose_mu(working_spec, l, tol)
         else:
-            mu = paper_bounds.mu
-            working_spec = deconvolve(spec, l, mu, tol)
+            mu = paper_bounds.mu * s
+            working_spec = deconvolve(working_spec, l, mu, tol)
             pd = check_positive_density(working_spec, tol)
             if not pd.ok:
                 raise PositiveDensityError(
                     f"residual density after the Erlang split is not positive ({pd.detail})"
                 )
+        mu /= s
         report.mu = mu
 
     mono = build_generator(working_spec, tol)
     mono = solve_gamma(minimal_representation(working_spec, tol), mono, tol)
-    report.blocks = [f"({b.b},{b.sigma:g},{b.z:g})" for b in mono.blocks]
-    report.monocyclic_order = mono.order
     gamma_min = float(mono.gamma.min())
     report.gamma_min = gamma_min
 
@@ -149,18 +152,25 @@ def convert(
     if gamma_min < 0:
         report.tail_needed = True
         if paper_bounds is not None:
-            tau = paper_bounds.tau
             bounds = compute_bounds(
-                mono, tau, working_spec, tol=tol,
+                mono, paper_bounds.tau / s, working_spec, tol=tol,
                 gamma_norm=paper_bounds.gamma_norm,
                 eps1=paper_bounds.eps1,
-                eps2=paper_bounds.eps2,
-                round_rate_to=paper_bounds.round_rate_to,
+                eps2=paper_bounds.eps2 * s,
+                round_rate_to=paper_bounds.round_rate_to * s,
             )
         else:
             tau = find_tau(mono, working_spec, tol)
             bounds = compute_bounds(mono, tau, working_spec, tol=tol)
+        bounds = replace(bounds, tau=bounds.tau * s, g=bounds.g / s, eps2=bounds.eps2 / s,
+                         lambda_prime=bounds.lambda_prime / s,
+                         lambda_dprime=bounds.lambda_dprime / s, rate=bounds.rate / s)
         report.bounds = bounds
+    # back in the input's units; the tail sweep's steps Q / rate do not change
+    mono = replace(mono, blocks=tuple(replace(blk, sigma=blk.sigma / s) for blk in mono.blocks),
+                   lambda1=mono.lambda1 / s)
+    report.blocks = [f"({b.b},{b.sigma:g},{b.z:g})" for b in mono.blocks]
+    report.monocyclic_order = mono.order
     n = bounds.n if bounds is not None else 0
     if l + mono.order + n > max_order:
         raise NumericError(

@@ -10,14 +10,14 @@ appear; ``minimal_representation`` rebuilds the smallest pair realizing the
 same sum.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import factorial, perm
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, schur
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .core import MERep, mat_norm_inf
+from .core import MERep, mat_norm_inf, mean_scale
 from .errors import InvalidRepresentationError, NumericError
 
 __all__ = [
@@ -81,6 +81,13 @@ class SpectralData:
     def order(self) -> int:
         return sum(t.multiplicity for t in self.terms)
 
+    def scaled(self, c: float) -> "SpectralData":
+        """Expansion of the pair ``(alpha, c A)``, the density of ``X / c``:
+        each eigenvalue times ``c``, the coefficient of ``x^j`` times ``c^(j+1)``."""
+        return replace(self, terms=tuple(
+            SpectralTerm(t.eigenvalue * c, tuple(v * c ** (j + 1) for j, v in enumerate(t.coeffs)))
+            for t in self.terms))
+
 
 def modal_form(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
     """``(T, V, clusters)`` with ``A V = V T`` and ``T`` block diagonal: one
@@ -102,7 +109,7 @@ def modal_form(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
     """
     A = np.asarray(A)
     n = A.shape[0]
-    ctol = tol.eig_cluster_rel * max(mat_norm_inf(A), 1.0)
+    ctol = tol.eig_cluster_rel * mat_norm_inf(A)
     T, V = (schur(A, output="complex") if np.any(np.tril(A, -1))
             else (np.array(A), np.eye(n, dtype=A.dtype)))
     diag = np.diag(T)
@@ -178,9 +185,11 @@ def analyze_spectrum(rep: MERep, tol: ToleranceConfig = DEFAULT_TOL) -> Spectral
     ``N = T_cc - eta I`` is its nilpotent part.  For a real pair, a cluster
     below the real axis takes the conjugates of its partner's coefficients.
     Eigenvalues whose coefficients all vanish are dropped, and trailing zero
-    coefficients reduce a term's multiplicity (``surviving_terms``).
+    coefficients reduce a term's multiplicity (``surviving_terms``).  All of
+    it is read off ``s A``, ``s = mean_scale(rep)``, and rescaled by ``1 / s``.
     """
-    T, V, clusters = modal_form(rep.A, tol)
+    s = mean_scale(rep)
+    T, V, clusters = modal_form(s * rep.A, tol)
     cond = np.linalg.cond(V)
     if not np.isfinite(cond) or cond > 1e13:
         raise NumericError(
@@ -203,7 +212,7 @@ def analyze_spectrum(rep: MERep, tol: ToleranceConfig = DEFAULT_TOL) -> Spectral
         if eta.imag < 0 and mirror:
             cs = np.conj(by_eig[eta.conjugate()])
         by_eig[eta] = cs.real if eta.imag == 0 else cs
-    return surviving_terms(by_eig, tol)
+    return surviving_terms(by_eig, tol).scaled(1 / s)
 
 
 def surviving_terms(by_eig: dict[complex, np.ndarray], tol: ToleranceConfig) -> SpectralData:
@@ -267,10 +276,10 @@ def minimal_representation(spec: SpectralData, tol: ToleranceConfig = DEFAULT_TO
 def first_nonzero_derivative(spec: SpectralData,
                              tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, float] | None:
     """``(k, f^(k)(0))`` for the smallest ``k <= order`` whose derivative at 0
-    is nonzero relative to ``s^(k+1)``, ``s = max |eta| + [m > 1]`` the infinity
-    norm of the minimal pair's matrix; None when all of them vanish.  A term
+    is nonzero relative to ``s^(k+1)``, ``s = max |eta|``, which scales with the
+    unit of time as ``f^(k)(0)`` does; None when all of them vanish.  A term
     ``c x^j e^(eta x)`` adds ``c k!/(k-j)! eta^(k-j)`` to ``f^(k)(0)``."""
-    scale = max(abs(t.eigenvalue) + (t.multiplicity > 1) for t in spec.terms)
+    scale = max(abs(t.eigenvalue) for t in spec.terms)
     for k in range(spec.order + 1):
         d = sum(c * perm(k, j) * t.eigenvalue ** (k - j)
                 for t in spec.terms for j, c in enumerate(t.coeffs[: k + 1]))
@@ -308,7 +317,7 @@ def _at_top(spec: SpectralData, tol: ToleranceConfig) -> list[SpectralTerm]:
     """Terms whose real part ties the largest one, within ``eig_cluster_rel``
     times the spectrum's scale."""
     top = max(t.eigenvalue.real for t in spec.terms)
-    scale = max(max(abs(t.eigenvalue) for t in spec.terms), 1.0)
+    scale = max(abs(t.eigenvalue) for t in spec.terms)
     return [t for t in spec.terms if top - t.eigenvalue.real <= tol.eig_cluster_rel * scale]
 
 

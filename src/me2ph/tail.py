@@ -171,6 +171,7 @@ def _behind_prefix(prefix: DeconvParams | None, Q: np.ndarray, start: np.ndarray
     return b, B
 
 
+# in units of the input's mean (``core.mean_scale``): 1e15 over the mean
 _LOG_RATE_LIMIT = math.log(1e15)
 
 

@@ -57,11 +57,12 @@ def check_markovian(rep, tol: ToleranceConfig = DEFAULT_TOL) -> MarkovianVerdict
     if diag.max() >= 0:
         return MarkovianVerdict(False, f"diagonal entry {diag.max():.6g} is not negative")
     off = A - np.diag(diag)
-    if off.min() < -slack * max(1.0, float(np.abs(A).max())):
+    scale = float(np.abs(A).max())
+    if off.min() < -slack * scale:
         i, j = np.unravel_index(off.argmin(), off.shape)
         return MarkovianVerdict(False, f"off-diagonal A[{i},{j}] = {A[i, j]:.6g} < 0")
     rowsums = A.sum(axis=1)
-    if rowsums.max() > slack * max(1.0, float(np.abs(A).max())):
+    if rowsums.max() > slack * scale:
         return MarkovianVerdict(False, f"row {rowsums.argmax()} sums to {rowsums.max():.6g} > 0")
     return MarkovianVerdict(True)
 
@@ -132,17 +133,18 @@ def _moments_of(rep_or_ph, k_max: int) -> np.ndarray:
 
 def check_equivalence(rep1, rep2, grid=None, rel_tol: float | None = None,
                       tol: ToleranceConfig = DEFAULT_TOL) -> EquivalenceVerdict:
-    """Compare densities on a grid and the first five raw moments."""
+    """Compare densities on a grid (by default 50 points on ``[0.025, 5]``
+    times the mean of ``rep1``) and the first five raw moments."""
     rel_tol = rel_tol if rel_tol is not None else tol.equivalence_rel
+    m1 = _moments_of(rep1, 5)
+    m2 = _moments_of(rep2, 5)
     if grid is None:
-        grid = np.linspace(0.05, 10.0, 50)
+        grid = m1[0] * np.linspace(0.025, 5.0, 50)
     grid = np.asarray(grid, dtype=float)
     f1 = _pdf_on(rep1, grid)
     f2 = _pdf_on(rep2, grid)
     floor = max(float(np.abs(f1).max()), 1e-300) * 1e-9
     rel = float((np.abs(f1 - f2) / np.maximum(np.abs(f1), floor)).max())
-    m1 = _moments_of(rep1, 5)
-    m2 = _moments_of(rep2, 5)
     mrel = float((np.abs(m1 - m2) / np.maximum(np.abs(m1), 1e-300)).max())
     return EquivalenceVerdict(
         max_rel_error=rel,

@@ -1,0 +1,80 @@
+"""The unit of time changes no result: ``convert`` of ``(alpha, c A)`` is
+``convert`` of ``(alpha, A)`` with every rate times ``c`` and every time over
+``c``, exactly when ``c`` is a power of two."""
+
+import json
+
+import numpy as np
+import pytest
+
+from conftest import ALPHA7, A7
+from genutil import random_markovian_rep, rep_from_terms
+from me2ph import DecViolationError, MERep, convert
+from me2ph.cli import main
+from me2ph.io import write_me_file
+
+INPUTS = {
+    "worked": MERep(ALPHA7, A7),
+    # one 63-state feedback-Erlang block, no tail
+    "long-cycle": rep_from_terms([(-1.0, [1.0]), (-1.1 + 2j, [0.3])]),
+    "markov": random_markovian_rep(np.random.default_rng(5), 6),
+    # a zero of order 2 at the origin: an Erlang(2) prefix
+    "erlang-damped": rep_from_terms([(-1.0, [0.0, 0.0, 1.0]),
+                                     (-2.2 + 1.2j, [0.0, 0.0, 0.1 * np.exp(0.7j)])]),
+    # the smallest tail-anchor input of the benchmark: a 211-state tail
+    "anchor": rep_from_terms([(-1.0, [1.0]), (-1.8886 + 1.5962j, [0.6554 * np.exp(5.7930j)])]),
+}
+
+
+@pytest.fixture(scope="module")
+def unit_conversions():
+    return {name: convert(rep) for name, rep in INPUTS.items()}
+
+
+def _scaled(rep: MERep, c: float) -> MERep:
+    return MERep(rep.alpha, c * rep.A)
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_power_of_two_time_unit_is_an_exact_rescaling(name, unit_conversions):
+    ph0, report0 = unit_conversions[name]
+    for j in (-30, -7, 3, 30):
+        c = 2.0**j
+        ph, report = convert(_scaled(INPUTS[name], c))
+        assert np.array_equal(ph.head_gamma, ph0.head_gamma)
+        assert np.array_equal(ph.tail_weights, ph0.tail_weights)
+        assert [(b.b, b.sigma, b.z) for b in ph.blocks] == [(b.b, b.sigma * c, b.z) for b in ph0.blocks]
+        assert (ph.tail_n, ph.tail_lambda) == (ph0.tail_n, ph0.tail_lambda * c)
+        assert ph.prefix_length == ph0.prefix_length
+        if ph0.prefix is not None:
+            assert ph.prefix.mu == ph0.prefix.mu * c
+            assert report.mu == report0.mu * c
+        assert report.gamma_min == report0.gamma_min
+        if report0.bounds is not None:
+            b, b0 = report.bounds, report0.bounds
+            assert (b.tau, b.g, b.eps2, b.rate) == (b0.tau / c, b0.g * c, b0.eps2 * c, b0.rate * c)
+            assert (b.eps1, b.gamma_norm, b.n) == (b0.eps1, b0.gamma_norm, b0.n)
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e8, 3600.0])
+def test_any_time_unit_keeps_the_order(c, unit_conversions):
+    for name, rep in INPUTS.items():
+        ph0, report0 = unit_conversions[name]
+        ph, report = convert(_scaled(rep, c))
+        assert (ph.order, report.l, ph.tail_n) == (ph0.order, report0.l, ph0.tail_n), name
+
+
+def test_tie_message_quotes_the_input_units():
+    tie = rep_from_terms([(-1.0 + 0j, [0.6]), (-1.0 + 2j, [0.2 + 0.1j])])
+    with pytest.raises(DecViolationError) as info:
+        convert(_scaled(tie, 1 / 8))
+    assert "-0.125+0.25j" in str(info.value) or "-0.125-0.25j" in str(info.value)
+
+
+@pytest.mark.parametrize("name", ["worked", "erlang-damped"])
+def test_validate_cli_reads_a_short_time_unit(name, tmp_path, capsys):
+    path = tmp_path / "scaled.json"
+    write_me_file(_scaled(INPUTS[name], 1e-8), path)
+    assert main(["validate", str(path)]) == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["dec"] and verdict["positive_density"]

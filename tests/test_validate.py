@@ -56,6 +56,15 @@ def test_markovian_accepts_erlang_chain():
     assert check_markovian(erlang_rep(4, 1.0)).ok
 
 
+@pytest.mark.parametrize("c", [1.0, 1e-8])
+def test_markovian_slack_is_relative_to_the_matrix(c):
+    # the off-diagonal entry is 1% of the diagonal at every time unit
+    rep = MERep(np.array([0.5, 0.5]), c * np.array([[-1.0, -0.01], [0.0, -1.0]]))
+    verdict = check_markovian(rep)
+    assert not verdict.ok
+    assert "off-diagonal A[0,1]" in verdict.violation
+
+
 ONE_STATE = (FEBlock(1, 1.0, 0.0),)
 
 
@@ -145,6 +154,17 @@ def test_equivalence_distinguishes_rates():
     e1 = MERep(np.array([1.0]), np.array([[-1.0]]))
     e2 = MERep(np.array([1.0]), np.array([[-2.0]]))
     assert not check_equivalence(e1, e2).ok
+
+
+def test_equivalence_default_grid_is_in_units_of_the_mean():
+    # Erlang(2, 1) against the half-half start on the same matrix
+    A = np.array([[-1.0, 1.0], [0.0, -1.0]])
+    verdicts = [check_equivalence(MERep(np.array([1.0, 0.0]), c * A), MERep(np.array([0.5, 0.5]), c * A))
+                for c in (1.0, 2.0**20, 2.0**-20)]
+    assert [v.max_rel_error for v in verdicts] == [verdicts[0].max_rel_error] * 3
+    assert verdicts[0].max_rel_error > 1.0
+    assert not any(v.ok for v in verdicts)
+    assert verdicts[1].grid == tuple(x / 2.0**20 for x in verdicts[0].grid)
 
 
 def test_monte_carlo_exponential():
