@@ -5,7 +5,8 @@ Converts the bundled oscillating density in both modes (computed bounds and
 the published rounded constants), prints every intermediate quantity, and
 compares the final Markovian representation against the closed form.  Exits
 1 if an output is not Markovian, misses the input's density or moments at
-relative 1e-5, or the published mode does not give order 403,309.
+relative 1e-5, applies a larger tail than the certified one, or the published
+mode does not give order 403,309.
 """
 
 import argparse
@@ -69,6 +70,8 @@ def run(mode: str) -> list[str]:
         failures.append(f"{mode}: output is not Markovian")
     if not verdict.ok:
         failures.append(f"{mode}: output misses the input at relative 1e-5")
+    if ph.tail_n > report.bounds.n:
+        failures.append(f"{mode}: tail of {ph.tail_n} states, above the certified {report.bounds.n}")
     if mode == "published" and ph.order != PUBLISHED_ORDER:
         failures.append(f"published: order {ph.order}, expected {PUBLISHED_ORDER}")
     return failures

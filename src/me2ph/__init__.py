@@ -24,12 +24,14 @@ from .spectral import (
 from .tail import (
     BoundsReport,
     PHRep,
+    TailChoice,
     append_tail,
     compute_bounds,
     find_tau,
     phrep_cdf_grid,
     phrep_moments,
     phrep_pdf,
+    smallest_tail,
     to_dense,
 )
 from .validate import (

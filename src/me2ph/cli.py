@@ -75,6 +75,9 @@ def cmd_convert(args) -> int:
             "lambda_prime": b.lambda_prime, "lambda_dprime": b.lambda_dprime,
             "lambda": b.rate, "n": b.n,
         }))
+    if report.tail is not None:
+        t = report.tail
+        print("tail: " + json.dumps({"tau": t.tau, "lambda": t.rate, "n": t.n, "jumps": t.jumps}))
     return EXIT_OK
 
 

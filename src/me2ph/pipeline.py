@@ -3,11 +3,14 @@
 Order of operations: read the density's expansion, check the dominance and
 positivity conditions on it, split off an Erlang factor if the density
 vanishes at 0, build the monocyclic generator and its initial vector (from the
-minimal pair of the remaining expansion, the one pair built), append the
-certified Erlang tail if the vector has negative entries, and finally
-reattach the Erlang factor.  The checks read the expansion in the input's
-units; the construction runs in units of its mean, a power of two
-(``core.mean_scale``), so ``(alpha, 2^j A)`` converts to the exact rescaling.
+minimal pair of the remaining expansion, the one pair built), append an
+Erlang tail if the vector has negative entries, and finally reattach the
+Erlang factor.  The tail is the smallest whose transformed vector is
+nonnegative (``smallest_tail``); the certified tail of the paper's bound is
+its last candidate, and the one applied with ``PaperBounds``.  The checks
+read the expansion in the input's units; the construction runs in units of
+its mean, a power of two (``core.mean_scale``), so ``(alpha, 2^j A)``
+converts to the exact rescaling.
 """
 
 from dataclasses import dataclass, field, replace
@@ -20,7 +23,7 @@ from .deconv import choose_mu, deconvolve, recompose, zero_multiplicity
 from .errors import DecViolationError, InvalidRepresentationError, NumericError, PositiveDensityError
 from .monocyclic import build_generator, solve_gamma
 from .spectral import analyze_spectrum, check_dec, fmt_complex, minimal_representation
-from .tail import BoundsReport, PHRep, append_tail, compute_bounds, find_tau
+from .tail import BoundsReport, PHRep, TailChoice, append_tail, compute_bounds, find_tau, smallest_tail
 from .validate import check_positive_density
 
 __all__ = ["PaperBounds", "ConversionReport", "convert"]
@@ -45,7 +48,12 @@ class PaperBounds:
 
 @dataclass
 class ConversionReport:
-    """Step-by-step record of one conversion."""
+    """Step-by-step record of one conversion.
+
+    ``bounds`` is the certificate: the tail the paper's bound guarantees.
+    ``tail`` is the one applied, with the jumps the search swept; in computed
+    mode it is the smallest the search found, at most the certified one.
+    """
 
     input_order: int = 0
     minimal_order: int = 0
@@ -57,6 +65,7 @@ class ConversionReport:
     gamma_min: float = 0.0
     tail_needed: bool = False
     bounds: BoundsReport | None = None
+    tail: TailChoice | None = None
     final_order: int = 0
 
     def lines(self) -> list[str]:
@@ -82,6 +91,14 @@ class ConversionReport:
                 f"lambda: {b.rate!r}",
                 f"n: {b.n}",
             ]
+            if self.tail is not None:
+                t = self.tail
+                out += [
+                    f"applied tau: {t.tau!r}",
+                    f"applied lambda: {t.rate!r}",
+                    f"applied n: {t.n}",
+                    f"jumps swept: {t.jumps}",
+                ]
         else:
             out.append("tail: not needed")
         out.append(f"final order: {self.final_order}")
@@ -103,8 +120,9 @@ def convert(
     """Run the full construction and return the Markovian representation.
 
     Raises ``DecViolationError`` or ``PositiveDensityError`` when the input
-    fails the corresponding existence condition, and ``NumericError`` when the
-    order, with the certified tail if one is needed, would exceed ``max_order``.
+    fails the corresponding existence condition, and ``NumericError`` when no
+    tail can be certified or the order, with the tail applied if one is
+    needed, would exceed ``max_order``.
     """
     report = ConversionReport(input_order=rep.order)
 
@@ -148,7 +166,7 @@ def convert(
     gamma_min = float(mono.gamma.min())
     report.gamma_min = gamma_min
 
-    bounds = None
+    tail = None
     if gamma_min < 0:
         report.tail_needed = True
         if paper_bounds is not None:
@@ -159,28 +177,32 @@ def convert(
                 eps2=paper_bounds.eps2 * s,
                 round_rate_to=paper_bounds.round_rate_to * s,
             )
+            tail = TailChoice.certified(bounds)
         else:
             tau = find_tau(mono, working_spec, tol)
             bounds = compute_bounds(mono, tau, working_spec, tol=tol)
-        bounds = replace(bounds, tau=bounds.tau * s, g=bounds.g / s, eps2=bounds.eps2 / s,
-                         lambda_prime=bounds.lambda_prime / s,
-                         lambda_dprime=bounds.lambda_dprime / s, rate=bounds.rate / s)
-        report.bounds = bounds
+            tail = smallest_tail(mono, bounds, tol)
+        report.bounds = replace(bounds, tau=bounds.tau * s, g=bounds.g / s, eps2=bounds.eps2 / s,
+                                lambda_prime=bounds.lambda_prime / s,
+                                lambda_dprime=bounds.lambda_dprime / s, rate=bounds.rate / s)
+        tail = replace(tail, tau=tail.tau * s, rate=tail.rate / s)
     # back in the input's units; the tail sweep's steps Q / rate do not change
     mono = replace(mono, blocks=tuple(replace(blk, sigma=blk.sigma / s) for blk in mono.blocks),
                    lambda1=mono.lambda1 / s)
     report.blocks = [f"({b.b},{b.sigma:g},{b.z:g})" for b in mono.blocks]
     report.monocyclic_order = mono.order
-    n = bounds.n if bounds is not None else 0
+    n = tail.n if tail is not None else 0
     if l + mono.order + n > max_order:
         raise NumericError(
             f"convert: order {l + mono.order + n} exceeds the limit {max_order}",
             detail={"n": n, "max_order": max_order},
         )
-    if bounds is None:
+    if tail is None:
         ph = PHRep(np.clip(mono.gamma, 0.0, None), mono.blocks, 0.0, 0, np.zeros(0), tol=tol)
     else:
-        ph = append_tail(mono, bounds, tol)
+        ph = append_tail(mono, tail, tol)
+        # append_tail's one retry of a certified tail doubles its rate
+        report.tail = replace(tail, rate=ph.tail_lambda, n=ph.tail_n)
 
     if l > 0:
         ph = recompose(ph, l, mu)

@@ -6,11 +6,15 @@ representation transforms the initial vector through powers of
 parts of the transformed vector are positive: the tail entries are
 approximate density samples ``f(k/lam)/lam`` and the head entries approach
 ``gamma exp(G tau) > 0``.  The certified rates come from the approximation
-bound ``|e^z - (1+z/n)^n| <= r^2 e^r / (2n)`` for ``|z| <= r``.
+bound ``|e^z - (1+z/n)^n| <= r^2 e^r / (2n)`` for ``|z| <= r``.  The bound
+proves that a tail exists, but can overshoot by orders of magnitude (950,965
+states where 32 suffice on the paper's example).  The transformed vector
+itself certifies a tail, so ``smallest_tail`` searches below the certified
+one and keeps it as the last candidate.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -29,9 +33,11 @@ from .spectral import SpectralData, expansion_values
 
 __all__ = [
     "BoundsReport",
+    "TailChoice",
     "PHRep",
     "find_tau",
     "compute_bounds",
+    "smallest_tail",
     "append_tail",
     "phrep_pdf",
     "phrep_moments",
@@ -58,6 +64,21 @@ class BoundsReport:
     lambda_dprime: float
     rate: float
     n: int
+
+
+@dataclass(frozen=True)
+class TailChoice:
+    """The tail ``append_tail`` applies: horizon ``tau``, ``rate`` and order
+    ``n``, and the jumps ``smallest_tail`` swept to choose it."""
+
+    tau: float
+    rate: float
+    n: int
+    jumps: int = 0
+
+    @classmethod
+    def certified(cls, bounds: BoundsReport) -> "TailChoice":
+        return cls(bounds.tau, bounds.rate, bounds.n)
 
 
 @dataclass(frozen=True)
@@ -204,6 +225,12 @@ def _order(tau: float, rate: float) -> int:
     return math.ceil(tau * rate - 1e-9 * max(1.0, tau * rate))
 
 
+def _head_limit_min(gamma: np.ndarray, G: np.ndarray, t: float) -> float:
+    """Smallest entry of ``gamma exp(G t)``: the limit of the head of the
+    transformed vector at horizon ``t`` as the tail rate grows."""
+    return float((gamma @ expm(G * t)).min())
+
+
 def find_tau(mono: MonocyclicRep, spec: SpectralData,
              tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Pick a horizon ``tau`` with ``gamma exp(G tau)`` entrywise positive.
@@ -226,7 +253,7 @@ def find_tau(mono: MonocyclicRep, spec: SpectralData,
     gn = vec_norm1(mono.gamma)
 
     def smallest_entry(t: float) -> float:
-        return float((mono.gamma @ expm(G * t)).min())
+        return _head_limit_min(mono.gamma, G, t)
 
     tau = mono.n1 / mono.lambda1
     for _ in range(tol.max_doublings):
@@ -294,7 +321,7 @@ def compute_bounds(
     g = mat_norm_inf(G)
     gn = float(gamma_norm) if gamma_norm is not None else vec_norm1(mono.gamma)
 
-    e1_computed = float((mono.gamma @ expm(G * tau)).min())
+    e1_computed = _head_limit_min(mono.gamma, G, tau)
     if e1_computed <= 0:
         raise InvalidRepresentationError(
             f"compute_bounds: gamma exp(G tau) has minimum {e1_computed} <= 0; "
@@ -379,9 +406,63 @@ def _tail_sweep(start: np.ndarray, Q: np.ndarray, rate: float, n: int):
     return v, q
 
 
-def append_tail(mono: MonocyclicRep, bounds: BoundsReport,
+def _worst(head: np.ndarray, q: np.ndarray) -> float:
+    """Smallest entry of the transformed vector ``(head, q)``."""
+    return min(float(head.min()), float(q.min()) if q.size else 0.0)
+
+
+# tau rungs of the tail search: (n1 / lambda1) 2^k, find_tau's binary ladder
+_SEARCH_RUNGS = range(-4, 7)
+
+
+def smallest_tail(mono: MonocyclicRep, bounds: BoundsReport,
+                  tol: ToleranceConfig = DEFAULT_TOL) -> TailChoice:
+    """The smallest tail whose transformed vector passes ``append_tail``'s
+    test, with the certified tail ``bounds`` as the last candidate.
+
+    Every tail on the body gives exactly the distribution the body's vector
+    gives, and it is Markovian when its transformed vector is nonnegative;
+    so that vector certifies a tail, and the bound only caps the search.
+    Rungs ``tau`` of ``_SEARCH_RUNGS`` go in ascending order; one where
+    ``gamma exp(G tau)``, the head's limit, has a nonpositive entry is
+    skipped.  On a rung ``n`` starts at the smallest power of two with
+    ``n / tau`` at least the body's largest rate, so ``M = I + G/rate`` is
+    nonnegative, and doubles until the vector passes or ``n`` reaches the
+    best found.  The search ends at the first rung whose rate bound alone
+    reaches the best ``n``, or before its sweeps would pass ``bounds.n``
+    jumps in total.
+    """
+    if mono.gamma is None:
+        raise InvalidRepresentationError("smallest_tail: gamma not set")
+    G = mono.matrix
+    slack = tol.markov_slack_rel * vec_norm1(mono.gamma)
+    sigma = max(blk.sigma for blk in mono.blocks)
+    best, jumps = TailChoice.certified(bounds), 0
+    for k in _SEARCH_RUNGS:
+        tau = mono.n1 / mono.lambda1 * 2.0**k
+        if math.ceil(sigma * tau) >= best.n:
+            break
+        if _head_limit_min(mono.gamma, G, tau) <= 0:
+            continue
+        n = 1
+        while n < sigma * tau:
+            n *= 2
+        while n < best.n:
+            if jumps + n > bounds.n:
+                return replace(best, jumps=jumps)
+            head, q = _tail_sweep(mono.gamma, G, n / tau, n)
+            jumps += n
+            if _worst(head, q) > -slack:
+                best = TailChoice(tau, n / tau, n)
+                break
+            n *= 2
+    return replace(best, jumps=jumps)
+
+
+def append_tail(mono: MonocyclicRep, bounds: BoundsReport | TailChoice,
                 tol: ToleranceConfig = DEFAULT_TOL) -> PHRep:
-    """Extend the monocyclic representation with the certified Erlang tail.
+    """Extend the monocyclic representation with the Erlang tail of
+    ``bounds``: the certified one, or the one ``smallest_tail`` chose.
 
     Entries of the transformed vector within the negative slack window are
     clamped to zero; a genuinely negative entry triggers one retry with the
@@ -401,8 +482,7 @@ def append_tail(mono: MonocyclicRep, bounds: BoundsReport,
     rate, n = bounds.rate, bounds.n
     for attempt in range(2):
         head, q = _tail_sweep(mono.gamma, G, rate, n)
-        worst = min(float(head.min()), float(q.min()) if n else 0.0)
-        if worst > -slack:
+        if _worst(head, q) > -slack:
             head = np.clip(head, 0.0, None)
             q = np.clip(q, 0.0, None)
             return PHRep(head, mono.blocks, rate, n, q[::-1].copy(), tol=tol)

@@ -120,3 +120,12 @@ def multi_class_generator() -> np.ndarray:
         [0, 0, 0, 0, 0, 0, 0, 6, -7, 0],
         [0, 0, 0, 0, 0, 0, 0, 0, 0, -1],
     ], dtype=float)
+
+
+def sign_changing_rep() -> MERep:
+    """``e^-x + c e^(-a x) cos(b x + phi)``: its oscillation is finer than
+    the positivity grid, which it passes, yet it dips to -0.02 near
+    ``x = 0.007``."""
+    a, b = 3.616900982579682, 64.89210023977378
+    c, phi = 1.0391932935046773, 2.6558221377616955
+    return rep_from_terms([(-1.0, [1.0]), (complex(-a, b), [c * np.exp(1j * phi) / 2])])

@@ -12,7 +12,7 @@ from me2ph import DeconvParams, FEBlock, MERep, PHRep
 from me2ph.cli import main
 from me2ph.io import read_file, read_me_file, read_ph_file, write_me_file, write_ph_file
 from conftest import SCALE
-from genutil import rep_from_terms
+from genutil import rep_from_terms, sign_changing_rep
 
 
 @pytest.fixture()
@@ -169,8 +169,23 @@ def test_convert_cli_worked_example_paper_bounds(tmp_path, capsys, worked_me_fil
     assert "tau: 0.5" in captured.out
     assert "final order: 403309" in captured.out
     assert '"lambda": 806600.0' in captured.out
+    assert 'tail: {"tau": 0.5, "lambda": 806600.0, "n": 403300, "jumps": 0}' in captured.out
     loaded = read_ph_file(out)
     assert loaded.order == 403309
+
+
+def test_convert_cli_prints_certificate_and_applied_tail(tmp_path, capsys, worked_me_file):
+    out = tmp_path / "worked.ph.json"
+    assert main(["convert", str(worked_me_file), str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    json_line = {line.split(": ", 1)[0]: json.loads(line.split(": ", 1)[1])
+                 for line in printed if line.startswith(("bounds: {", "tail: {"))}
+    certified, applied = json_line["bounds"], json_line["tail"]
+    assert certified["n"] == 950_965
+    assert applied["n"] == read_ph_file(out).tail_n <= certified["n"]
+    assert applied["jumps"] <= certified["n"]
+    assert f"applied n: {applied['n']}" in printed
+    assert f"jumps swept: {applied['jumps']}" in printed
 
 
 def test_convert_cli_deterministic_output(tmp_path, capsys, worked_me_file):
@@ -235,6 +250,15 @@ def test_convert_cli_rate_overflow_exits_numeric(tmp_path, capsys):
     code = main(["convert", str(inp), str(tmp_path / "x.json")])
     assert code == 4
     assert "exceeds 1e15" in capsys.readouterr().err
+
+
+def test_convert_cli_sign_changing_input_exits_numeric(tmp_path, capsys):
+    inp = tmp_path / "dip.json"
+    out = tmp_path / "x.json"
+    write_me_file(sign_changing_rep(), inp)
+    assert main(["convert", str(inp), str(out)]) == 4
+    assert "exceeds 1e15" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_convert_cli_malformed_input(tmp_path, capsys):
@@ -455,7 +479,7 @@ def test_convert_cli_unwritable_output_is_one_error_line(tmp_path, output):
 
 
 def test_convert_cli_failed_document_write_leaves_no_sidecar(tmp_path, capsys):
-    # the output has a 211-state tail, whose weights are written before the document
+    # the output has a tail, whose weights are written before the document
     inp = tmp_path / "anchor.json"
     write_me_file(rep_from_terms([(-1.0, [1.0]),
                                   (complex(-1.8886, 1.5962), [1.3108 * np.exp(5.793j) / 2])]), inp)
@@ -464,7 +488,8 @@ def test_convert_cli_failed_document_write_leaves_no_sidecar(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: output:")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["anchor.json", "taken"]
     assert main(["convert", str(inp), str(tmp_path / "out.json")]) == 0
-    assert (tmp_path / "out.json.weights").stat().st_size == 8 * 211
+    tail_n = read_ph_file(tmp_path / "out.json").tail_n
+    assert (tmp_path / "out.json.weights").stat().st_size == 8 * tail_n > 0
 
 
 def _one_input_error(capsys, argv) -> None:

@@ -14,6 +14,7 @@ import me2ph.pipeline
 import me2ph.spectral
 import me2ph.tail
 from me2ph import (
+    DEFAULT_TOL,
     DeconvParams,
     FEBlock,
     InvalidRepresentationError,
@@ -26,6 +27,7 @@ from me2ph import (
     compute_bounds,
     convert,
     find_tau,
+    moments,
     pdf_eval_many,
     phrep_cdf_grid,
     phrep_moments,
@@ -36,7 +38,7 @@ from me2ph import (
 from me2ph.spectral import expansion_values
 from me2ph.tail import BoundsReport
 from conftest import G8, fy_closed
-from genutil import damped_oscillation_rep, rep_from_terms
+from genutil import damped_oscillation_rep, rep_from_terms, sign_changing_rep
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +157,7 @@ def test_tail_weights_sample_the_density():
 
 
 def test_convert_long_body_tail_reads_working_spectrum(monkeypatch):
-    # a 14-state body: re-analysing it is ill conditioned, so the tail search
+    # a 14-state body: re-analysing it is ill conditioned, so the tail bound
     # must read the density off the spectrum convert already holds
     def refuse(*args, **kwargs):
         raise AssertionError("pdf_eval_many called")
@@ -173,9 +175,86 @@ def test_convert_long_body_tail_reads_working_spectrum(monkeypatch):
     rep = rep_from_terms([(-1, [1]), (-1.8 + 3j, [0.55])])
     ph, report = convert(rep)
     assert report.monocyclic_order == 14
-    assert ph.tail_n == 3_454
-    assert ph.order == 3_468
+    assert report.bounds.n == 3_454
+    assert ph.tail_n == report.tail.n == 2
+    assert ph.order == 16
     assert orders and max(orders) <= rep.order
+
+
+# damped oscillations e^-x + c e^(-a x) cos(b x + phi) whose body vector has a
+# negative entry, as (a, b, c, phi): certified tails of 211 to 125,270 states
+TAIL_ANCHORS = (
+    (1.8886, 1.5962, 1.3108, 5.7930),
+    (1.7609, 1.6521, 1.3171, 4.6424),
+    (1.6637, 1.6039, 1.3316, 2.0512),
+    (1.6753, 1.5995, 1.3370, 4.5519),
+)
+
+
+def _damped(a, b, c, phi) -> MERep:
+    return rep_from_terms([(-1.0, [1.0]), (complex(-a, b), [c * np.exp(1j * phi) / 2])])
+
+
+def _assert_searched_tail(rep, ph, report):
+    """The applied tail is at most the certified one, found within as many
+    jumps, and the output is Markovian and has the input's moments."""
+    assert report.bounds is not None
+    assert ph.tail_n == report.tail.n <= report.bounds.n
+    assert report.tail.jumps <= report.bounds.n
+    assert ph.head_gamma.min() >= 0 and ph.tail_weights.min() >= 0
+    got, ref = np.array(phrep_moments(ph, 5)), np.array(moments(rep, 5))
+    assert np.abs(got / ref - 1).max() <= DEFAULT_TOL.equivalence_rel
+
+
+def test_smallest_tail_worked_example(worked_rep):
+    ph, report = convert(worked_rep)
+    _assert_searched_tail(worked_rep, ph, report)
+    # one rung below the certified tau = 0.5 suffices; the search sweeps
+    # 100 jumps where the certified tail has 950,965 states
+    assert (report.tail.tau, report.tail.n, report.tail.jumps) == (0.5, 32, 100)
+
+
+@pytest.mark.parametrize("params", TAIL_ANCHORS)
+def test_smallest_tail_anchors(params):
+    rep = _damped(*params)
+    ph, report = convert(rep)
+    _assert_searched_tail(rep, ph, report)
+    assert ph.tail_n < report.bounds.n
+    # every searched tail keeps the rate at least the body's largest
+    assert report.tail.rate >= max(blk.sigma for blk in ph.blocks) * (1 - 1e-12)
+
+
+def test_smallest_tail_falls_back_to_the_certified_tail(monkeypatch):
+    # a sweep shorter than the certified tail reports a negative head: no
+    # searched candidate passes, and the certified tail is applied
+    rep = _damped(*TAIL_ANCHORS[0])
+    certified = convert(rep)[1].bounds.n
+    original = me2ph.tail._tail_sweep
+    swept = []
+
+    def failing_below(start, Q, rate, n):
+        head, q = original(start, Q, rate, n)
+        swept.append(n)
+        return (head - 1.0 if n < certified else head), q
+
+    monkeypatch.setattr(me2ph.tail, "_tail_sweep", failing_below)
+    ph, report = convert(rep)
+    assert ph.tail_n == report.tail.n == report.bounds.n == certified
+    assert report.tail.rate == report.bounds.rate
+    assert sum(swept[:-1]) == report.tail.jumps <= certified
+    assert swept[-1] == certified
+    _assert_searched_tail(rep, ph, report)
+
+
+def test_sign_changing_input_fails_in_the_bound_without_a_sweep(monkeypatch):
+    # negative between the positivity grid's points: no tail can be
+    # certified, and the search must not start
+    def refuse(*args, **kwargs):
+        raise AssertionError("_tail_sweep called")
+
+    monkeypatch.setattr(me2ph.tail, "_tail_sweep", refuse)
+    with pytest.raises(NumericError, match="exceeds 1e15"):
+        convert(sign_changing_rep())
 
 
 def test_phrep_pdf_matches_residual_closed_form(worked_tailed):
