@@ -166,7 +166,7 @@ def convert(
     gamma_min = float(mono.gamma.min())
     report.gamma_min = gamma_min
 
-    tail = None
+    bounds = None
     if gamma_min < 0:
         report.tail_needed = True
         if paper_bounds is not None:
@@ -177,22 +177,26 @@ def convert(
                 eps2=paper_bounds.eps2 * s,
                 round_rate_to=paper_bounds.round_rate_to * s,
             )
-            tail = TailChoice.certified(bounds)
         else:
             tau = find_tau(mono, working_spec, tol)
             bounds = compute_bounds(mono, tau, working_spec, tol=tol)
-            tail = smallest_tail(mono, bounds, tol)
-        report.bounds = replace(bounds, tau=bounds.tau * s, g=bounds.g / s, eps2=bounds.eps2 / s,
-                                lambda_prime=bounds.lambda_prime / s,
-                                lambda_dprime=bounds.lambda_dprime / s, rate=bounds.rate / s)
-        tail = replace(tail, tau=tail.tau * s, rate=tail.rate / s)
+        bounds = replace(bounds, tau=bounds.tau * s, g=bounds.g / s, eps2=bounds.eps2 / s,
+                         lambda_prime=bounds.lambda_prime / s,
+                         lambda_dprime=bounds.lambda_dprime / s, rate=bounds.rate / s)
+        report.bounds = bounds
     # back in the input's units; the tail sweep's steps Q / rate do not change
     mono = replace(mono, blocks=tuple(replace(blk, sigma=blk.sigma / s) for blk in mono.blocks),
                    lambda1=mono.lambda1 / s)
     report.blocks = [f"({b.b},{b.sigma:g},{b.z:g})" for b in mono.blocks]
     report.monocyclic_order = mono.order
+    max_n = max_order - l - mono.order
+    tail, ph = None, None
+    if bounds is not None and paper_bounds is None:
+        tail, ph = smallest_tail(mono, bounds, max_n, tol)
+    elif bounds is not None:
+        tail = TailChoice.certified(bounds)
     n = tail.n if tail is not None else 0
-    if l + mono.order + n > max_order:
+    if n > max_n:
         raise NumericError(
             f"convert: order {l + mono.order + n} exceeds the limit {max_order}",
             detail={"n": n, "max_order": max_order},
@@ -200,7 +204,8 @@ def convert(
     if tail is None:
         ph = PHRep(np.clip(mono.gamma, 0.0, None), mono.blocks, 0.0, 0, np.zeros(0), tol=tol)
     else:
-        ph = append_tail(mono, tail, tol)
+        if ph is None:
+            ph = append_tail(mono, tail, tol)
         # append_tail's one retry of a certified tail doubles its rate
         report.tail = replace(tail, rate=ph.tail_lambda, n=ph.tail_n)
 

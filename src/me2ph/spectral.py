@@ -190,15 +190,12 @@ def analyze_spectrum(rep: MERep, tol: ToleranceConfig = DEFAULT_TOL) -> Spectral
     """
     s = mean_scale(rep)
     T, V, clusters = modal_form(s * rep.A, tol)
-    a, b = rep.alpha @ V, np.ones(rep.order)
-    # a triangular input is its own modal form: V = I, cond(V) = 1, V^-1 1 = 1
-    if not np.array_equal(V, np.eye(rep.order)):
-        cond = np.linalg.cond(V)
-        if not np.isfinite(cond) or cond > 1e13:
-            raise NumericError(
-                "analyze_spectrum: modal basis is ill conditioned", detail={"cond": cond}
-            )
-        b = np.linalg.solve(V, b)
+    cond = np.linalg.cond(V)
+    if not np.isfinite(cond) or cond > 1e13:
+        raise NumericError(
+            "analyze_spectrum: modal basis is ill conditioned", detail={"cond": cond}
+        )
+    a, b = rep.alpha @ V, np.linalg.solve(V, np.ones(rep.order))
     # N is block diagonal: the nilpotent part of every cluster at once
     centers = [eta for eta, _ in clusters]
     sizes = [c.stop - c.start for _, c in clusters]

@@ -225,12 +225,6 @@ def _order(tau: float, rate: float) -> int:
     return math.ceil(tau * rate - 1e-9 * max(1.0, tau * rate))
 
 
-def _head_limit_min(gamma: np.ndarray, G: np.ndarray, t: float) -> float:
-    """Smallest entry of ``gamma exp(G t)``: the limit of the head of the
-    transformed vector at horizon ``t`` as the tail rate grows."""
-    return float((gamma @ expm(G * t)).min())
-
-
 def find_tau(mono: MonocyclicRep, spec: SpectralData,
              tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Pick a horizon ``tau`` with ``gamma exp(G tau)`` entrywise positive.
@@ -253,7 +247,7 @@ def find_tau(mono: MonocyclicRep, spec: SpectralData,
     gn = vec_norm1(mono.gamma)
 
     def smallest_entry(t: float) -> float:
-        return _head_limit_min(mono.gamma, G, t)
+        return float((mono.gamma @ expm(G * t)).min())
 
     tau = mono.n1 / mono.lambda1
     for _ in range(tol.max_doublings):
@@ -321,7 +315,7 @@ def compute_bounds(
     g = mat_norm_inf(G)
     gn = float(gamma_norm) if gamma_norm is not None else vec_norm1(mono.gamma)
 
-    e1_computed = _head_limit_min(mono.gamma, G, tau)
+    e1_computed = float((mono.gamma @ expm(G * tau)).min())
     if e1_computed <= 0:
         raise InvalidRepresentationError(
             f"compute_bounds: gamma exp(G tau) has minimum {e1_computed} <= 0; "
@@ -415,54 +409,72 @@ def _worst(head: np.ndarray, q: np.ndarray) -> float:
 _SEARCH_RUNGS = range(-4, 7)
 
 
-def smallest_tail(mono: MonocyclicRep, bounds: BoundsReport,
-                  tol: ToleranceConfig = DEFAULT_TOL) -> TailChoice:
-    """The smallest tail whose transformed vector passes ``append_tail``'s
-    test, with the certified tail ``bounds`` as the last candidate.
+def _tail_rep(mono: MonocyclicRep, head: np.ndarray, q: np.ndarray, rate: float,
+              n: int, tol: ToleranceConfig) -> PHRep:
+    """The tailed representation of a transformed vector that passed the
+    test, its entries inside the slack clipped to zero."""
+    q = np.clip(q, 0.0, None)
+    return PHRep(np.clip(head, 0.0, None), mono.blocks, rate, n, q[::-1].copy(), tol=tol)
+
+
+def smallest_tail(mono: MonocyclicRep, bounds: BoundsReport, max_n: int,
+                  tol: ToleranceConfig = DEFAULT_TOL) -> tuple[TailChoice, PHRep | None]:
+    """The smallest tail of at most ``max_n`` states whose transformed vector
+    passes ``append_tail``'s test, with the certified tail ``bounds`` as the
+    last candidate.
 
     Every tail on the body gives exactly the distribution the body's vector
     gives, and it is Markovian when its transformed vector is nonnegative;
     so that vector certifies a tail, and the bound only caps the search.
     Rungs ``tau`` of ``_SEARCH_RUNGS`` go in ascending order; one where
     ``gamma exp(G tau)``, the head's limit, has a nonpositive entry is
-    skipped.  On a rung ``n`` starts at the smallest power of two with
-    ``n / tau`` at least the body's largest rate, so ``M = I + G/rate`` is
-    nonnegative, and doubles until the vector passes or ``n`` reaches the
-    best found.  The search ends at the first rung whose rate bound alone
-    reaches the best ``n``, or before its sweeps would pass ``bounds.n``
-    jumps in total.
+    skipped.  The rung's ``exp(G tau)`` is the square of the one below, so
+    the ladder costs one ``expm``.  On a rung ``n`` starts at the smallest
+    power of two with ``n / tau`` at least the body's largest rate, so
+    ``M = I + G/rate`` is nonnegative, and doubles until the vector passes
+    or ``n`` reaches the best found or passes ``max_n``.  The search ends at
+    the first rung whose rate bound alone does so, or before its sweeps
+    would pass ``min(bounds.n, max_n)`` jumps in total.
+
+    Returns the tail chosen, with the jumps swept, and its representation;
+    or, when no candidate passes, the certified tail and ``None``.
     """
     if mono.gamma is None:
         raise InvalidRepresentationError("smallest_tail: gamma not set")
     G = mono.matrix
     slack = tol.markov_slack_rel * vec_norm1(mono.gamma)
     sigma = max(blk.sigma for blk in mono.blocks)
-    best, jumps = TailChoice.certified(bounds), 0
+    budget = min(bounds.n, max_n)
+    best, found, jumps = TailChoice.certified(bounds), None, 0
+    cap = min(bounds.n - 1, max_n)  # the largest n worth sweeping
+    E = None
     for k in _SEARCH_RUNGS:
         tau = mono.n1 / mono.lambda1 * 2.0**k
-        if math.ceil(sigma * tau) >= best.n:
+        if math.ceil(sigma * tau) > cap:
             break
-        if _head_limit_min(mono.gamma, G, tau) <= 0:
+        E = expm(G * tau) if E is None else E @ E
+        if float((mono.gamma @ E).min()) <= 0:
             continue
         n = 1
         while n < sigma * tau:
             n *= 2
-        while n < best.n:
-            if jumps + n > bounds.n:
-                return replace(best, jumps=jumps)
+        while n <= cap:
+            if jumps + n > budget:
+                return replace(best, jumps=jumps), found
             head, q = _tail_sweep(mono.gamma, G, n / tau, n)
             jumps += n
             if _worst(head, q) > -slack:
-                best = TailChoice(tau, n / tau, n)
+                best, found = TailChoice(tau, n / tau, n), _tail_rep(mono, head, q, n / tau, n, tol)
+                cap = n - 1
                 break
             n *= 2
-    return replace(best, jumps=jumps)
+    return replace(best, jumps=jumps), found
 
 
-def append_tail(mono: MonocyclicRep, bounds: BoundsReport | TailChoice,
+def append_tail(mono: MonocyclicRep, tail: TailChoice,
                 tol: ToleranceConfig = DEFAULT_TOL) -> PHRep:
-    """Extend the monocyclic representation with the Erlang tail of
-    ``bounds``: the certified one, or the one ``smallest_tail`` chose.
+    """Extend the monocyclic representation with the Erlang tail ``tail``:
+    the certified one, ``TailChoice.certified(bounds)``, or any other.
 
     Entries of the transformed vector within the negative slack window are
     clamped to zero; a genuinely negative entry triggers one retry with the
@@ -470,7 +482,7 @@ def append_tail(mono: MonocyclicRep, bounds: BoundsReport | TailChoice,
     """
     if mono.gamma is None:
         raise InvalidRepresentationError("append_tail: gamma not set")
-    if bounds.n == 0:
+    if tail.n == 0:
         if float(mono.gamma.min()) < 0:
             raise InvalidRepresentationError(
                 "append_tail: empty tail requested but gamma has negative entries"
@@ -479,16 +491,14 @@ def append_tail(mono: MonocyclicRep, bounds: BoundsReport | TailChoice,
 
     G = mono.matrix
     slack = tol.markov_slack_rel * vec_norm1(mono.gamma)
-    rate, n = bounds.rate, bounds.n
+    rate, n = tail.rate, tail.n
     for attempt in range(2):
         head, q = _tail_sweep(mono.gamma, G, rate, n)
         if _worst(head, q) > -slack:
-            head = np.clip(head, 0.0, None)
-            q = np.clip(q, 0.0, None)
-            return PHRep(head, mono.blocks, rate, n, q[::-1].copy(), tol=tol)
+            return _tail_rep(mono, head, q, rate, n, tol)
         if attempt == 0:
             rate *= 2
-            n = _order(bounds.tau, rate)
+            n = _order(tail.tau, rate)
     bad_head = int(head.argmin())
     bad_tail = int(q.argmin()) if n else -1
     raise NumericError(

@@ -10,6 +10,7 @@ from scipy.linalg import expm
 from me2ph import (
     MERep,
     PaperBounds,
+    TailChoice,
     analyze_spectrum,
     append_tail,
     build_generator,
@@ -207,7 +208,7 @@ def test_criterion_2d_tail_weight_sampling_bound():
             continue
         tau = find_tau(mono, spec)
         bounds = compute_bounds(mono, tau, spec)
-        ph = append_tail(mono, bounds)
+        ph = append_tail(mono, TailChoice.certified(bounds))
         lam, n = ph.tail_lambda, ph.tail_n
         v_by_power = ph.tail_weights[::-1]
         f_vals = expansion_values(spec, np.arange(n) / lam)

@@ -21,6 +21,7 @@ from me2ph import (
     MERep,
     NumericError,
     PHRep,
+    TailChoice,
     analyze_spectrum,
     append_tail,
     build_generator,
@@ -36,7 +37,6 @@ from me2ph import (
     to_dense,
 )
 from me2ph.spectral import expansion_values
-from me2ph.tail import BoundsReport
 from conftest import G8, fy_closed
 from genutil import damped_oscillation_rep, rep_from_terms, sign_changing_rep
 
@@ -57,7 +57,7 @@ def worked_tailed(worked_mono, worked_spec):
         worked_mono, 0.5, worked_spec,
         gamma_norm=1.5, eps1=0.05, eps2=0.069, round_rate_to=100.0,
     )
-    return append_tail(worked_mono, bounds), bounds
+    return append_tail(worked_mono, TailChoice.certified(bounds)), bounds
 
 
 def small_tailed_case(seed=3):
@@ -72,7 +72,7 @@ def small_tailed_case(seed=3):
         raise AssertionError("no draw needed a tail")
     tau = find_tau(mono, spec)
     bounds = compute_bounds(mono, tau, spec)
-    return rep, spec, mono, bounds, append_tail(mono, bounds)
+    return rep, spec, mono, bounds, append_tail(mono, TailChoice.certified(bounds))
 
 
 def test_tau_half_is_accepted_for_worked_example(worked_mono):
@@ -135,8 +135,7 @@ def test_append_tail_worked_example(worked_tailed):
 
 def test_append_tail_empty_when_gamma_nonnegative(worked_mono):
     mono = worked_mono.with_gamma(np.full(8, 1 / 8))
-    bounds = BoundsReport(0.5, 10.0, 1.0, 0.1, 0.1, 0.0, 0.0, 0.0, 0)
-    ph = append_tail(mono, bounds)
+    ph = append_tail(mono, TailChoice(0.5, 0.0, 0))
     assert ph.tail_n == 0
     assert ph.head_gamma == pytest.approx(mono.gamma)
 
@@ -144,7 +143,7 @@ def test_append_tail_empty_when_gamma_nonnegative(worked_mono):
 def test_append_tail_reports_offending_entry_when_rate_too_small(worked_mono, worked_spec):
     bad = compute_bounds(worked_mono, 0.5, worked_spec, gamma_norm=1.5, eps1=1e6, eps2=1e6)
     with pytest.raises(NumericError, match="stays negative"):
-        append_tail(worked_mono, bad)
+        append_tail(worked_mono, TailChoice.certified(bad))
 
 
 def test_tail_weights_sample_the_density():
@@ -246,6 +245,36 @@ def test_smallest_tail_falls_back_to_the_certified_tail(monkeypatch):
     _assert_searched_tail(rep, ph, report)
 
 
+def test_smallest_tail_sweeps_nothing_above_the_order_limit(monkeypatch):
+    # every candidate fails and the certified tail of 125,270 states is above
+    # the limit: convert refuses without sweeping a tail longer than the room
+    # the limit leaves, nor more jumps in total
+    rep = _damped(*TAIL_ANCHORS[3])
+    body = convert(rep)[1].monocyclic_order
+    original = me2ph.tail._tail_sweep
+    swept = []
+
+    def failing(start, Q, rate, n):
+        head, q = original(start, Q, rate, n)
+        swept.append(n)
+        return head - 1.0, q
+
+    monkeypatch.setattr(me2ph.tail, "_tail_sweep", failing)
+    max_order = 100
+    with pytest.raises(NumericError, match="exceeds the limit 100") as exc:
+        convert(rep, max_order=max_order)
+    assert exc.value.detail["n"] > max_order
+    assert swept and sum(swept) <= max_order - body  # no Erlang prefix
+
+
+def test_smallest_tail_fits_below_the_order_limit(worked_rep):
+    # the certified tail of 950,965 states is far above the limit, the
+    # searched one is not
+    ph, report = convert(worked_rep, max_order=100)
+    assert report.bounds.n > 100 >= ph.order
+    _assert_searched_tail(worked_rep, ph, report)
+
+
 def test_sign_changing_input_fails_in_the_bound_without_a_sweep(monkeypatch):
     # negative between the positivity grid's points: no tail can be
     # certified, and the search must not start
@@ -303,8 +332,7 @@ def test_phrep_pdf_agrees_with_dense_small_case():
         try:
             ph = append_tail(
                 mono,
-                BoundsReport(bounds.tau, bounds.g, bounds.gamma_norm, bounds.eps1,
-                             bounds.eps2, rate, rate, rate, n),
+                TailChoice(bounds.tau, rate, n),
             )
             break
         except NumericError:
@@ -517,8 +545,7 @@ def test_phrep_moments_match_input_and_dense():
         try:
             small = append_tail(
                 mono,
-                BoundsReport(bounds.tau, bounds.g, bounds.gamma_norm, bounds.eps1,
-                             bounds.eps2, rate, rate, rate, n),
+                TailChoice(bounds.tau, rate, n),
             )
             break
         except NumericError:
