@@ -1,0 +1,82 @@
+#!/usr/bin/env python3
+"""Convert a fixed census of inputs and print a digest of the tails chosen.
+
+The census is the benchmark's paper example and its random batch (seed 1),
+then ``--damped`` draws of ``genutil.damped_oscillation_rep`` and
+``--erlang-damped`` draws of ``genutil.erlang_damped_rep``, all from one
+``default_rng(12)``.  Per input the digest takes the output order, the applied
+tail's ``n``, and the certificate's ``n`` and ``tau`` (exact, as ``float.hex``),
+or the error's class when the conversion fails.  Two checkouts that print the
+same digest chose the same tail on every input.
+
+Run from the root of a source checkout:
+
+    python3 scripts/tail_census.py
+"""
+
+import argparse
+import hashlib
+import sys
+import time
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+for sub in ("src", "perfbench", "tests"):
+    sys.path.insert(0, str(ROOT / sub))
+
+from genutil import damped_oscillation_rep, erlang_damped_rep  # noqa: E402
+from me2ph import Me2PhError, convert  # noqa: E402
+from workloads import build_cases  # noqa: E402
+
+
+def census_inputs(damped: int, erlang_damped: int):
+    """``(name, rep)`` of every input, in a fixed order."""
+    for workload in ("paper-example", "random-batch"):
+        for case in build_cases(workload, 1):
+            yield case.name, case.rep
+    rng = np.random.default_rng(12)
+    for i in range(damped):
+        yield f"genutil-damped-{i}", damped_oscillation_rep(rng)
+    for i in range(erlang_damped):
+        yield f"genutil-erlang-damped-{i}", erlang_damped_rep(rng)[0]
+
+
+def outcome(rep) -> tuple:
+    """``(order, tail n, certified n, certified tau)``, or the error's class."""
+    try:
+        ph, report = convert(rep)
+    except Me2PhError as exc:
+        return (type(exc).__name__,)
+    b = report.bounds
+    return (ph.order, ph.tail_n, b.n if b else None, b.tau.hex() if b else None)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--damped", type=int, default=2000)
+    parser.add_argument("--erlang-damped", type=int, default=1000)
+    parser.add_argument("--verbose", action="store_true", help="print one line per input")
+    args = parser.parse_args()
+
+    digest, counts, start = hashlib.sha256(), Counter(), time.perf_counter()
+    for name, rep in census_inputs(args.damped, args.erlang_damped):
+        out = outcome(rep)
+        digest.update(repr((name, out)).encode())
+        counts["inputs"] += 1
+        if len(out) == 1:
+            counts[f"failed: {out[0]}"] += 1
+        elif out[1]:
+            counts["with a tail"] += 1
+        if args.verbose:
+            print(name, *out)
+    for key, value in sorted(counts.items()):
+        print(f"{key}: {value}")
+    print(f"time: {time.perf_counter() - start:.1f} s")
+    print(f"digest: {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -225,16 +225,36 @@ def _order(tau: float, rate: float) -> int:
     return math.ceil(tau * rate - 1e-9 * max(1.0, tau * rate))
 
 
+# the ladder's lowest rung: (n1 / lambda1) 2^-12.  On the 399 inputs of
+# scripts/tail_census.py that need a tail, find_tau chose rungs -7 to 0 when
+# it walked down from rung 0, and visited none below -11.
+_LOWEST_RUNG = -12
+
+
+def _ladder(mono: MonocyclicRep, tol: ToleranceConfig):
+    """Rungs ``tau = (n1/lambda1) 2^k``, ``k = _LOWEST_RUNG`` up to
+    ``max_doublings - 1``, in ascending order, each with the head's limit
+    ``gamma exp(G tau)``.  One ``expm`` at the lowest rung; each rung's
+    ``exp(G tau)`` above it is the square of the one below."""
+    tau = mono.n1 / mono.lambda1 * 2.0**_LOWEST_RUNG
+    E = expm(mono.matrix * tau)
+    for _ in range(_LOWEST_RUNG, tol.max_doublings):
+        yield tau, mono.gamma @ E
+        tau, E = 2 * tau, E @ E
+
+
 def find_tau(mono: MonocyclicRep, spec: SpectralData,
              tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Pick a horizon ``tau`` with ``gamma exp(G tau)`` entrywise positive.
 
-    Doubling from ``n1/lambda1`` always reaches a feasible point when the
-    construction's preconditions hold.  Because the certified rate grows like
-    ``exp(g tau)``, the search then walks the binary ladder back down while
-    positivity survives and keeps the feasible point with the cheapest rate.
-    ``spec`` is the expansion of the density ``mono`` realizes; each candidate
-    is priced by the rate ``compute_bounds`` would certify for it.
+    Climbs ``_ladder``, skipping rungs where that vector has a nonpositive
+    entry.  For a nonnegative ``gamma`` it returns the first feasible rung
+    from ``n1/lambda1`` up.  Otherwise it keeps the feasible rung with the
+    cheapest rate ``compute_bounds`` would certify (``spec`` is the expansion
+    of the density ``mono`` realizes).  That rate grows like ``exp(g tau)``,
+    so the climb stops 3 (in log) past the cheapest, or where even
+    ``eps1 = ||gamma||_1``, which no entry of the vector exceeds, would put
+    ``lambda'`` past the limit.
     """
     if mono.gamma is None:
         raise InvalidRepresentationError("find_tau: gamma not set")
@@ -242,50 +262,34 @@ def find_tau(mono: MonocyclicRep, spec: SpectralData,
         raise InvalidRepresentationError(
             f"find_tau: first coordinate of gamma must be positive, got {mono.gamma[0]}"
         )
-    G = mono.matrix
-    g = mat_norm_inf(G)
+    g = mat_norm_inf(mono.matrix)
     gn = vec_norm1(mono.gamma)
-
-    def smallest_entry(t: float) -> float:
-        return float((mono.gamma @ expm(G * t)).min())
-
-    tau = mono.n1 / mono.lambda1
-    for _ in range(tol.max_doublings):
-        e1 = smallest_entry(tau)
-        if e1 > 0:
+    nonnegative = float(mono.gamma.min()) >= 0
+    best, best_cost = None, math.inf
+    for tau, head in _ladder(mono, tol):
+        if best is not None and _log_rates(gn, g, tau, gn, math.inf)[0] > _LOG_RATE_LIMIT:
             break
-        tau *= 2
-    else:
+        e1 = float(head.min())
+        if e1 <= 0 or (nonnegative and tau < mono.n1 / mono.lambda1):
+            continue
+        if nonnegative:
+            return tau
+        # a lambda' past the limit alone rules the rung out before its eps2
+        # grid is built
+        cost = math.inf
+        if _log_rates(gn, g, tau, e1, math.inf)[0] <= _LOG_RATE_LIMIT:
+            e2 = _eps2(spec, tau, g, tol)
+            cost = max(_log_rates(gn, g, tau, e1, e2)) if e2 > 0 else math.inf
+        if best is None or cost < best_cost:
+            best, best_cost = tau, cost
+        elif cost > best_cost + 3.0:
+            # well past the minimum: the growing exp(g tau) dominates
+            break
+    if best is None:
         raise NumericError(
             "find_tau: preconditions violated (gamma_1 <= 0 or non-dominant input); "
             f"no positive vector after {tol.max_doublings} doublings"
         )
-
-    if float(mono.gamma.min()) >= 0:
-        return tau
-
-    def log_rate(t: float, e1: float) -> float:
-        # the rate compute_bounds would certify; a lambda' past the limit
-        # alone rules the rung out before its eps2 grid is built
-        log_lp = _log_rates(gn, g, t, e1, math.inf)[0]
-        if log_lp > _LOG_RATE_LIMIT:
-            return math.inf
-        e2 = _eps2(spec, t, g, tol)
-        return max(_log_rates(gn, g, t, e1, e2)) if e2 > 0 else math.inf
-
-    best, best_cost = tau, log_rate(tau, e1)
-    t = tau / 2
-    for _ in range(tol.max_doublings):
-        e1 = smallest_entry(t)
-        if e1 <= 0:
-            break
-        cost = log_rate(t, e1)
-        if cost < best_cost:
-            best, best_cost = t, cost
-        elif cost > best_cost + 3.0:
-            # well past the minimum: the vanishing positivity margin dominates
-            break
-        t /= 2
     return best
 
 
@@ -405,10 +409,6 @@ def _worst(head: np.ndarray, q: np.ndarray) -> float:
     return min(float(head.min()), float(q.min()) if q.size else 0.0)
 
 
-# tau rungs of the tail search: (n1 / lambda1) 2^k, find_tau's binary ladder
-_SEARCH_RUNGS = range(-4, 7)
-
-
 def _tail_rep(mono: MonocyclicRep, head: np.ndarray, q: np.ndarray, rate: float,
               n: int, tol: ToleranceConfig) -> PHRep:
     """The tailed representation of a transformed vector that passed the
@@ -426,10 +426,9 @@ def smallest_tail(mono: MonocyclicRep, bounds: BoundsReport, max_n: int,
     Every tail on the body gives exactly the distribution the body's vector
     gives, and it is Markovian when its transformed vector is nonnegative;
     so that vector certifies a tail, and the bound only caps the search.
-    Rungs ``tau`` of ``_SEARCH_RUNGS`` go in ascending order; one where
+    The rungs ``tau`` of ``_ladder`` go in ascending order; one where
     ``gamma exp(G tau)``, the head's limit, has a nonpositive entry is
-    skipped.  The rung's ``exp(G tau)`` is the square of the one below, so
-    the ladder costs one ``expm``.  On a rung ``n`` starts at the smallest
+    skipped.  On a rung ``n`` starts at the smallest
     power of two with ``n / tau`` at least the body's largest rate, so
     ``M = I + G/rate`` is nonnegative, and doubles until the vector passes
     or ``n`` reaches the best found or passes ``max_n``.  The search ends at
@@ -447,13 +446,10 @@ def smallest_tail(mono: MonocyclicRep, bounds: BoundsReport, max_n: int,
     budget = min(bounds.n, max_n)
     best, found, jumps = TailChoice.certified(bounds), None, 0
     cap = min(bounds.n - 1, max_n)  # the largest n worth sweeping
-    E = None
-    for k in _SEARCH_RUNGS:
-        tau = mono.n1 / mono.lambda1 * 2.0**k
+    for tau, head in _ladder(mono, tol):
         if math.ceil(sigma * tau) > cap:
             break
-        E = expm(G * tau) if E is None else E @ E
-        if float((mono.gamma @ E).min()) <= 0:
+        if float(head.min()) <= 0:
             continue
         n = 1
         while n < sigma * tau:

@@ -8,6 +8,7 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .core import moments, pdf_eval_many
 from .errors import InvalidRepresentationError
+from .monocyclic import FEBlock
 from .spectral import SpectralData, expansion_values, first_nonzero_derivative
 from .tail import PHRep, phrep_cdf_grid, phrep_moments, phrep_pdf
 
@@ -160,8 +161,9 @@ def ks_threshold(samples: int, quantile: float = 0.01) -> float:
     return coeff / np.sqrt(samples)
 
 
-def _simulate_body(ph: PHRep, start_states: np.ndarray, rng) -> np.ndarray:
-    """Absorption times of walkers started in the given body states.
+def _simulate_blocks(blocks, start_states: np.ndarray, rng) -> np.ndarray:
+    """Absorption times of walkers started in the given states of the chain
+    of ``blocks``.
 
     Every stage of a feedback-Erlang block has the block's rate, so the time
     spent in a block is one Gamma draw whose shape counts the stages run
@@ -171,7 +173,7 @@ def _simulate_body(ph: PHRep, start_states: np.ndarray, rng) -> np.ndarray:
     """
     t = np.zeros(start_states.shape[0])
     first = 0
-    for blk in ph.blocks:
+    for blk in blocks:
         here = start_states < first + blk.b
         stages = blk.b - np.maximum(start_states[here] - first, 0)
         if blk.z > 0:
@@ -184,25 +186,17 @@ def _simulate_body(ph: PHRep, start_states: np.ndarray, rng) -> np.ndarray:
 def simulate_absorption_times(ph: PHRep, samples: int, rng) -> np.ndarray:
     """Draw absorption times of the chain described by the structured form.
 
-    Body starts draw one Gamma time per block from the start block on; a
-    start in tail position k is a direct Erlang(n - k) draw; the prefix adds
-    an independent Erlang draw.
+    The tail is one more block after the body, an Erlang chain without
+    feedback, so every start draws one Gamma time per block from its own
+    block on; the prefix adds an independent Erlang draw.
     """
     ini = np.concatenate([ph.head_gamma, ph.tail_weights])
     ini = ini / ini.sum()
     cum = np.cumsum(ini)
     picks = np.searchsorted(cum, rng.random(samples), side="right")
     picks = np.minimum(picks, ini.size - 1)
-    t = np.zeros(samples)
-    in_head = picks < ph.u
-    if in_head.any():
-        t[in_head] = _simulate_body(ph, picks[in_head], rng)
-        if ph.tail_n:
-            t[in_head] += rng.gamma(ph.tail_n, 1.0 / ph.tail_lambda, size=int(in_head.sum()))
-    in_tail = ~in_head
-    if in_tail.any():
-        orders = ph.tail_n - (picks[in_tail] - ph.u)
-        t[in_tail] = rng.gamma(orders, 1.0 / ph.tail_lambda)
+    tail = (FEBlock(ph.tail_n, ph.tail_lambda, 0.0),) if ph.tail_n else ()
+    t = _simulate_blocks(ph.blocks + tail, picks, rng)
     if ph.prefix is not None:
         t += rng.gamma(ph.prefix.l, 1.0 / ph.prefix.mu, size=samples)
     return t
@@ -215,7 +209,7 @@ def monte_carlo_check(ph: PHRep, samples: int = 100_000, seed: int = 0) -> float
         raise InvalidRepresentationError(f"monte_carlo_check: {samples} samples; need at least 1")
     rng = np.random.default_rng(seed)
     times = np.sort(simulate_absorption_times(ph, samples, rng))
-    hi = float(times[-1]) * 1.02 + 1e-9
+    hi = float(times[-1]) * 1.02
     grid = np.linspace(0.0, hi, 4097)
     cdf_grid = phrep_cdf_grid(ph, grid)
     F = np.interp(times, grid, cdf_grid)

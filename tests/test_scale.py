@@ -9,7 +9,7 @@ import pytest
 
 from conftest import ALPHA7, A7
 from genutil import random_markovian_rep, rep_from_terms
-from me2ph import DecViolationError, MERep, convert
+from me2ph import DecViolationError, MERep, convert, monte_carlo_check
 from me2ph.cli import main
 from me2ph.io import write_me_file
 
@@ -78,3 +78,13 @@ def test_validate_cli_reads_a_short_time_unit(name, tmp_path, capsys):
     assert main(["validate", str(path)]) == 0
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["dec"] and verdict["positive_density"]
+
+
+@pytest.mark.parametrize("name", ["markov-4", "anchor"])
+def test_monte_carlo_statistic_ignores_the_time_unit(name):
+    # the cdf grid ends at a multiple of the largest sample, so with every
+    # time 2^30 times longer or 2^50 times shorter it covers the samples alike
+    rep = random_markovian_rep(np.random.default_rng(3), 4) if name == "markov-4" else INPUTS[name]
+    ks = monte_carlo_check(convert(rep)[0], samples=2000, seed=7)
+    for j in (-30, 50):
+        assert monte_carlo_check(convert(_scaled(rep, 2.0**j))[0], samples=2000, seed=7) == ks

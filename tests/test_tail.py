@@ -188,6 +188,7 @@ TAIL_ANCHORS = (
     (1.6637, 1.6039, 1.3316, 2.0512),
     (1.6753, 1.5995, 1.3370, 4.5519),
 )
+CERTIFIED_N = dict(zip(TAIL_ANCHORS, (211, 2_337, 21_503, 125_270)))
 
 
 def _damped(a, b, c, phi) -> MERep:
@@ -218,9 +219,31 @@ def test_smallest_tail_anchors(params):
     rep = _damped(*params)
     ph, report = convert(rep)
     _assert_searched_tail(rep, ph, report)
-    assert ph.tail_n < report.bounds.n
+    assert ph.tail_n < report.bounds.n == CERTIFIED_N[params]
     # every searched tail keeps the rate at least the body's largest
     assert report.tail.rate >= max(blk.sigma for blk in ph.blocks) * (1 - 1e-12)
+
+
+def test_tau_ladder_costs_one_expm_per_walk(monkeypatch, worked_mono, worked_spec, worked_rep):
+    # find_tau and smallest_tail climb the same ladder, each from one expm at
+    # its lowest rung; compute_bounds makes the third call
+    calls = []
+    original = me2ph.tail.expm
+
+    def counting(M):
+        calls.append(M.shape)
+        return original(M)
+
+    monkeypatch.setattr(me2ph.tail, "expm", counting)
+    find_tau(worked_mono, worked_spec)
+    assert len(calls) == 1
+    calls.clear()
+    convert(worked_rep)
+    assert len(calls) == 3
+    calls.clear()
+    with pytest.raises(NumericError, match="exceeds 1e15"):
+        convert(sign_changing_rep())
+    assert len(calls) == 2
 
 
 def test_smallest_tail_falls_back_to_the_certified_tail(monkeypatch):
