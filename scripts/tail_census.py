@@ -7,7 +7,9 @@ then ``--damped`` draws of ``genutil.damped_oscillation_rep`` and
 ``default_rng(12)``.  Per input the digest takes the output order, the applied
 tail's ``n``, and the certificate's ``n`` and ``tau`` (exact, as ``float.hex``),
 or the error's class when the conversion fails.  Two checkouts that print the
-same digest chose the same tail on every input.
+same digest chose the same tail on every input.  The ``outputs`` line hashes
+the bits of every output value (``output_bits``); two checkouts that print
+the same one produced bit-identical outputs.
 
 Run from the root of a source checkout:
 
@@ -44,14 +46,29 @@ def census_inputs(damped: int, erlang_damped: int):
         yield f"genutil-erlang-damped-{i}", erlang_damped_rep(rng)[0]
 
 
-def outcome(rep) -> tuple:
-    """``(order, tail n, certified n, certified tau)``, or the error's class."""
+def outcome(rep) -> tuple[tuple, bytes]:
+    """``(order, tail n, certified n, certified tau)``, or the error's class,
+    with the output's ``output_bits`` (empty when the conversion fails)."""
     try:
         ph, report = convert(rep)
     except Me2PhError as exc:
-        return (type(exc).__name__,)
+        return (type(exc).__name__,), b""
     b = report.bounds
-    return (ph.order, ph.tail_n, b.n if b else None, b.tau.hex() if b else None)
+    return (ph.order, ph.tail_n, b.n if b else None, b.tau.hex() if b else None), output_bits(ph)
+
+
+def output_bits(ph) -> bytes:
+    """The float64 bits of the blocks' ``b``, ``sigma`` and ``z``, the head
+    vector, the tail's rate and weights, and the prefix's ``l`` and ``mu``,
+    each part preceded by its length."""
+    prefix = (ph.prefix.l, ph.prefix.mu) if ph.prefix is not None else ()
+    parts = ([(blk.b, blk.sigma, blk.z) for blk in ph.blocks], ph.head_gamma,
+             [ph.tail_lambda], ph.tail_weights, prefix)
+    out = b""
+    for part in parts:
+        arr = np.asarray(part, dtype=float).ravel()
+        out += arr.size.to_bytes(8, "little") + arr.astype("<f8").tobytes()
+    return out
 
 
 def main() -> None:
@@ -61,10 +78,12 @@ def main() -> None:
     parser.add_argument("--verbose", action="store_true", help="print one line per input")
     args = parser.parse_args()
 
-    digest, counts, start = hashlib.sha256(), Counter(), time.perf_counter()
+    digest, outputs = hashlib.sha256(), hashlib.sha256()
+    counts, start = Counter(), time.perf_counter()
     for name, rep in census_inputs(args.damped, args.erlang_damped):
-        out = outcome(rep)
+        out, bits = outcome(rep)
         digest.update(repr((name, out)).encode())
+        outputs.update(name.encode() + bits)
         counts["inputs"] += 1
         if len(out) == 1:
             counts[f"failed: {out[0]}"] += 1
@@ -76,6 +95,7 @@ def main() -> None:
         print(f"{key}: {value}")
     print(f"time: {time.perf_counter() - start:.1f} s")
     print(f"digest: {digest.hexdigest()}")
+    print(f"outputs: {outputs.hexdigest()}")
 
 
 if __name__ == "__main__":

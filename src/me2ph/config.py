@@ -6,7 +6,8 @@ floating point.  Every module takes a ``ToleranceConfig`` and defaults to
 ``DEFAULT_TOL``; nothing reads global state.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from numbers import Real
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,14 @@ class ToleranceConfig:
     eps2_safety: float = 0.9
     # doubling searches (rate selection, tau selection) give up after this many
     max_doublings: int = 60
+
+    def __post_init__(self):
+        # a zero, negative or NaN tolerance breaks a check or switches it off
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not (isinstance(v, Real) and 0 < v < float("inf") and (f.type is float or v == int(v))):
+                raise ValueError(
+                    f"tolerance '{f.name}' must be a finite {f.type.__name__} > 0, got {v!r}")
 
     def replace(self, **changes) -> "ToleranceConfig":
         return replace(self, **changes)

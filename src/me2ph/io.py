@@ -64,7 +64,7 @@ def _decode_entry(v, name: str, path):
 
 def _tolerances(overrides, path) -> ToleranceConfig:
     """``DEFAULT_TOL`` with the document's overrides, each a known field of
-    the field's type."""
+    the field's type and a value ``ToleranceConfig`` accepts."""
     if not isinstance(overrides, dict):
         raise ValueError(f"{path}: field 'tolerances' must be an object, got {overrides!r}")
     kinds = {f.name: f.type for f in fields(ToleranceConfig)}
@@ -73,7 +73,10 @@ def _tolerances(overrides, path) -> ToleranceConfig:
         if name not in kinds:
             raise ValueError(f"{path}: field 'tolerances.{name}' is not a tolerance")
         values[name] = _take(overrides, name, kinds[name], path, "tolerances.")
-    return DEFAULT_TOL.replace(**values)
+    try:
+        return DEFAULT_TOL.replace(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _encode_entry(v):

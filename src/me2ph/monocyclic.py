@@ -16,9 +16,9 @@ from math import atan, ceil, cos, pi, sin
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .core import MERep, mat_norm_inf
+from .core import mat_norm_inf
 from .errors import DecViolationError, InvalidRepresentationError, NumericError
-from .spectral import SpectralData, check_dec, modal_form
+from .spectral import SpectralData, _jordan_pair, check_dec
 
 __all__ = [
     "FEBlock",
@@ -180,12 +180,11 @@ class MonocyclicRep:
                     "of the dominant rate"
                 )
         if self.gamma is not None:
-            g = np.asarray(self.gamma, dtype=float)
+            g = np.array(self.gamma, dtype=float)
             if g.shape != (self.order,):
                 raise InvalidRepresentationError(
                     f"MonocyclicRep: gamma length {g.shape} does not match order {self.order}"
                 )
-            g = np.array(g)
             g.setflags(write=False)
             object.__setattr__(self, "gamma", g)
 
@@ -226,19 +225,17 @@ def build_generator(spec: SpectralData, tol: ToleranceConfig = DEFAULT_TOL) -> M
     return MonocyclicRep(tuple(blocks), n1=spec.n1, lambda1=lambda1)
 
 
-def solve_transformation_matrix(rep: MERep, mono: MonocyclicRep) -> np.ndarray:
-    """Solve ``A W = W G`` with ``W 1 = 1`` for the rectangular ``W``.
+def solve_transformation_matrix(spec: SpectralData, mono: MonocyclicRep) -> np.ndarray:
+    """Solve ``J W = W G`` with ``W 1 = 1`` for the rectangular ``W``, where
+    ``J`` is the matrix of the expansion's canonical pair (``_jordan_pair``).
 
     A backward sweep over the columns of ``W``, O(n^2 u) with no linear
-    solve, run in modal coordinates: with ``A V = V D`` and ``D`` block
-    diagonal by eigenvalue cluster (``spectral.modal_form``), ``W = V W_D``
-    where ``D W_D = W_D G`` and ``W_D 1 = v = V^(-1) 1``.  Only the last state of
-    ``G`` exits, so ``G 1 = -exit e_u`` and ``D v = W_D G 1`` fixes the last
-    column.  Column ``j``'s equation of ``D W_D = W_D G`` then gives column
-    ``j - 1``: inside a block of rate ``sigma``,
-    ``w_(j-1) = (D + sigma I) w_j / sigma``; at the first column ``p`` of a
+    solve.  Only the last state of ``G`` exits, so ``G 1 = -exit e_u`` and
+    ``J 1 = W G 1`` fixes the last column.  Column ``j``'s equation then
+    gives column ``j - 1``: inside a block of rate ``sigma``,
+    ``w_(j-1) = (J + sigma I) w_j / sigma``; at the first column ``p`` of a
     block with feedback ``z`` and last column ``q``,
-    ``w_(p-1) = ((D + sigma I) w_p - z sigma w_q) / e``, ``e`` the exit rate
+    ``w_(p-1) = ((J + sigma I) w_p - z sigma w_q) / e``, ``e`` the exit rate
     of the block before.
 
     Each step scales an eigenvalue ``lambda``'s part of a column by
@@ -246,52 +243,45 @@ def solve_transformation_matrix(rep: MERep, mono: MonocyclicRep) -> np.ndarray:
     long, slow block turns into growth by tens of orders of magnitude.  The
     sweep therefore never carries a part where it is zero: a left
     eigenvector of the block upper triangular ``G`` vanishes on every block
-    before the first one that holds its eigenvalue, so each cluster's
-    coordinates of ``W_D`` are set to zero in the columns before that
-    block.  In ``D`` the clusters do not mix, so no rounding from one
-    cluster leaks into another, and within a cluster all parts grow alike.
+    before the first one that holds its eigenvalue, so each term's
+    coordinates are set to zero in the columns before that block.  ``J`` is
+    block diagonal by term, so no rounding from one term leaks into another.
     Column 0's equation and ``W 1 = 1`` are not imposed by the sweep; the
-    residual check verifies both on ``W``, and a significant residual means
-    the spectrum of ``G`` does not contain that of ``A``.
+    residual check verifies both, and a significant residual means the
+    spectrum of ``G`` does not contain that of ``J``.
     """
-    n, u = rep.order, mono.order
-    A = rep.A
+    n, u = spec.order, mono.order
+    J = _jordan_pair(spec)[1]
     blocks = mono.blocks
-    D, V, clusters = modal_form(A, rep.tol)
-    # owner[i]: the first block with an eigenvalue nearest the center of
-    # coordinate i's cluster, the block that holds that eigenvalue
+    # owner[i]: the first block with the eigenvalue nearest that of
+    # coordinate i's term, the block that holds that eigenvalue
     block_evs = np.concatenate([blk.eigenvalues() for blk in blocks])
     block_of = np.repeat(np.arange(len(blocks)), [blk.b for blk in blocks])
-    owner = np.empty(n, dtype=int)
-    for eta, c in clusters:
-        owner[c] = block_of[np.abs(block_evs - eta).argmin()]
-    v = np.linalg.solve(V, np.ones(n))
-    # cols[j] is column j of W_D
-    cols = np.empty((u, n), dtype=D.dtype)
-    cols[-1] = -(D @ v) / blocks[-1].exit_rate
+    owner = np.repeat([block_of[np.abs(block_evs - t.eigenvalue).argmin()] for t in spec.terms],
+                      [t.multiplicity for t in spec.terms])
+    # cols[j] is column j of W
+    cols = np.empty((u, n), dtype=J.dtype)
+    cols[-1] = -(J @ np.ones(n)) / blocks[-1].exit_rate
     q = u - 1
     for k in range(len(blocks) - 1, -1, -1):
         blk = blocks[k]
         p = q - blk.b + 1
         for j in range(q, p, -1):
-            # (D + sigma I) w / sigma, in the form that rounds least: on a
+            # (J + sigma I) w / sigma, in the form that rounds least: on a
             # 441-state block it stays within 1e-12 of an extended-precision
-            # sweep, against 6e-12 for (D w + sigma w) / sigma
-            cols[j - 1] = (D @ cols[j]) / blk.sigma + cols[j]
+            # sweep, against 6e-12 for (J w + sigma w) / sigma
+            cols[j - 1] = (J @ cols[j]) / blk.sigma + cols[j]
         if k:
-            step = D @ cols[p] + blk.sigma * (cols[p] - blk.z * cols[q])
+            step = J @ cols[p] + blk.sigma * (cols[p] - blk.z * cols[q])
             cols[p - 1] = step / blocks[k - 1].exit_rate
             cols[p - 1, owner >= k] = 0
         q = p - 1
-    W = V @ cols.T
-    if not rep.is_complex():
-        # A and G are real, so the real part solves the same equations
-        W = W.real
+    W = np.ascontiguousarray(cols.T)
 
     G = mono.matrix
-    scale = max(mat_norm_inf(A), mat_norm_inf(G))
+    scale = max(mat_norm_inf(J), mat_norm_inf(G))
     res = max(
-        float(np.abs(A @ W - W @ G).max()) / scale,
+        float(np.abs(J @ W - W @ G).max()) / scale,
         float(np.abs(W @ np.ones(u) - 1.0).max()),
     )
     if res > 1e-8:
@@ -303,11 +293,12 @@ def solve_transformation_matrix(rep: MERep, mono: MonocyclicRep) -> np.ndarray:
     return W
 
 
-def solve_gamma(rep: MERep, mono: MonocyclicRep,
+def solve_gamma(spec: SpectralData, mono: MonocyclicRep,
                 tol: ToleranceConfig = DEFAULT_TOL) -> MonocyclicRep:
-    """Fill in the initial vector: ``gamma = alpha W`` for the solved ``W``."""
-    W = solve_transformation_matrix(rep, mono)
-    gamma_c = rep.alpha @ W
+    """Fill in the initial vector: ``gamma = alpha W`` for the solved ``W``,
+    ``alpha`` the vector of the expansion's canonical pair."""
+    W = solve_transformation_matrix(spec, mono)
+    gamma_c = _jordan_pair(spec)[0] @ W
     imag = float(np.abs(np.imag(gamma_c)).max())
     if imag > 1e-8 * max(1.0, float(np.abs(gamma_c).max())):
         raise NumericError(f"solve_gamma: initial vector has imaginary residue {imag:.3e}")

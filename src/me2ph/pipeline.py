@@ -2,9 +2,9 @@
 
 Order of operations: read the density's expansion, check the dominance and
 positivity conditions on it, split off an Erlang factor if the density
-vanishes at 0, build the monocyclic generator and its initial vector (from the
-minimal pair of the remaining expansion, the one pair built), append an
-Erlang tail if the vector has negative entries, and finally reattach the
+vanishes at 0, build the monocyclic generator and carry the remaining
+expansion over to its initial vector (no pair is built after the input),
+append an Erlang tail if the vector has negative entries, and reattach the
 Erlang factor.  The tail is the smallest whose transformed vector is
 nonnegative (``smallest_tail``); the certified tail of the paper's bound is
 its last candidate, and the one applied with ``PaperBounds``.  The checks
@@ -22,7 +22,7 @@ from .core import MERep, mean_scale
 from .deconv import choose_mu, deconvolve, recompose, zero_multiplicity
 from .errors import DecViolationError, InvalidRepresentationError, NumericError, PositiveDensityError
 from .monocyclic import build_generator, solve_gamma
-from .spectral import analyze_spectrum, check_dec, fmt_complex, minimal_representation
+from .spectral import analyze_spectrum, check_dec, fmt_complex
 from .tail import BoundsReport, PHRep, TailChoice, append_tail, compute_bounds, find_tau, smallest_tail
 from .validate import check_positive_density
 
@@ -161,8 +161,7 @@ def convert(
         mu /= s
         report.mu = mu
 
-    mono = build_generator(working_spec, tol)
-    mono = solve_gamma(minimal_representation(working_spec, tol), mono, tol)
+    mono = solve_gamma(working_spec, build_generator(working_spec, tol), tol)
     gamma_min = float(mono.gamma.min())
     report.gamma_min = gamma_min
 

@@ -81,6 +81,10 @@ class SpectralData:
     def order(self) -> int:
         return sum(t.multiplicity for t in self.terms)
 
+    def is_complex(self) -> bool:
+        """Whether a term has a complex eigenvalue."""
+        return any(not t.is_real for t in self.terms)
+
     def scaled(self, c: float) -> "SpectralData":
         """Expansion of the pair ``(alpha, c A)``, the density of ``X / c``:
         each eigenvalue times ``c``, the coefficient of ``x^j`` times ``c^(j+1)``."""
@@ -104,8 +108,7 @@ def modal_form(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
     equal size and get exactly conjugate centers.  The Schur form of ``A`` is
     reordered so each cluster is contiguous, and each cluster is then
     decoupled from the ones after it by a triangular Sylvester equation.  An
-    upper triangular ``A`` is its own Schur form (``V = I``), so the block
-    diagonal matrix of ``minimal_representation`` comes back as it is.
+    upper triangular ``A`` is its own Schur form (``V = I``); none is computed.
     """
     A = np.asarray(A)
     n = A.shape[0]
@@ -235,42 +238,36 @@ def surviving_terms(by_eig: dict[complex, np.ndarray], tol: ToleranceConfig) -> 
     return SpectralData(tuple(terms), dominant=best)
 
 
-def minimal_representation(spec: SpectralData, tol: ToleranceConfig = DEFAULT_TOL) -> MERep:
-    """Build the canonical minimal pair realizing the spectral expansion.
+def _jordan_pair(spec: SpectralData) -> tuple[np.ndarray, np.ndarray]:
+    """``(alpha, J)`` of the canonical minimal pair realizing the expansion.
 
-    The matrix is block diagonal with one upper bidiagonal block per term
-    (eigenvalue on the diagonal, ones above); the vector entries follow from a
-    per-block triangular recurrence matching the term coefficients, so the
-    density of the output equals the expansion exactly.
+    ``J`` is block diagonal with one upper bidiagonal block per term
+    (eigenvalue on the diagonal, ones above); the vector entries follow from
+    a per-block triangular recurrence matching the term coefficients, so the
+    density of the pair equals the expansion exactly.  Both are real unless
+    a term is complex.
     """
-    blocks = []
-    alpha_parts = []
-    complex_needed = any(not t.is_real for t in spec.terms)
+    cplx, n = spec.is_complex(), spec.order
+    alpha, J = np.empty(n, dtype=complex), np.zeros((n, n), dtype=complex if cplx else float)
+    at = 0
     for term in spec.terms:
-        m = term.multiplicity
-        eta = term.eigenvalue
-        J = np.diag(np.full(m, eta, dtype=complex)) + np.diag(np.ones(m - 1), 1)
+        m, eta = term.multiplicity, term.eigenvalue
+        span = np.arange(at, at + m)
+        J[span, span] = eta if cplx else eta.real
+        J[span[:-1], span[1:]] = 1
         # partial sums T_k of the block's alpha entries satisfy
         #   c_j (j-1)! = -(eta T_{m-j+1} + T_{m-j}),  T_0 = 0
         T = np.zeros(m + 1, dtype=complex)
         for j in range(m, 0, -1):
-            k = m - j + 1
-            T[k] = (-term.coeffs[j - 1] * factorial(j - 1) - T[k - 1]) / eta
-        alpha_parts.append(np.diff(T))
-        blocks.append(J)
-
-    n = sum(b.shape[0] for b in blocks)
-    A = np.zeros((n, n), dtype=complex)
-    at = 0
-    for b in blocks:
-        m = b.shape[0]
-        A[at : at + m, at : at + m] = b
+            T[m - j + 1] = (-term.coeffs[j - 1] * factorial(j - 1) - T[m - j]) / eta
+        alpha[at : at + m] = np.diff(T)
         at += m
-    alpha = np.concatenate(alpha_parts)
-    if not complex_needed:
-        alpha = alpha.real
-        A = A.real
-    return MERep(alpha, A, tol=tol)
+    return (alpha if cplx else alpha.real.copy()), J
+
+
+def minimal_representation(spec: SpectralData, tol: ToleranceConfig = DEFAULT_TOL) -> MERep:
+    """The canonical minimal pair of the expansion (``_jordan_pair``)."""
+    return MERep(*_jordan_pair(spec), tol=tol)
 
 
 def first_nonzero_derivative(spec: SpectralData,

@@ -287,8 +287,8 @@ def find_tau(mono: MonocyclicRep, spec: SpectralData,
             break
     if best is None:
         raise NumericError(
-            "find_tau: preconditions violated (gamma_1 <= 0 or non-dominant input); "
-            f"no positive vector after {tol.max_doublings} doublings"
+            "find_tau: gamma exp(G tau) has a nonpositive entry on every rung tau = (n1/lambda1) "
+            f"2^k, k = {_LOWEST_RUNG} to {tol.max_doublings - 1} ({tol.max_doublings - _LOWEST_RUNG} rungs)"
         )
     return best
 

@@ -96,7 +96,7 @@ def test_criterion_1_worked_example_regression(worked_rep):
     assert blk.matrix() == pytest.approx(expected_block, abs=1e-9)
 
     # assembled generator and initial vector against the published values
-    mono = solve_gamma(residual, build_generator(spec_r))
+    mono = solve_gamma(spec_r, build_generator(spec_r))
     assert mono.matrix == pytest.approx(G8, abs=1e-9)
     assert mono.gamma == pytest.approx(GAMMA8, abs=1e-9)
 
@@ -203,7 +203,7 @@ def test_criterion_2d_tail_weight_sampling_bound():
         attempts += 1
         rep = damped_oscillation_rep(rng)
         spec = analyze_spectrum(rep)
-        mono = solve_gamma(rep, build_generator(spec))
+        mono = solve_gamma(spec, build_generator(spec))
         if mono.gamma.min() >= 0:
             continue
         tau = find_tau(mono, spec)

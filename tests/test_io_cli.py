@@ -276,6 +276,25 @@ def test_convert_cli_unknown_tolerance_is_input_error(tmp_path, capsys):
     assert "error: input:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, value", [
+    # each crashed with a bare ValueError, turned a valid input into a
+    # dec-violation, or switched a check off
+    ("pos_grid_points", 0),
+    ("pos_grid_points", -3),
+    ("eig_cluster_rel", -1),
+    ("alpha_sum", float("nan")),
+])
+def test_convert_cli_out_of_range_tolerance_is_input_error(tmp_path, capsys, name, value):
+    bad = tmp_path / "tol.json"
+    doc = {"alpha": [0.5, 0.5], "A": [[-1.0, 0.0], [0.0, -2.0]], "tolerances": {name: value}}
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "x.json"
+    assert main(["convert", str(bad), str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: input:") and f"'{name}'" in err and str(bad) in err
+    assert not out.exists()
+
+
 def test_convert_cli_singular_matrix_is_input_error(tmp_path, capsys):
     bad = tmp_path / "singular.json"
     bad.write_text(json.dumps({"alpha": [0.5, 0.5], "A": [[-1.0, 1.0], [1.0, -1.0]]}))

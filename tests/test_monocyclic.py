@@ -13,6 +13,7 @@ from me2ph import (
     check_equivalence,
     convert,
     fe_block_for,
+    minimal_representation,
     pdf_eval_many,
     solve_gamma,
 )
@@ -174,7 +175,7 @@ def test_generator_is_markovian_with_contained_spectrum():
 
 def test_solve_gamma_worked_example(worked_residual):
     spec = analyze_spectrum(worked_residual)
-    mono = solve_gamma(worked_residual, build_generator(spec))
+    mono = solve_gamma(spec, build_generator(spec))
     assert mono.gamma == pytest.approx(GAMMA8, abs=1e-9)
     assert mono.gamma.sum() == pytest.approx(1.0, abs=1e-10)
 
@@ -182,9 +183,9 @@ def test_solve_gamma_worked_example(worked_residual):
 def test_transformation_matrix_reproduces_gamma(worked_residual):
     spec = analyze_spectrum(worked_residual)
     mono = build_generator(spec)
-    W = solve_transformation_matrix(worked_residual, mono)
+    W = solve_transformation_matrix(spec, mono)
     assert np.abs(W.sum(axis=1) - 1.0).max() < 1e-9
-    gamma = worked_residual.alpha @ W
+    gamma = minimal_representation(spec).alpha @ W
     assert np.real(gamma) == pytest.approx(GAMMA8, abs=1e-9)
     assert np.abs(np.imag(gamma)).max() < 1e-10
 
@@ -192,10 +193,8 @@ def test_transformation_matrix_reproduces_gamma(worked_residual):
 def test_solve_gamma_identity_when_already_monocyclic(worked_residual):
     spec = analyze_spectrum(worked_residual)
     mono = build_generator(spec)
-    rep = MERep(GAMMA8, G8)
-    W = solve_transformation_matrix(rep, mono)
-    assert W == pytest.approx(np.eye(8), abs=1e-8)
-    filled = solve_gamma(rep, mono)
+    # the body's own pair carries its vector over unchanged
+    filled = solve_gamma(analyze_spectrum(MERep(GAMMA8, G8)), mono)
     assert filled.gamma == pytest.approx(GAMMA8, abs=1e-9)
 
 
@@ -209,7 +208,7 @@ def test_solve_gamma_random_real_spectra():
         terms = [(-r, [w * r]) for r, w in zip(rates, weights)]
         rep = rep_from_terms(terms)
         spec = analyze_spectrum(rep)
-        mono = solve_gamma(rep, build_generator(spec))
+        mono = solve_gamma(spec, build_generator(spec))
         xs = np.linspace(0.05, 8.0, 40)
         assert pdf_eval_many(MERep(mono.gamma, mono.matrix), xs) == pytest.approx(
             pdf_eval_many(rep, xs), rel=1e-8, abs=1e-12
@@ -221,7 +220,7 @@ def test_pdf_equivalence_through_generator():
     for _ in range(6):
         rep = damped_oscillation_rep(rng)
         spec = analyze_spectrum(rep)
-        mono = solve_gamma(rep, build_generator(spec))
+        mono = solve_gamma(spec, build_generator(spec))
         xs = np.linspace(0.02, 15.0, 100)
         assert pdf_eval_many(MERep(mono.gamma, mono.matrix), xs) == pytest.approx(
             pdf_eval_many(rep, xs), rel=1e-7, abs=1e-12
@@ -257,12 +256,14 @@ def test_transformation_matrix_matches_least_squares_reference(worked_residual):
             rep_from_terms([(-1, [1]), (-1.1 + 14j, [0.1])])]
     orders = []
     for rep in reps:
-        mono = build_generator(analyze_spectrum(rep))
+        spec = analyze_spectrum(rep)
+        mono = build_generator(spec)
         orders.append(mono.order)
-        W = solve_transformation_matrix(rep, mono)
-        ref = _kron_lstsq_w(rep, mono)
+        W = solve_transformation_matrix(spec, mono)
+        minimal = minimal_representation(spec)
+        ref = _kron_lstsq_w(minimal, mono)
         assert _rel(W, ref) <= 1e-9, mono.order
-        assert _rel(rep.alpha @ W, rep.alpha @ ref) <= 1e-9, mono.order
+        assert _rel(minimal.alpha @ W, minimal.alpha @ ref) <= 1e-9, mono.order
     assert orders[0] == 8 and orders[-1] == 441
 
 
@@ -270,7 +271,7 @@ def test_transformation_matrix_rejects_body_of_another_spectrum(worked_residual)
     other = rep_from_terms([(-1.0 + 0j, [0.5]), (-2.0 + 0j, [0.8]), (-4.0 + 1j, [0.3])])
     mono = build_generator(analyze_spectrum(other))
     with pytest.raises(NumericError, match="does not contain") as info:
-        solve_transformation_matrix(worked_residual, mono)
+        solve_transformation_matrix(analyze_spectrum(worked_residual), mono)
     assert info.value.detail["residual"] > 1e-8
 
 
@@ -301,12 +302,11 @@ def _dense_copy(rep, rng):
 ])
 def test_transformation_matrix_of_a_dense_matrix(terms):
     rep = rep_from_terms(terms)
-    mono = build_generator(analyze_spectrum(rep))
-    gamma = rep.alpha @ solve_transformation_matrix(rep, mono)
+    spec = analyze_spectrum(rep)
+    mono = build_generator(spec)
+    gamma = solve_gamma(spec, mono).gamma
     dense = _dense_copy(rep, np.random.default_rng(5))
-    W = solve_transformation_matrix(dense, mono)
-    assert W.dtype == float
-    assert _rel(dense.alpha @ W, gamma) <= 1e-9
+    assert _rel(solve_gamma(analyze_spectrum(dense), mono).gamma, gamma) <= 1e-9
 
 
 def test_transformation_matrix_regroups_a_split_eigenvalue():
@@ -316,6 +316,7 @@ def test_transformation_matrix_regroups_a_split_eigenvalue():
     perm = [0, 2, 1]
     shuffled = MERep(rep.alpha[perm], rep.A[np.ix_(perm, perm)])
     assert not np.any(np.tril(shuffled.A, -1))
-    mono = build_generator(analyze_spectrum(rep))
-    gamma = rep.alpha @ solve_transformation_matrix(rep, mono)
-    assert _rel(shuffled.alpha @ solve_transformation_matrix(shuffled, mono), gamma) <= 1e-12
+    spec = analyze_spectrum(rep)
+    mono = build_generator(spec)
+    gamma = solve_gamma(spec, mono).gamma
+    assert _rel(solve_gamma(analyze_spectrum(shuffled), mono).gamma, gamma) <= 1e-12

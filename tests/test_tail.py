@@ -25,6 +25,7 @@ from me2ph import (
     analyze_spectrum,
     append_tail,
     build_generator,
+    check_markovian,
     compute_bounds,
     convert,
     find_tau,
@@ -48,7 +49,7 @@ def worked_spec(worked_residual):
 
 @pytest.fixture(scope="module")
 def worked_mono(worked_residual, worked_spec):
-    return solve_gamma(worked_residual, build_generator(worked_spec))
+    return solve_gamma(worked_spec, build_generator(worked_spec))
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +66,7 @@ def small_tailed_case(seed=3):
     for _ in range(50):
         rep = damped_oscillation_rep(rng)
         spec = analyze_spectrum(rep)
-        mono = solve_gamma(rep, build_generator(spec))
+        mono = solve_gamma(spec, build_generator(spec))
         if mono.gamma.min() < 0:
             break
     else:
@@ -144,6 +145,28 @@ def test_append_tail_reports_offending_entry_when_rate_too_small(worked_mono, wo
     bad = compute_bounds(worked_mono, 0.5, worked_spec, gamma_norm=1.5, eps1=1e6, eps2=1e6)
     with pytest.raises(NumericError, match="stays negative"):
         append_tail(worked_mono, TailChoice.certified(bad))
+
+
+def test_find_tau_names_the_rungs_climbed(worked_mono, worked_spec):
+    # a dominant part of 1e-300 against -1 on the next state turns positive
+    # only past tau = 1e300, beyond the ladder's top rung
+    mono = worked_mono.with_gamma(np.r_[1e-300, -1.0, np.full(6, 2 / 6)])
+    with pytest.raises(NumericError, match=r"every rung tau = \(n1/lambda1\) 2\^k, "
+                                           r"k = -12 to 59 \(72 rungs\)"):
+        find_tau(mono, worked_spec)
+
+
+def test_append_tail_retries_at_twice_the_rate(worked_mono):
+    # 8 jumps at rate 16 leave a tail weight of about -3.6e-3; the one retry
+    # doubles the rate, and with it the order over the same tau, and passes
+    _, q = me2ph.tail._tail_sweep(worked_mono.gamma, worked_mono.matrix, 16.0, 8)
+    assert q.min() < -1e-3
+    ph = append_tail(worked_mono, TailChoice(0.5, 16.0, 8))
+    assert (ph.tail_lambda, ph.tail_n) == (32.0, 16)
+    assert ph.tail_weights.min() >= 0 and ph.head_gamma.min() >= 0
+    assert check_markovian(ph).ok
+    for x in (0.25, 1.0, 2.0):
+        assert phrep_pdf(ph, x) == pytest.approx(float(fy_closed(x)), rel=1e-9)
 
 
 def test_tail_weights_sample_the_density():
