@@ -7,7 +7,9 @@ then ``--damped`` draws of ``genutil.damped_oscillation_rep`` and
 ``default_rng(12)``.  Per input the digest takes the output order, the applied
 tail's ``n``, and the certificate's ``n`` and ``tau`` (exact, as ``float.hex``),
 or the error's class when the conversion fails.  Two checkouts that print the
-same digest chose the same tail on every input.  The ``outputs`` line hashes
+same digest chose the same tail on every input.  The summary also counts the
+inputs whose applied tail is the certified one, and those where it is the
+certified one retried at twice the rate.  The ``outputs`` line hashes
 the bits of every output value (``output_bits``); two checkouts that print
 the same one produced bit-identical outputs.
 
@@ -46,15 +48,29 @@ def census_inputs(damped: int, erlang_damped: int):
         yield f"genutil-erlang-damped-{i}", erlang_damped_rep(rng)[0]
 
 
-def outcome(rep) -> tuple[tuple, bytes]:
+def outcome(rep) -> tuple[tuple, bytes, str | None]:
     """``(order, tail n, certified n, certified tau)``, or the error's class,
-    with the output's ``output_bits`` (empty when the conversion fails)."""
+    with the output's ``output_bits`` (empty when the conversion fails) and
+    the ``certified_path`` taken."""
     try:
         ph, report = convert(rep)
     except Me2PhError as exc:
-        return (type(exc).__name__,), b""
+        return (type(exc).__name__,), b"", None
     b = report.bounds
-    return (ph.order, ph.tail_n, b.n if b else None, b.tau.hex() if b else None), output_bits(ph)
+    out = (ph.order, ph.tail_n, b.n if b else None, b.tau.hex() if b else None)
+    return out, output_bits(ph), certified_path(report)
+
+
+def certified_path(report) -> str | None:
+    """``"certified tail"`` when the applied tail has the certificate's
+    ``(tau, n)``, ``"certified tail, retried"`` when it has the certificate's
+    ``tau`` and a larger ``n``; ``None`` for a searched tail or none."""
+    t, b = report.tail, report.bounds
+    if t is not None and (t.tau, t.n) == (b.tau, b.n):
+        return "certified tail"
+    if t is not None and t.n > b.n:
+        return "certified tail, retried"
+    return None
 
 
 def output_bits(ph) -> bytes:
@@ -79,9 +95,11 @@ def main() -> None:
     args = parser.parse_args()
 
     digest, outputs = hashlib.sha256(), hashlib.sha256()
-    counts, start = Counter(), time.perf_counter()
+    # the fallback's two paths are printed even when no input takes them
+    counts = Counter({"certified tail": 0, "certified tail, retried": 0})
+    start = time.perf_counter()
     for name, rep in census_inputs(args.damped, args.erlang_damped):
-        out, bits = outcome(rep)
+        out, bits, path = outcome(rep)
         digest.update(repr((name, out)).encode())
         outputs.update(name.encode() + bits)
         counts["inputs"] += 1
@@ -89,6 +107,8 @@ def main() -> None:
             counts[f"failed: {out[0]}"] += 1
         elif out[1]:
             counts["with a tail"] += 1
+        if path is not None:
+            counts[path] += 1
         if args.verbose:
             print(name, *out)
     for key, value in sorted(counts.items()):

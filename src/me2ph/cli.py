@@ -44,6 +44,8 @@ def _read(reader, path):
 
 
 def cmd_convert(args) -> int:
+    if args.max_order < 1:
+        return _fail("input", f"max order {args.max_order} is below 1", EXIT_INPUT)
     try:
         rep, tol = _read(read_me_file, args.input)
     except ValueError as exc:
@@ -84,10 +86,15 @@ def cmd_convert(args) -> int:
 def cmd_validate(args) -> int:
     if args.monte_carlo < 0:
         return _fail("input", f"monte carlo sample count {args.monte_carlo} is negative", EXIT_INPUT)
-    if args.seed < 0:
+    if args.seed is not None and args.seed < 0:
         return _fail("input", f"seed {args.seed} is negative", EXIT_INPUT)
     if args.tol is not None and not args.tol >= 0:
         return _fail("input", f"tolerance {args.tol} is not a nonnegative number", EXIT_INPUT)
+    if args.tol is not None and args.against is None:
+        return _fail("input", "--tol needs --against", EXIT_INPUT)
+    if args.seed is not None and not args.monte_carlo:
+        return _fail("input", "--seed needs --monte-carlo", EXIT_INPUT)
+    seed = 0 if args.seed is None else args.seed
     try:
         kind, obj, tol = _read(read_file, args.input)
         other = _read(read_file, args.against)[1] if args.against is not None else None
@@ -118,11 +125,11 @@ def cmd_validate(args) -> int:
             if kind != "ph":
                 return _fail("input", "monte carlo check needs a structured file", EXIT_INPUT)
             try:
-                ks = monte_carlo_check(obj, samples=args.monte_carlo, seed=args.seed)
+                ks = monte_carlo_check(obj, samples=args.monte_carlo, seed=seed)
             except MemoryError:
                 return _fail("input", f"{args.monte_carlo} monte carlo samples do not fit in memory",
                              EXIT_INPUT)
-            verdict["monte_carlo"] = {"ks": ks, "samples": args.monte_carlo, "seed": args.seed}
+            verdict["monte_carlo"] = {"ks": ks, "samples": args.monte_carlo, "seed": seed}
     except Me2PhError as exc:
         return _fail("numeric", str(exc), EXIT_NUMERIC)
     print(json.dumps(verdict))
@@ -172,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="substitute the published rounded constants of the bundled "
                         "regression example for the computed bounds")
     c.add_argument("--max-order", type=int, default=10_000_000,
-                   help="abort if the final order would exceed this")
+                   help="abort if the final order would exceed this (at least 1)")
     c.set_defaults(func=cmd_convert)
 
     v = sub.add_parser("validate", help="check a representation file")
@@ -181,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--monte-carlo", type=int, default=0, metavar="SAMPLES",
                    help="also simulate absorption times and report the KS statistic")
     v.add_argument("--tol", type=float, default=None)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=int, default=None)
     v.set_defaults(func=cmd_validate)
 
     g = sub.add_parser("pdf", help="print density values as CSV")

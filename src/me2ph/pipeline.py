@@ -6,8 +6,9 @@ vanishes at 0, build the monocyclic generator and carry the remaining
 expansion over to its initial vector (no pair is built after the input),
 append an Erlang tail if the vector has negative entries, and reattach the
 Erlang factor.  The tail is the smallest whose transformed vector is
-nonnegative (``smallest_tail``); the certified tail of the paper's bound is
-its last candidate, and the one applied with ``PaperBounds``.  The checks
+nonnegative: ``smallest_tail`` searches for it and applies the certified
+tail of the paper's bound when nothing smaller passes.  With
+``PaperBounds`` the certified tail is applied by ``append_tail``.  The checks
 read the expansion in the input's units; the construction runs in units of
 its mean, a power of two (``core.mean_scale``), so ``(alpha, 2^j A)``
 converts to the exact rescaling.
@@ -63,7 +64,6 @@ class ConversionReport:
     blocks: list = field(default_factory=list)
     monocyclic_order: int = 0
     gamma_min: float = 0.0
-    tail_needed: bool = False
     bounds: BoundsReport | None = None
     tail: TailChoice | None = None
     final_order: int = 0
@@ -78,7 +78,7 @@ class ConversionReport:
             f"monocyclic order: {self.monocyclic_order}",
             f"gamma min entry: {self.gamma_min!r}",
         ]
-        if self.tail_needed and self.bounds is not None:
+        if self.bounds is not None:
             b = self.bounds
             out += [
                 f"tau: {b.tau!r}",
@@ -121,8 +121,9 @@ def convert(
 
     Raises ``DecViolationError`` or ``PositiveDensityError`` when the input
     fails the corresponding existence condition, and ``NumericError`` when no
-    tail can be certified or the order, with the tail applied if one is
-    needed, would exceed ``max_order``.
+    tail can be certified or the order, with the tail applied (retried or
+    not) if one is needed, would exceed ``max_order``.  Makes one tail call:
+    ``smallest_tail``, or ``append_tail`` with ``paper_bounds``.
     """
     report = ConversionReport(input_order=rep.order)
 
@@ -167,7 +168,6 @@ def convert(
 
     bounds = None
     if gamma_min < 0:
-        report.tail_needed = True
         if paper_bounds is not None:
             bounds = compute_bounds(
                 mono, paper_bounds.tau / s, working_spec, tol=tol,
@@ -188,25 +188,24 @@ def convert(
                    lambda1=mono.lambda1 / s)
     report.blocks = [f"({b.b},{b.sigma:g},{b.z:g})" for b in mono.blocks]
     report.monocyclic_order = mono.order
-    max_n = max_order - l - mono.order
-    tail, ph = None, None
-    if bounds is not None and paper_bounds is None:
-        tail, ph = smallest_tail(mono, bounds, max_n, tol)
-    elif bounds is not None:
-        tail = TailChoice.certified(bounds)
+    # no tail above the room the limit leaves is swept; a retried tail is
+    # checked once applied
+    room = max_order - l - mono.order
+    tail = TailChoice.certified(bounds) if bounds is not None else None
+    if bounds is None:
+        ph = PHRep(mono.gamma, mono.blocks, 0.0, 0, np.zeros(0), tol=tol)
+    elif paper_bounds is None:
+        tail, ph = smallest_tail(mono, bounds, room, tol)
+    elif tail.n <= room:
+        ph = append_tail(mono, tail, tol)
+        tail = replace(tail, rate=ph.tail_lambda, n=ph.tail_n)
     n = tail.n if tail is not None else 0
-    if n > max_n:
+    if n > room:
         raise NumericError(
             f"convert: order {l + mono.order + n} exceeds the limit {max_order}",
             detail={"n": n, "max_order": max_order},
         )
-    if tail is None:
-        ph = PHRep(np.clip(mono.gamma, 0.0, None), mono.blocks, 0.0, 0, np.zeros(0), tol=tol)
-    else:
-        if ph is None:
-            ph = append_tail(mono, tail, tol)
-        # append_tail's one retry of a certified tail doubles its rate
-        report.tail = replace(tail, rate=ph.tail_lambda, n=ph.tail_n)
+    report.tail = tail
 
     if l > 0:
         ph = recompose(ph, l, mu)

@@ -10,7 +10,8 @@ bound ``|e^z - (1+z/n)^n| <= r^2 e^r / (2n)`` for ``|z| <= r``.  The bound
 proves that a tail exists, but can overshoot by orders of magnitude (950,965
 states where 32 suffice on the paper's example).  The transformed vector
 itself certifies a tail, so ``smallest_tail`` searches below the certified
-one and keeps it as the last candidate.
+one and applies it only when nothing smaller passes; one step, ``_swept``,
+sweeps and tests every candidate, the certified tail and its retry included.
 """
 
 import math
@@ -248,13 +249,12 @@ def find_tau(mono: MonocyclicRep, spec: SpectralData,
     """Pick a horizon ``tau`` with ``gamma exp(G tau)`` entrywise positive.
 
     Climbs ``_ladder``, skipping rungs where that vector has a nonpositive
-    entry.  For a nonnegative ``gamma`` it returns the first feasible rung
-    from ``n1/lambda1`` up.  Otherwise it keeps the feasible rung with the
-    cheapest rate ``compute_bounds`` would certify (``spec`` is the expansion
-    of the density ``mono`` realizes).  That rate grows like ``exp(g tau)``,
-    so the climb stops 3 (in log) past the cheapest, or where even
-    ``eps1 = ||gamma||_1``, which no entry of the vector exceeds, would put
-    ``lambda'`` past the limit.
+    entry, and keeps the feasible rung with the cheapest rate
+    ``compute_bounds`` would certify (``spec`` is the expansion of the
+    density ``mono`` realizes), whatever the signs of ``gamma``.  That rate
+    grows like ``exp(g tau)``, so the climb stops 3 (in log) past the
+    cheapest, or where even ``eps1 = ||gamma||_1``, which no entry of the
+    vector exceeds, would put ``lambda'`` past the limit.
     """
     if mono.gamma is None:
         raise InvalidRepresentationError("find_tau: gamma not set")
@@ -264,16 +264,13 @@ def find_tau(mono: MonocyclicRep, spec: SpectralData,
         )
     g = mat_norm_inf(mono.matrix)
     gn = vec_norm1(mono.gamma)
-    nonnegative = float(mono.gamma.min()) >= 0
     best, best_cost = None, math.inf
     for tau, head in _ladder(mono, tol):
         if best is not None and _log_rates(gn, g, tau, gn, math.inf)[0] > _LOG_RATE_LIMIT:
             break
         e1 = float(head.min())
-        if e1 <= 0 or (nonnegative and tau < mono.n1 / mono.lambda1):
+        if e1 <= 0:
             continue
-        if nonnegative:
-            return tau
         # a lambda' past the limit alone rules the rung out before its eps2
         # grid is built
         cost = math.inf
@@ -404,24 +401,23 @@ def _tail_sweep(start: np.ndarray, Q: np.ndarray, rate: float, n: int):
     return v, q
 
 
-def _worst(head: np.ndarray, q: np.ndarray) -> float:
-    """Smallest entry of the transformed vector ``(head, q)``."""
-    return min(float(head.min()), float(q.min()) if q.size else 0.0)
-
-
-def _tail_rep(mono: MonocyclicRep, head: np.ndarray, q: np.ndarray, rate: float,
-              n: int, tol: ToleranceConfig) -> PHRep:
-    """The tailed representation of a transformed vector that passed the
-    test, its entries inside the slack clipped to zero."""
-    q = np.clip(q, 0.0, None)
-    return PHRep(np.clip(head, 0.0, None), mono.blocks, rate, n, q[::-1].copy(), tol=tol)
+def _swept(mono: MonocyclicRep, rate: float, n: int, tol: ToleranceConfig):
+    """Sweep the tail ``(rate, n)`` on the body.  Returns the tailed
+    representation, with the transformed vector's entries inside the slack
+    ``markov_slack_rel ||gamma||_1`` clipped to zero, or ``None`` when an
+    entry is below it; and that vector ``(head, q)``."""
+    head, q = _tail_sweep(mono.gamma, mono.matrix, rate, n)
+    if min(head.min(), q.min()) <= -tol.markov_slack_rel * vec_norm1(mono.gamma):
+        return None, head, q
+    weights = np.clip(q, 0.0, None)[::-1].copy()
+    return PHRep(np.clip(head, 0.0, None), mono.blocks, rate, n, weights, tol=tol), head, q
 
 
 def smallest_tail(mono: MonocyclicRep, bounds: BoundsReport, max_n: int,
                   tol: ToleranceConfig = DEFAULT_TOL) -> tuple[TailChoice, PHRep | None]:
-    """The smallest tail of at most ``max_n`` states whose transformed vector
-    passes ``append_tail``'s test, with the certified tail ``bounds`` as the
-    last candidate.
+    """Apply the smallest tail of at most ``max_n`` states whose transformed
+    vector passes the test, with the certified tail ``bounds`` as the last
+    candidate.
 
     Every tail on the body gives exactly the distribution the body's vector
     gives, and it is Markovian when its transformed vector is nonnegative;
@@ -433,18 +429,17 @@ def smallest_tail(mono: MonocyclicRep, bounds: BoundsReport, max_n: int,
     ``M = I + G/rate`` is nonnegative, and doubles until the vector passes
     or ``n`` reaches the best found or passes ``max_n``.  The search ends at
     the first rung whose rate bound alone does so, or before its sweeps
-    would pass ``min(bounds.n, max_n)`` jumps in total.
+    would pass ``min(bounds.n, max_n)`` jumps in total.  When no candidate
+    passes, ``append_tail`` applies the certified tail, retry included.
 
-    Returns the tail chosen, with the jumps swept, and its representation;
-    or, when no candidate passes, the certified tail and ``None``.
+    Returns the tail applied, with the jumps swept, and its representation;
+    a certified tail above ``max_n`` is not swept, and comes with ``None``.
     """
     if mono.gamma is None:
         raise InvalidRepresentationError("smallest_tail: gamma not set")
-    G = mono.matrix
-    slack = tol.markov_slack_rel * vec_norm1(mono.gamma)
     sigma = max(blk.sigma for blk in mono.blocks)
     budget = min(bounds.n, max_n)
-    best, found, jumps = TailChoice.certified(bounds), None, 0
+    tail, ph, jumps = TailChoice.certified(bounds), None, 0
     cap = min(bounds.n - 1, max_n)  # the largest n worth sweeping
     for tau, head in _ladder(mono, tol):
         if math.ceil(sigma * tau) > cap:
@@ -454,56 +449,47 @@ def smallest_tail(mono: MonocyclicRep, bounds: BoundsReport, max_n: int,
         n = 1
         while n < sigma * tau:
             n *= 2
-        while n <= cap:
-            if jumps + n > budget:
-                return replace(best, jumps=jumps), found
-            head, q = _tail_sweep(mono.gamma, G, n / tau, n)
+        while n <= cap and jumps + n <= budget:
+            found = _swept(mono, n / tau, n, tol)[0]
             jumps += n
-            if _worst(head, q) > -slack:
-                best, found = TailChoice(tau, n / tau, n), _tail_rep(mono, head, q, n / tau, n, tol)
-                cap = n - 1
-                break
-            n *= 2
-    return replace(best, jumps=jumps), found
+            if found is None:
+                n *= 2
+            else:
+                tail, ph, cap = TailChoice(tau, n / tau, n), found, n - 1
+        if n <= cap:
+            break  # the next sweep would pass the budget
+    if ph is None and tail.n <= max_n:
+        ph = append_tail(mono, tail, tol)
+        tail = replace(tail, rate=ph.tail_lambda, n=ph.tail_n)
+    return replace(tail, jumps=jumps), ph
 
 
 def append_tail(mono: MonocyclicRep, tail: TailChoice,
                 tol: ToleranceConfig = DEFAULT_TOL) -> PHRep:
-    """Extend the monocyclic representation with the Erlang tail ``tail``:
-    the certified one, ``TailChoice.certified(bounds)``, or any other.
+    """Extend the monocyclic representation with the Erlang tail ``tail`` of
+    at least one state: the certified one, ``TailChoice.certified(bounds)``,
+    or any other.
 
     Entries of the transformed vector within the negative slack window are
     clamped to zero; a genuinely negative entry triggers one retry with the
-    rate doubled before failing.
+    rate, and so the order over the same ``tau``, doubled before failing.
     """
     if mono.gamma is None:
         raise InvalidRepresentationError("append_tail: gamma not set")
-    if tail.n == 0:
-        if float(mono.gamma.min()) < 0:
-            raise InvalidRepresentationError(
-                "append_tail: empty tail requested but gamma has negative entries"
-            )
-        return PHRep(mono.gamma, mono.blocks, 0.0, 0, np.zeros(0), tol=tol)
-
-    G = mono.matrix
-    slack = tol.markov_slack_rel * vec_norm1(mono.gamma)
+    if tail.n < 1:
+        raise InvalidRepresentationError(f"append_tail: a tail needs at least one state, got {tail.n}")
     rate, n = tail.rate, tail.n
     for attempt in range(2):
-        head, q = _tail_sweep(mono.gamma, G, rate, n)
-        if _worst(head, q) > -slack:
-            return _tail_rep(mono, head, q, rate, n, tol)
+        ph, head, q = _swept(mono, rate, n, tol)
+        if ph is not None:
+            return ph
         if attempt == 0:
             rate *= 2
             n = _order(tail.tau, rate)
-    bad_head = int(head.argmin())
-    bad_tail = int(q.argmin()) if n else -1
     raise NumericError(
         "append_tail: transformed vector stays negative after doubling the rate",
-        detail={
-            "head_min": (bad_head, float(head.min())),
-            "tail_min": (bad_tail, float(q.min()) if n else None),
-            "rate": rate,
-        },
+        detail={"head_min": (int(head.argmin()), float(head.min())),
+                "tail_min": (int(q.argmin()), float(q.min())), "rate": rate},
     )
 
 

@@ -268,7 +268,7 @@ def test_criterion_3_monte_carlo_cross_check():
     while True:
         rep = damped_oscillation_rep(rng)
         ph, report = convert(rep)
-        if report.tail_needed:
+        if report.bounds is not None:
             examples.append(ph)
             break
 

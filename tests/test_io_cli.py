@@ -511,12 +511,13 @@ def test_convert_cli_failed_document_write_leaves_no_sidecar(tmp_path, capsys):
     assert (tmp_path / "out.json.weights").stat().st_size == 8 * tail_n > 0
 
 
-def _one_input_error(capsys, argv) -> None:
+def _one_input_error(capsys, argv) -> str:
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: input:"), captured.err
+    return lines[0]
 
 
 @pytest.fixture()
@@ -534,6 +535,22 @@ def test_validate_cli_negative_tol_is_input_error(capsys, exp_ph_file):
     for tol in ("-1", "nan"):
         _one_input_error(capsys, ["validate", str(exp_ph_file), "--against", str(exp_ph_file),
                                   "--tol", tol])
+
+
+def test_validate_cli_tol_without_against_is_input_error(capsys, exp_ph_file):
+    assert "--against" in _one_input_error(capsys, ["validate", str(exp_ph_file), "--tol", "1e-3"])
+
+
+def test_validate_cli_seed_without_monte_carlo_is_input_error(capsys, exp_ph_file):
+    for argv in (["--seed", "3"], ["--seed", "3", "--monte-carlo", "0"]):
+        assert "--monte-carlo" in _one_input_error(capsys, ["validate", str(exp_ph_file), *argv])
+
+
+def test_convert_cli_max_order_below_one_is_input_error(tmp_path, capsys, worked_me_file):
+    out = tmp_path / "x.json"
+    for limit in ("0", "-5"):
+        _one_input_error(capsys, ["convert", str(worked_me_file), str(out), "--max-order", limit])
+    assert not out.exists()
 
 
 def test_validate_cli_monte_carlo_beyond_memory_is_input_error(capsys, exp_ph_file):

@@ -55,7 +55,7 @@ def test_convert_erlang_reports_prefix():
     ph, report = convert(MERep(np.array([1.0, 0.0]), A))
     assert report.l == 1
     assert report.minimal_order == 2
-    assert not report.tail_needed
+    assert report.bounds is None
     assert report.final_order == ph.order == 3
     assert any(line.startswith("erlang factor: l=1") for line in report.lines())
 

@@ -85,9 +85,12 @@ def test_find_tau_returns_positive_vector(worked_mono, worked_spec):
     assert float((worked_mono.gamma @ expm(G8 * tau)).min()) > 0
 
 
-def test_find_tau_accepts_first_candidate_for_nonnegative_gamma(worked_mono, worked_spec):
+def test_find_tau_prices_the_rungs_for_nonnegative_gamma(worked_mono, worked_spec):
+    # no shortcut for a vector that needs no tail: the rung is priced like
+    # any other, and its head vector is positive
     mono = worked_mono.with_gamma(np.full(8, 1 / 8))
-    assert find_tau(mono, worked_spec) == pytest.approx(mono.n1 / mono.lambda1)
+    tau = find_tau(mono, worked_spec)
+    assert float((mono.gamma @ expm(G8 * tau)).min()) > 0
 
 
 def test_find_tau_requires_positive_first_coordinate(worked_mono, worked_spec):
@@ -134,11 +137,10 @@ def test_append_tail_worked_example(worked_tailed):
     assert ph.head_gamma.sum() + ph.tail_weights.sum() == pytest.approx(1.0, abs=1e-9)
 
 
-def test_append_tail_empty_when_gamma_nonnegative(worked_mono):
+def test_append_tail_rejects_an_empty_tail(worked_mono):
     mono = worked_mono.with_gamma(np.full(8, 1 / 8))
-    ph = append_tail(mono, TailChoice(0.5, 0.0, 0))
-    assert ph.tail_n == 0
-    assert ph.head_gamma == pytest.approx(mono.gamma)
+    with pytest.raises(InvalidRepresentationError, match="at least one state"):
+        append_tail(mono, TailChoice(0.5, 0.0, 0))
 
 
 def test_append_tail_reports_offending_entry_when_rate_too_small(worked_mono, worked_spec):
@@ -289,6 +291,27 @@ def test_smallest_tail_falls_back_to_the_certified_tail(monkeypatch):
     assert sum(swept[:-1]) == report.tail.jumps <= certified
     assert swept[-1] == certified
     _assert_searched_tail(rep, ph, report)
+
+
+def test_order_limit_holds_after_the_retry(monkeypatch):
+    # every sweep of at most the certified 211 states fails: the certified
+    # tail fits the room a limit of 224 leaves (the body has 8 states, no
+    # prefix), and its retry at twice the rate, 421 states, does not
+    rep = _damped(*TAIL_ANCHORS[0])
+    original = me2ph.tail._tail_sweep
+
+    def failing_up_to_certified(start, Q, rate, n):
+        head, q = original(start, Q, rate, n)
+        return (head - 1.0 if n <= CERTIFIED_N[TAIL_ANCHORS[0]] else head), q
+
+    monkeypatch.setattr(me2ph.tail, "_tail_sweep", failing_up_to_certified)
+    with pytest.raises(NumericError, match="order 429 exceeds the limit 224") as exc:
+        convert(rep, max_order=224)
+    assert exc.value.detail["n"] == 421
+    ph, report = convert(rep, max_order=429)
+    assert ph.order == 429 and report.monocyclic_order == 8
+    assert (report.tail.tau, report.tail.n) == (report.bounds.tau, 421)
+    assert report.tail.rate == 2 * report.bounds.rate
 
 
 def test_smallest_tail_sweeps_nothing_above_the_order_limit(monkeypatch):
