@@ -3,7 +3,8 @@
 
 Small sanity experiment: convert a handful of distributions, draw samples from
 the resulting absorbing chains, and compare the empirical law against the
-structured distribution function (the Poisson-sum cdf of ``phrep_cdf_grid``).
+structured distribution function (the Poisson-sum cdf of ``phrep_cdf_grid``;
+these outputs are short, so it sweeps each as one uniformized chain).
 """
 
 import argparse

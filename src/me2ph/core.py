@@ -7,6 +7,7 @@ Markovian subclass is handled by the ``validate`` module.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -90,6 +91,17 @@ class MERep:
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.alpha) or np.iscomplexobj(self.A)
 
+    @cached_property
+    def mean_scale(self) -> float:
+        """The unit of time the construction runs in: the power of two ``s``
+        with the mean of ``(alpha, s A)`` in ``[1/2, 1)``, so scaling by it is
+        exact.  1 when the mean is not positive and finite.  Computed once per
+        pair, for the spectral read and the construction alike."""
+        mean = float(moment_series(self.alpha, self.A, 1)[1])
+        if not 0 < mean < np.inf:
+            return 1.0
+        return float(np.ldexp(1.0, np.frexp(mean)[1]))
+
 
 def pdf_eval(rep: MERep, x: float) -> float:
     """Density value ``-alpha A exp(A x) 1`` at a single point ``x >= 0``."""
@@ -154,12 +166,3 @@ def moments(rep: MERep, k_max: int) -> list[float]:
         raise InvalidRepresentationError("moments: k_max must be >= 1")
     return [float(v) for v in moment_series(rep.alpha, rep.A, k_max)[1:]]
 
-
-def mean_scale(rep: MERep) -> float:
-    """The unit of time the construction runs in: the power of two ``s`` with
-    the mean of ``(alpha, s A)`` in ``[1/2, 1)``, so scaling by it is exact.
-    1 when the mean is not positive and finite."""
-    mean = float(moment_series(rep.alpha, rep.A, 1)[1])
-    if not 0 < mean < np.inf:
-        return 1.0
-    return float(np.ldexp(1.0, np.frexp(mean)[1]))

@@ -10,7 +10,7 @@ nonnegative: ``smallest_tail`` searches for it and applies the certified
 tail of the paper's bound when nothing smaller passes.  With
 ``PaperBounds`` the certified tail is applied by ``append_tail``.  The checks
 read the expansion in the input's units; the construction runs in units of
-its mean, a power of two (``core.mean_scale``), so ``(alpha, 2^j A)``
+its mean, a power of two (``MERep.mean_scale``), so ``(alpha, 2^j A)``
 converts to the exact rescaling.
 """
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .core import MERep, mean_scale
+from .core import MERep
 from .deconv import choose_mu, deconvolve, recompose, zero_multiplicity
 from .errors import DecViolationError, InvalidRepresentationError, NumericError, PositiveDensityError
 from .monocyclic import build_generator, solve_gamma
@@ -144,7 +144,7 @@ def convert(
         raise PositiveDensityError(f"{pd.failed_part}: {pd.detail}")
 
     # from here on rates are in units of 1/s and times in units of s
-    s = mean_scale(rep)
+    s = rep.mean_scale
     working_spec, mu = spec.scaled(s), None
     l = zero_multiplicity(working_spec, tol)
     report.l = l
@@ -188,18 +188,22 @@ def convert(
                    lambda1=mono.lambda1 / s)
     report.blocks = [f"({b.b},{b.sigma:g},{b.z:g})" for b in mono.blocks]
     report.monocyclic_order = mono.order
-    # no tail above the room the limit leaves is swept; a retried tail is
-    # checked once applied
+    # no tail above the room the limit leaves is swept, a retried one included
     room = max_order - l - mono.order
     tail = TailChoice.certified(bounds) if bounds is not None else None
-    if bounds is None:
-        ph = PHRep(mono.gamma, mono.blocks, 0.0, 0, np.zeros(0), tol=tol)
-    elif paper_bounds is None:
-        tail, ph = smallest_tail(mono, bounds, room, tol)
-    elif tail.n <= room:
-        ph = append_tail(mono, tail, tol)
-        tail = replace(tail, rate=ph.tail_lambda, n=ph.tail_n)
-    n = tail.n if tail is not None else 0
+    try:
+        if bounds is None:
+            ph = PHRep(mono.gamma, mono.blocks, 0.0, 0, np.zeros(0), tol=tol)
+        elif paper_bounds is None:
+            tail, ph = smallest_tail(mono, bounds, room, tol)
+        elif tail.n <= room:
+            ph = append_tail(mono, tail, tol, room)
+            tail = replace(tail, rate=ph.tail_lambda, n=ph.tail_n)
+        n = tail.n if tail is not None else 0
+    except NumericError as exc:
+        if (exc.detail or {}).get("max_n") != room:
+            raise
+        n = exc.detail["n"]  # the retry append_tail refused
     if n > room:
         raise NumericError(
             f"convert: order {l + mono.order + n} exceeds the limit {max_order}",

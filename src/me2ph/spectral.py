@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs, schur
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .core import MERep, mat_norm_inf, mean_scale
+from .core import MERep, mat_norm_inf
 from .errors import InvalidRepresentationError, NumericError
 
 __all__ = [
@@ -189,9 +189,9 @@ def analyze_spectrum(rep: MERep, tol: ToleranceConfig = DEFAULT_TOL) -> Spectral
     below the real axis takes the conjugates of its partner's coefficients.
     Eigenvalues whose coefficients all vanish are dropped, and trailing zero
     coefficients reduce a term's multiplicity (``surviving_terms``).  All of
-    it is read off ``s A``, ``s = mean_scale(rep)``, and rescaled by ``1 / s``.
+    it is read off ``s A``, ``s = rep.mean_scale``, and rescaled by ``1 / s``.
     """
-    s = mean_scale(rep)
+    s = rep.mean_scale
     T, V, clusters = modal_form(s * rep.A, tol)
     cond = np.linalg.cond(V)
     if not np.isfinite(cond) or cond > 1e13:

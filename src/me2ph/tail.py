@@ -193,7 +193,7 @@ def _behind_prefix(prefix: DeconvParams | None, Q: np.ndarray, start: np.ndarray
     return b, B
 
 
-# in units of the input's mean (``core.mean_scale``): 1e15 over the mean
+# in units of the input's mean (``MERep.mean_scale``): 1e15 over the mean
 _LOG_RATE_LIMIT = math.log(1e15)
 
 
@@ -433,7 +433,8 @@ def smallest_tail(mono: MonocyclicRep, bounds: BoundsReport, max_n: int,
     passes, ``append_tail`` applies the certified tail, retry included.
 
     Returns the tail applied, with the jumps swept, and its representation;
-    a certified tail above ``max_n`` is not swept, and comes with ``None``.
+    a certified tail above ``max_n`` is not swept, and comes with ``None``,
+    and ``append_tail`` refuses a retry above it.
     """
     if mono.gamma is None:
         raise InvalidRepresentationError("smallest_tail: gamma not set")
@@ -459,20 +460,22 @@ def smallest_tail(mono: MonocyclicRep, bounds: BoundsReport, max_n: int,
         if n <= cap:
             break  # the next sweep would pass the budget
     if ph is None and tail.n <= max_n:
-        ph = append_tail(mono, tail, tol)
+        ph = append_tail(mono, tail, tol, max_n)
         tail = replace(tail, rate=ph.tail_lambda, n=ph.tail_n)
     return replace(tail, jumps=jumps), ph
 
 
 def append_tail(mono: MonocyclicRep, tail: TailChoice,
-                tol: ToleranceConfig = DEFAULT_TOL) -> PHRep:
+                tol: ToleranceConfig = DEFAULT_TOL, max_n: int | None = None) -> PHRep:
     """Extend the monocyclic representation with the Erlang tail ``tail`` of
     at least one state: the certified one, ``TailChoice.certified(bounds)``,
     or any other.
 
     Entries of the transformed vector within the negative slack window are
     clamped to zero; a genuinely negative entry triggers one retry with the
-    rate, and so the order over the same ``tau``, doubled before failing.
+    rate, and so the order over the same ``tau``, doubled before failing.  A
+    retry of more than ``max_n`` states is refused before it is swept, by a
+    ``NumericError`` whose ``detail`` holds its order ``n`` and ``max_n``.
     """
     if mono.gamma is None:
         raise InvalidRepresentationError("append_tail: gamma not set")
@@ -486,6 +489,11 @@ def append_tail(mono: MonocyclicRep, tail: TailChoice,
         if attempt == 0:
             rate *= 2
             n = _order(tail.tau, rate)
+            if max_n is not None and n > max_n:
+                raise NumericError(
+                    f"append_tail: the retried tail of {n} states exceeds the room of {max_n}",
+                    detail={"n": n, "max_n": max_n},
+                )
     raise NumericError(
         "append_tail: transformed vector stays negative after doubling the rate",
         detail={"head_min": (int(head.argmin()), float(head.min())),
@@ -496,12 +504,15 @@ def append_tail(mono: MonocyclicRep, tail: TailChoice,
 # ---------------------------------------------------------------------------
 # structured evaluation
 #
-# Every path through a PHRep makes a Poisson number of jumps: the tail at
-# rate ``tail_lambda``, and the prefix and body (the "slow chain") once they
-# are uniformized at their largest rate by ``_tail_sweep``, which also builds
-# the tail.  So pdf and cdf are windowed Poisson sums of nonnegative jump-count
-# sequences.  Where a path crosses from one rate to the other, the two parts
-# meet in a convolution done by quadrature.
+# Every path through a PHRep makes a Poisson number of jumps once its chain is
+# uniformized, so pdf and cdf are windowed Poisson sums of nonnegative
+# jump-count sequences, each swept by ``_tail_sweep``, which also builds the
+# tail.  A short output is swept as one chain: prefix, body and tail together
+# (``to_dense``) at their largest rate.  A long tail is never densified: the
+# tail weights are summed at ``tail_lambda``, the prefix and body (the "slow
+# chain") at their own largest rate, and where a path crosses from one rate to
+# the other the two parts meet in a convolution done by quadrature.
+# ``_one_chain_cheaper`` picks the path.
 
 _GL_NODES = 96
 _GLX, _GLW = roots_legendre(_GL_NODES)
@@ -513,6 +524,16 @@ _GLX, _GLW = roots_legendre(_GL_NODES)
 _CHUNK = 1 << 15
 _MAX_JUMPS = 10_000_000
 _PANEL_SPAN = 16.0
+# Path costs are counted in Poisson terms, about 10 ns each (1 BLAS thread,
+# 2-core x86).  A jump of the sweep costs 11-72 ns per state (25 at 41 states,
+# 57 at 219, 11 at 2,346), 1 to 7 terms: _SWEEP_TERMS takes 4.  With it the
+# rule picks the faster path on each of: the 41-state paper output (4,097
+# points: 561 ms convolved against 19 ms as one chain), a 219-state certified
+# tail of rate 1,681 (16 points: 1.9 against 68 ms; 4,097 points: 355 against
+# 197 ms) and a 2,346-state one (4,097 points: 416 against 2,093 ms).  The
+# one chain is dense: above _DENSE_STATES (32 MB) it is never built.
+_SWEEP_TERMS = 4.0
+_DENSE_STATES = 2048
 
 
 def _window(c):
@@ -530,6 +551,38 @@ def _window(c):
     return np.maximum(np.floor(c - half), 0.0).astype(np.int64), hi.astype(np.int64)
 
 
+def _window_sizes(c, length: int):
+    """``_window``'s low end at every ``c``, and the number of its jump counts
+    below ``length``: the terms a Poisson sum over ``length`` jumps adds."""
+    lo, hi = _window(c)
+    return lo, np.maximum(np.minimum(hi, length - 1) - lo + 1, 0)
+
+
+def _sequence_length(c: float) -> int:
+    """Jump counts a sequence needs for Poisson sums at ``rate x <= c``."""
+    return int(_window(c)[1]) + 1
+
+
+def _one_chain_cheaper(ph: PHRep, xs: np.ndarray) -> bool:
+    """Whether one chain, swept over every state at the largest rate, costs
+    less than the convolution of the slow chain with the tail over ``xs``.
+
+    One chain: jumps times states (``_SWEEP_TERMS`` each), plus the Poisson
+    terms at the largest rate.  The convolution: ``_GL_NODES`` times the
+    slow chain's Poisson terms at every point.  Without a tail, or a tail
+    alone, there is no convolution to replace.
+    """
+    if not ph.tail_n or ph.order > _DENSE_STATES or not (ph.prefix or ph.head_gamma.sum() > 0):
+        return False
+    slow = _slow_rate(ph)
+    rate, x_max = max(slow, ph.tail_lambda), float(xs.max())
+    if not rate * x_max < _MAX_JUMPS:  # the one chain would refuse x_max
+        return False
+    jumps = _sequence_length(rate * x_max)
+    one = _SWEEP_TERMS * jumps * ph.order + _window_sizes(rate * xs, jumps)[1].sum()
+    return bool(one < _GL_NODES * _window_sizes(slow * xs, _sequence_length(slow * x_max))[1].sum())
+
+
 def _poisson_sum(seq: np.ndarray, rate: float, xs: np.ndarray, cdf: bool) -> np.ndarray:
     """Windowed Poisson sum of a nonnegative jump-count sequence at every x.
 
@@ -538,8 +591,7 @@ def _poisson_sum(seq: np.ndarray, rate: float, xs: np.ndarray, cdf: bool) -> np.
     """
     c = rate * xs
     coef = np.concatenate([[0.0], np.cumsum(seq)]) if cdf else rate * seq
-    lo, hi = _window(c)
-    sizes = np.maximum(np.minimum(hi, coef.size - 1) - lo + 1, 0)
+    lo, sizes = _window_sizes(c, coef.size)
     offs = np.concatenate([[0], np.cumsum(sizes)])
     with np.errstate(divide="ignore"):
         # log(coef_k / k!), so that a term is exp(this + k log c - c)
@@ -588,24 +640,16 @@ def _slow_rate(ph: PHRep) -> float:
     return max([blk.sigma for blk in ph.blocks] + ([ph.prefix.mu] if ph.prefix else []))
 
 
-def _slow_chain(ph: PHRep, x_max: float):
-    """Prefix then body, started from ``head_gamma``, uniformized at its
-    largest diagonal rate.
-
-    Returns the sequence ``s[k]``, the probability of leaving the body (into
-    the tail, or absorbed when there is none) at jump ``k + 1``, and the rate.
-    Paths from the prefix straight into the tail are not part of it, so the
-    prefix starts with, and hands on, only the head's mass.
-    """
-    start, Q = _behind_prefix(ph.prefix, ph.matrix, ph.head_gamma)
-    rate = _slow_rate(ph)
-    length = int(_window(rate * x_max)[1]) + 1
+def _jump_sequence(start: np.ndarray, Q: np.ndarray, rate: float, x_max: float) -> np.ndarray:
+    """The chain ``(start, Q)`` uniformized at ``rate``: ``s[k]``, the
+    probability of leaving it at jump ``k + 1``, for every jump count with
+    Poisson mass at some ``x <= x_max``."""
+    length = _sequence_length(rate * x_max)
     if length > _MAX_JUMPS:
         raise NumericError(
-            f"PHRep evaluation: {length} slow-chain jumps needed at x = {x_max}, "
-            f"above the limit {_MAX_JUMPS}"
+            f"PHRep evaluation: {length} jumps needed at x = {x_max}, above the limit {_MAX_JUMPS}"
         )
-    return _tail_sweep(start, Q, rate, length)[1], rate
+    return _tail_sweep(start, Q, rate, length)[1]
 
 
 def _through_tail(xs: np.ndarray, slow, fast, breaks, width: float) -> np.ndarray:
@@ -643,6 +687,11 @@ def _evaluate(ph: PHRep, xs: np.ndarray, cdf: bool) -> np.ndarray:
     out = np.zeros(xs.shape)
     if xs.size == 0:
         return out
+    x_max = float(xs.max())
+    if _one_chain_cheaper(ph, xs):
+        b, B = to_dense(ph)
+        rate = -B.diagonal().min()
+        return _poisson_sum(_jump_sequence(b, B, rate, x_max), rate, xs, cdf)
     n, lam, weights = ph.tail_n, ph.tail_lambda, ph.tail_weights[::-1]
     if n:
         r_lo, r_hi = np.array(_window(n)) / lam
@@ -658,7 +707,12 @@ def _evaluate(ph: PHRep, xs: np.ndarray, cdf: bool) -> np.ndarray:
     elif n:
         out += _poisson_sum(weights, lam, xs, cdf)
     if ph.head_gamma.sum() > 0:
-        s, rate = _slow_chain(ph, float(xs.max()))
+        # the slow chain: prefix then body, started from the head alone, as
+        # paths from the prefix straight into the tail are summed above; its
+        # s[k] is the probability of leaving the body (into the tail, or
+        # absorbed when there is none) at jump k + 1
+        rate = _slow_rate(ph)
+        s = _jump_sequence(*_behind_prefix(ph.prefix, ph.matrix, ph.head_gamma), rate, x_max)
         if n:
             # one panel over the Erlang(n, lam) window
             out += _through_tail(xs, lambda t: _poisson_sum(s, rate, t, cdf),
@@ -712,8 +766,9 @@ def phrep_moments(ph: PHRep, k_max: int) -> list[float]:
 def phrep_cdf_grid(ph: PHRep, xs: np.ndarray) -> np.ndarray:
     """Distribution function at every point of ``xs``; 0 below the origin.
 
-    Computed pointwise by the same Poisson sums and quadratures as the
-    density, so the grid needs no particular spacing.
+    Computed pointwise by the same Poisson sums as the density, as one chain
+    or convolved with the tail, whichever costs less on ``xs``; so the grid
+    needs no particular spacing.
     """
     xs = np.maximum(np.asarray(xs, dtype=float), 0.0)
     return np.clip(_evaluate(ph, xs.ravel(), True), 0.0, 1.0).reshape(xs.shape)

@@ -296,18 +296,22 @@ def test_smallest_tail_falls_back_to_the_certified_tail(monkeypatch):
 def test_order_limit_holds_after_the_retry(monkeypatch):
     # every sweep of at most the certified 211 states fails: the certified
     # tail fits the room a limit of 224 leaves (the body has 8 states, no
-    # prefix), and its retry at twice the rate, 421 states, does not
+    # prefix), and its retry at twice the rate, 421 states, does not, so it
+    # is refused before it is swept
     rep = _damped(*TAIL_ANCHORS[0])
     original = me2ph.tail._tail_sweep
+    swept = []
 
     def failing_up_to_certified(start, Q, rate, n):
         head, q = original(start, Q, rate, n)
+        swept.append(n)
         return (head - 1.0 if n <= CERTIFIED_N[TAIL_ANCHORS[0]] else head), q
 
     monkeypatch.setattr(me2ph.tail, "_tail_sweep", failing_up_to_certified)
     with pytest.raises(NumericError, match="order 429 exceeds the limit 224") as exc:
         convert(rep, max_order=224)
     assert exc.value.detail["n"] == 421
+    assert CERTIFIED_N[TAIL_ANCHORS[0]] in swept and max(swept) <= 224 - 8
     ph, report = convert(rep, max_order=429)
     assert ph.order == 429 and report.monocyclic_order == 8
     assert (report.tail.tau, report.tail.n) == (report.bounds.tau, 421)
@@ -452,8 +456,8 @@ _WEIGHTS = np.array([0.05, 0.1, 0.1, 0.1])
 
 
 def test_sparse_slow_chain_step_matches_dense(monkeypatch):
-    # each stepping regime of the sweep forced in turn, on a 10-state
-    # prefix-body chain and on a bare sweep of its body
+    # each stepping regime of the sweep forced in turn, on the chain the
+    # evaluators sweep and on a bare sweep of the body
     ph = PHRep(_HEAD, _BLOCKS, 8.0, 4, _WEIGHTS, prefix=DeconvParams(2, 5.0))
     xs = np.linspace(0.0, 8.0, 33)
     built = []
@@ -495,12 +499,54 @@ def test_sparse_slow_chain_step_matches_dense(monkeypatch):
                        prefix=DeconvParams(2, 5.0)),
                  np.linspace(0.0, 30.0, 31), id="prefix-body-slow-tail"),
 ])
-def test_phrep_evaluators_match_dense_generator(ph, xs):
+def test_phrep_evaluators_match_dense_generator(ph, xs, monkeypatch):
+    # through both paths, forced: the tail convolved with the slow chain, and
+    # the one chain
     b, B = to_dense(ph)
     ones = np.ones(b.size)
     survival = np.array([b @ expm(B * x) for x in xs])
-    assert phrep_pdf(ph, xs) == pytest.approx(survival @ (-B @ ones), rel=1e-10, abs=1e-14)
-    assert np.abs(phrep_cdf_grid(ph, xs) - (1.0 - survival @ ones)).max() <= 1e-12
+    for one_chain in (False, True):
+        monkeypatch.setattr(me2ph.tail, "_one_chain_cheaper", lambda *_, v=one_chain: v)
+        assert phrep_pdf(ph, xs) == pytest.approx(survival @ (-B @ ones), rel=1e-10, abs=1e-14)
+        assert np.abs(phrep_cdf_grid(ph, xs) - (1.0 - survival @ ones)).max() <= 1e-12
+
+
+def _short_outputs(worked_rep):
+    """The paper example's searched output (41 states) and the anchors' (9 to
+    18), each with its input's mean."""
+    reps = [worked_rep] + [_damped(*p) for p in TAIL_ANCHORS]
+    return [(convert(rep)[0], moments(rep, 1)[0]) for rep in reps]
+
+
+def test_short_outputs_take_one_chain_and_long_tails_the_convolution(
+        worked_rep, worked_conversion, monkeypatch):
+    # on a Monte Carlo check's grid of 4,097 points
+    for ph, mean in _short_outputs(worked_rep):
+        assert ph.tail_n and ph.order <= 41
+        assert me2ph.tail._one_chain_cheaper(ph, np.linspace(0.0, 20 * mean, 4097))
+    # the published constants' 403,309-state output is never densified
+    ph = worked_conversion[0]
+    grid = np.linspace(0.0, 20.0, 4097)
+    assert ph.order == 403_309 and not me2ph.tail._one_chain_cheaper(ph, grid)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("to_dense called")
+
+    monkeypatch.setattr(me2ph.tail, "to_dense", refused)
+    assert phrep_cdf_grid(ph, grid[::64])[-1] == pytest.approx(1.0, abs=1e-6)
+    assert phrep_pdf(ph, grid[::64]).max() > 0
+
+
+def test_one_chain_agrees_with_the_convolution_on_short_outputs(worked_rep, monkeypatch):
+    for ph, mean in _short_outputs(worked_rep):
+        xs = np.linspace(0.0, 20 * mean, 257)
+        got = {}
+        for one_chain in (False, True):
+            monkeypatch.setattr(me2ph.tail, "_one_chain_cheaper", lambda *_, v=one_chain: v)
+            got[one_chain] = phrep_pdf(ph, xs), phrep_cdf_grid(ph, xs)
+        (pdf, cdf), (pdf1, cdf1) = got[False], got[True]
+        assert np.abs(pdf1 - pdf).max() <= 1e-12 * pdf.max()
+        assert np.abs(cdf1 - cdf).max() <= 1e-12
 
 
 def test_to_dense_matches_pair_built_entry_by_entry():
