@@ -11,11 +11,16 @@ same digest chose the same tail on every input.  The summary also counts the
 inputs whose applied tail is the certified one, and those where it is the
 certified one retried at twice the rate.  The ``outputs`` line hashes
 the bits of every output value (``output_bits``); two checkouts that print
-the same one produced bit-identical outputs.
+the same one produced bit-identical outputs.  ``--save PATH`` writes every
+output's values to an ``.npz`` file, and ``--against PATH`` prints the largest
+relative difference of this run's values from those saved, so that a changed
+``outputs`` line says by how much.
 
 Run from the root of a source checkout:
 
     python3 scripts/tail_census.py
+    python3 scripts/tail_census.py --save before.npz      # on one checkout
+    python3 scripts/tail_census.py --against before.npz   # on another
 """
 
 import argparse
@@ -48,17 +53,17 @@ def census_inputs(damped: int, erlang_damped: int):
         yield f"genutil-erlang-damped-{i}", erlang_damped_rep(rng)[0]
 
 
-def outcome(rep) -> tuple[tuple, bytes, str | None]:
+def outcome(rep) -> tuple[tuple, list[np.ndarray], str | None]:
     """``(order, tail n, certified n, certified tau)``, or the error's class,
-    with the output's ``output_bits`` (empty when the conversion fails) and
+    with the output's ``output_parts`` (none when the conversion fails) and
     the ``certified_path`` taken."""
     try:
         ph, report = convert(rep)
     except Me2PhError as exc:
-        return (type(exc).__name__,), b"", None
+        return (type(exc).__name__,), [], None
     b = report.bounds
     out = (ph.order, ph.tail_n, b.n if b else None, b.tau.hex() if b else None)
-    return out, output_bits(ph), certified_path(report)
+    return out, output_parts(ph), certified_path(report)
 
 
 def certified_path(report) -> str | None:
@@ -73,18 +78,37 @@ def certified_path(report) -> str | None:
     return None
 
 
-def output_bits(ph) -> bytes:
-    """The float64 bits of the blocks' ``b``, ``sigma`` and ``z``, the head
-    vector, the tail's rate and weights, and the prefix's ``l`` and ``mu``,
-    each part preceded by its length."""
+def output_parts(ph) -> list[np.ndarray]:
+    """The blocks' ``b``, ``sigma`` and ``z``, the head vector, the tail's
+    rate and weights, and the prefix's ``l`` and ``mu``, as float64 arrays."""
     prefix = (ph.prefix.l, ph.prefix.mu) if ph.prefix is not None else ()
     parts = ([(blk.b, blk.sigma, blk.z) for blk in ph.blocks], ph.head_gamma,
              [ph.tail_lambda], ph.tail_weights, prefix)
-    out = b""
-    for part in parts:
-        arr = np.asarray(part, dtype=float).ravel()
-        out += arr.size.to_bytes(8, "little") + arr.astype("<f8").tobytes()
-    return out
+    return [np.asarray(part, dtype=float).ravel() for part in parts]
+
+
+def output_bits(parts: list[np.ndarray]) -> bytes:
+    """The float64 bits of ``output_parts``, each part preceded by its length."""
+    return b"".join(arr.size.to_bytes(8, "little") + arr.astype("<f8").tobytes()
+                    for arr in parts)
+
+
+def largest_difference(values: dict, saved) -> tuple[float, str | None, list[str]]:
+    """The largest relative difference ``|a - b| / |b|`` (0 where ``a == b``)
+    of a value ``a`` from its saved ``b``, over the inputs converted in both
+    runs to outputs of the same size, with the input it is at; and the inputs
+    converted in one run only or to outputs of different sizes."""
+    worst, where, unmatched = 0.0, None, []
+    for name in sorted(set(values) | set(saved.files)):
+        if name not in values or name not in saved.files or values[name].shape != saved[name].shape:
+            unmatched.append(name)
+            continue
+        a, b = values[name], saved[name]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.where(a == b, 0.0, np.abs(a - b) / np.abs(b))
+        if rel.size and rel.max() > worst:
+            worst, where = float(rel.max()), name
+    return worst, where, unmatched
 
 
 def main() -> None:
@@ -92,16 +116,22 @@ def main() -> None:
     parser.add_argument("--damped", type=int, default=2000)
     parser.add_argument("--erlang-damped", type=int, default=1000)
     parser.add_argument("--verbose", action="store_true", help="print one line per input")
+    parser.add_argument("--save", metavar="PATH", help="write every output's values to PATH (.npz)")
+    parser.add_argument("--against", metavar="PATH",
+                        help="print the largest relative difference from the values saved in PATH")
     args = parser.parse_args()
 
     digest, outputs = hashlib.sha256(), hashlib.sha256()
     # the fallback's two paths are printed even when no input takes them
     counts = Counter({"certified tail": 0, "certified tail, retried": 0})
+    values = {}
     start = time.perf_counter()
     for name, rep in census_inputs(args.damped, args.erlang_damped):
-        out, bits, path = outcome(rep)
+        out, parts, path = outcome(rep)
         digest.update(repr((name, out)).encode())
-        outputs.update(name.encode() + bits)
+        outputs.update(name.encode() + output_bits(parts))
+        if parts:
+            values[name] = np.concatenate(parts)
         counts["inputs"] += 1
         if len(out) == 1:
             counts[f"failed: {out[0]}"] += 1
@@ -116,6 +146,13 @@ def main() -> None:
     print(f"time: {time.perf_counter() - start:.1f} s")
     print(f"digest: {digest.hexdigest()}")
     print(f"outputs: {outputs.hexdigest()}")
+    if args.save:
+        np.savez(args.save, **values)
+    if args.against:
+        with np.load(args.against) as saved:
+            worst, where, unmatched = largest_difference(values, saved)
+        print(f"largest relative difference: {worst:.3g}" + (f" ({where})" if where else ""))
+        print(f"inputs unmatched: {len(unmatched)}" + (f" ({', '.join(unmatched[:5])})" if unmatched else ""))
 
 
 if __name__ == "__main__":

@@ -69,10 +69,7 @@ class FEBlock:
         return self.r < -lambda1
 
     def matrix(self) -> np.ndarray:
-        m = np.diag(np.full(self.b, -self.sigma)) + np.diag(np.full(self.b - 1, self.sigma), 1)
-        if self.z > 0:
-            m[self.b - 1, 0] += self.z * self.sigma
-        return m
+        return chain_generator((self,))
 
     def eigenvalues(self) -> np.ndarray:
         k = np.arange(self.b)
@@ -142,15 +139,24 @@ def fe_block_for(eigenvalue: complex, lambda1: float,
 
 def chain_generator(blocks) -> np.ndarray:
     """Dense generator of the blocks chained in order: each block's exit
-    feeds the first state of the next, the last block's exit absorbs."""
-    u = sum(blk.b for blk in blocks)
+    feeds the first state of the next, the last block's exit absorbs.
+
+    Filled from per-block arrays: ``-sigma`` on the diagonal, ``sigma`` above
+    it inside a block and the exit rate ``sigma (1 - z)`` across blocks, and
+    the feedback ``z sigma`` added from a block's last state to its first
+    (``+0.0`` without feedback, which leaves every entry as it is).
+    """
+    b, sigma, z = np.array([(blk.b, blk.sigma, blk.z) for blk in blocks]).reshape(-1, 3).T
+    b = b.astype(np.int64)
+    ends = np.cumsum(b)
+    u = int(ends[-1]) if b.size else 0
+    rates = np.repeat(sigma, b)
     G = np.zeros((u, u))
-    at = 0
-    for blk in blocks:
-        G[at : at + blk.b, at : at + blk.b] = blk.matrix()
-        at += blk.b
-        if at < u:
-            G[at - 1, at] = blk.exit_rate
+    flat = G.reshape(-1)
+    flat[:: u + 1] = -rates
+    rates[ends - 1] = sigma * (1.0 - z)  # each block's last state: its exit
+    flat[1 :: u + 1] = rates[:-1]
+    G[ends - 1, ends - b] += z * sigma
     return G
 
 

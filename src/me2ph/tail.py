@@ -349,15 +349,36 @@ def compute_bounds(
     )
 
 
-# Chains of up to _STACK_STATES states step through a stack of about sqrt(n)
-# powers of M (at most _SWEEP_CHUNK), one batched product per chunk; larger
-# ones take one product per jump, about twice as fast at u = 127-190.
-# A body has about two nonzeros per row, so above _SPARSE_STATES that product
-# is sparse: O(u) against O(u^2), but its fixed cost (about 6 us against 2 us
-# on one x86 core) loses below about 200 states.
-_STACK_STATES = 64
-_SWEEP_CHUNK = 512
-_SPARSE_STATES = 200
+# Costs of the dense sweep, in units of one entry of a vector-matrix product
+# (about 0.16 ns): a product costs u^2 plus _PRODUCT_OVERHEAD, a squaring
+# u^3/4 plus the same (1 BLAS thread, 2-core x86: a product 0.9 us at u = 8
+# and 6.4 us at u = 190, a squaring 1 us at u = 8 and 290 us at u = 190).
+# A chain has about two nonzeros per row, so above _SPARSE_STATES the sweep
+# takes one sparse product per jump instead: O(u) with no squaring, against
+# O(u^3) squarings, but about 7-15 us per jump.  Medians of sweeps of 26 to
+# 512 jumps over one feedback-Erlang block: up to 224 states the dense sweep
+# is as fast or faster at every length (at 224, 0.47 against 0.88 ms for 26
+# jumps, 2.7 against 2.8 ms for 256); at 256-288 it loses up to 27% at
+# 256-512 jumps, though it wins 7 times at 8,192; at 500-630 it loses 1.6-4
+# times at 128-2,048 jumps.
+_PRODUCT_OVERHEAD = 6000
+_SPARSE_STATES = 224
+
+
+def _baby_steps(n: int, u: int) -> int:
+    """Baby steps ``c`` of the dense sweep of ``n`` jumps over ``u`` states:
+    the power of two below ``n`` whose ``c + 2 (ceil(n/c) - 1)`` products and
+    ``log2 c`` squarings cost least, or ``n``, one product per jump, when
+    that costs less."""
+    product, square = u * u + _PRODUCT_OVERHEAD, u**3 / 4 + _PRODUCT_OVERHEAD
+    best, best_cost = n, n * product
+    c, k = 2, 1
+    while c < n:
+        cost = (c + 2 * (-(-n // c) - 1)) * product + k * square
+        if cost < best_cost:
+            best, best_cost = c, cost
+        c, k = 2 * c, k + 1
+    return best
 
 
 def _tail_sweep(start: np.ndarray, Q: np.ndarray, rate: float, n: int):
@@ -366,39 +387,48 @@ def _tail_sweep(start: np.ndarray, Q: np.ndarray, rate: float, n: int):
 
     Returns ``start M^n`` and the scalars ``q[j] = start M^j e`` for
     ``j = 0..n-1``, where ``e = max(-Q 1, 0)/rate`` is the per-jump exit
-    probability.  Work is O(n u^2), or O(n u) for a sparse step.
+    probability.  Up to ``_SPARSE_STATES`` states, by baby and giant steps:
+    the ``c`` rows ``start M^j`` (``j < c``) and the ``m = ceil(n/c)``
+    columns ``P^i e`` of ``P = M^c`` give ``q[c i + j]`` in one product, and
+    ``start M^n = start M^(n - c (m-1)) P^(m-1)``; ``c = _baby_steps(n, u)``,
+    so about ``3 sqrt(n)`` products of O(u^2) and ``log2 c`` squarings of
+    O(u^3), and ``c = n`` is one product per jump without ``P``.  Above, one
+    sparse product per jump: O(n u).
     """
     u = Q.shape[0]
     M = np.eye(u) + Q / rate
     # rows without an exit may sum to -1e-17: a negative q_j has no logarithm
     e = np.maximum(-(Q @ np.ones(u)), 0.0) / rate
-    q = np.empty(n)
-    v = np.array(start, dtype=float)
-    if u <= _STACK_STATES:
-        chunk = max(1, min(_SWEEP_CHUNK, math.isqrt(n)))
-        powers = np.empty((chunk, u, u))
-        powers[0] = M
-        for i in range(1, chunk):
-            powers[i] = powers[i - 1] @ M
-        for j in range(0, n, chunk):
-            c = min(chunk, n - j)
-            rows = v @ powers[:c]
-            q[j] = v @ e
-            q[j + 1 : j + c] = rows[: c - 1] @ e
-            v = rows[c - 1]
-        return v, q
     if u > _SPARSE_STATES:
         # imported here, as only long bodies need it: it adds about 40 ms to
         # importing the package
         from scipy.sparse import csr_matrix
 
         step = csr_matrix(M.T).dot
-    else:
-        step = M.T.dot
-    for j in range(n):
-        q[j] = v @ e
-        v = step(v)
-    return v, q
+        q = np.empty(n)
+        v = np.array(start, dtype=float)
+        for j in range(n):
+            q[j] = v @ e
+            v = step(v)
+        return v, q
+    c = _baby_steps(n, u)
+    m = -(-n // c)
+    # rows start M^j for j = 0..c, and rows P^i e for i < m, each written in
+    # place from the one before
+    babies, giants = np.empty((c + 1, u)), np.empty((m, u))
+    babies[0], giants[0] = start, e
+    step = M.T.dot
+    for prev, row in zip(babies, babies[1:]):
+        step(prev, out=row)
+    head = babies[n - c * (m - 1)]
+    if m > 1:
+        P = np.linalg.matrix_power(M, c)
+        for prev, row in zip(giants, giants[1:]):
+            P.dot(prev, out=row)
+        step = P.T.dot
+        for _ in range(m - 1):
+            head = step(head)
+    return np.array(head), (giants @ babies[:c].T).ravel()[:n]
 
 
 def _swept(mono: MonocyclicRep, rate: float, n: int, tol: ToleranceConfig):
@@ -525,14 +555,19 @@ _CHUNK = 1 << 15
 _MAX_JUMPS = 10_000_000
 _PANEL_SPAN = 16.0
 # Path costs are counted in Poisson terms, about 10 ns each (1 BLAS thread,
-# 2-core x86).  A jump of the sweep costs 11-72 ns per state (25 at 41 states,
-# 57 at 219, 11 at 2,346), 1 to 7 terms: _SWEEP_TERMS takes 4.  With it the
-# rule picks the faster path on each of: the 41-state paper output (4,097
-# points: 561 ms convolved against 19 ms as one chain), a 219-state certified
-# tail of rate 1,681 (16 points: 1.9 against 68 ms; 4,097 points: 355 against
-# 197 ms) and a 2,346-state one (4,097 points: 416 against 2,093 ms).  The
-# one chain is dense: above _DENSE_STATES (32 MB) it is never built.
-_SWEEP_TERMS = 4.0
+# 2-core x86).  A jump of the sweep costs 2-9 ns per state, under one term:
+# 4.6 at 41 states and 759 jumps, 2.0 at 3,067; 5.0 at 219 states and 5,743
+# jumps, 1.7 at 26,651; 9.4 at 2,346 states (sparse) and 35,899 jumps.
+# _SWEEP_TERMS takes 1.  With it the rule picks the faster path on each of:
+# the 41-state paper output (16 points: 4.2 ms convolved against 0.7 ms as one
+# chain; 4,097 points: 1,000 against 27 ms), a 219-state certified tail of
+# rate 1,681 (16 points: 1.8 against 7.9 ms; 4,097 points: 377 against 91 ms)
+# and a 2,346-state one (4,097 points: 460 ms convolved, and a 2.7 s sweep).
+# On the 219-state output 4 took the convolution up to 2,049 points, where
+# one chain is faster from 257 on (513 points: 59 against 25 ms); 1 takes one
+# chain from 1,025.  The one chain is dense: above _DENSE_STATES (32 MB) it is
+# never built.
+_SWEEP_TERMS = 1.0
 _DENSE_STATES = 2048
 
 
@@ -598,7 +633,8 @@ def _poisson_sum(seq: np.ndarray, rate: float, xs: np.ndarray, cdf: bool) -> np.
         log_coef = np.log(coef) - gammaln(np.arange(coef.size) + 1.0)
     log_c = np.log(np.maximum(c, 1e-300))
     out = np.zeros(c.size)
-    ramp = np.arange(max(_CHUNK, int(sizes.max(initial=0))))
+    # the most terms a chunk takes: windows up to _CHUNK in all, or one longer
+    ramp = np.arange(min(int(offs[-1]), max(_CHUNK, int(sizes.max(initial=0)))))
     a = 0
     while a < c.size:
         # consecutive points whose windows fit in one chunk (at least one)

@@ -17,7 +17,7 @@ from me2ph import (
     pdf_eval_many,
     solve_gamma,
 )
-from me2ph.monocyclic import solve_transformation_matrix
+from me2ph.monocyclic import chain_generator, solve_transformation_matrix
 from conftest import G8, GAMMA8
 from genutil import damped_oscillation_rep, rep_from_terms
 
@@ -147,6 +147,27 @@ def test_build_generator_repeated_real_eigenvalue():
     rep = rep_from_terms([(-1.0 + 0j, [0.4, 0.6])])
     mono = build_generator(analyze_spectrum(rep))
     assert mono.matrix == pytest.approx(np.array([[-1.0, 1.0], [0.0, -1.0]]))
+
+
+def test_chain_generator_matches_the_per_block_build():
+    # one block's matrix at a time, with the same floating-point operations:
+    # a 1-state block with feedback gets -sigma + z sigma on its diagonal
+    blocks = (FEBlock(1, 2.0, 0.0), FEBlock(1, 3.7, 0.3), FEBlock(4, 5.1, 0.13),
+              FEBlock(3, 1.3, 0.0), FEBlock(1, 0.9, 0.0), FEBlock(2, 0.7, 0.9))
+    for chain in (blocks, blocks[:1], blocks[1:2], blocks[2:3], blocks[::-1]):
+        u = sum(blk.b for blk in chain)
+        ref = np.zeros((u, u))
+        at = 0
+        for blk in chain:
+            m = np.diag(np.full(blk.b, -blk.sigma)) + np.diag(np.full(blk.b - 1, blk.sigma), 1)
+            if blk.z > 0:
+                m[blk.b - 1, 0] += blk.z * blk.sigma
+            ref[at : at + blk.b, at : at + blk.b] = m
+            at += blk.b
+            if at < u:
+                ref[at - 1, at] = blk.exit_rate
+        assert np.array_equal(chain_generator(chain), ref)
+    assert np.array_equal(blocks[1].matrix(), np.array([[-3.7 + 0.3 * 3.7]]))
 
 
 def test_generator_is_markovian_with_contained_spectrum():

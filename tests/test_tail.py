@@ -456,26 +456,53 @@ _WEIGHTS = np.array([0.05, 0.1, 0.1, 0.1])
 
 
 def test_sparse_slow_chain_step_matches_dense(monkeypatch):
-    # each stepping regime of the sweep forced in turn, on the chain the
-    # evaluators sweep and on a bare sweep of the body
+    # both stepping regimes of the sweep, the dense baby and giant steps and
+    # the sparse product per jump, on the chain the evaluators sweep and on a
+    # bare sweep of the body
     ph = PHRep(_HEAD, _BLOCKS, 8.0, 4, _WEIGHTS, prefix=DeconvParams(2, 5.0))
     xs = np.linspace(0.0, 8.0, 33)
     built = []
     csr = scipy.sparse.csr_matrix
     monkeypatch.setattr(scipy.sparse, "csr_matrix", lambda a: built.append(a) or csr(a))
-    regimes = {"stack": {}, "dense": {"_STACK_STATES": 0},
-               "sparse": {"_STACK_STATES": 0, "_SPARSE_STATES": 0}}
     results = {}
-    for regime, limits in regimes.items():
+    for regime, limit in {"dense": me2ph.tail._SPARSE_STATES, "sparse": 0}.items():
         with monkeypatch.context() as m:
-            for name, value in limits.items():
-                m.setattr(me2ph.tail, name, value)
+            m.setattr(me2ph.tail, "_SPARSE_STATES", limit)
             head, q = me2ph.tail._tail_sweep(_HEAD, ph.matrix, 6.0, 40)
             results[regime] = (phrep_pdf(ph, xs), phrep_cdf_grid(ph, xs), head, q)
     assert len(built) == 3  # pdf, cdf and the bare sweep each stepped sparse
-    for regime in ("dense", "sparse"):
-        for ref, got in zip(results["stack"], results[regime]):
-            assert got == pytest.approx(ref, rel=1e-12, abs=1e-300)
+    for ref, got in zip(results["dense"], results["sparse"]):
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("chain", ["prefixed", "mixed-sign"])
+def test_tail_sweep_matches_stepwise(chain, worked_mono):
+    # head and q against one product per jump, at jump counts that take no
+    # giant step (1-3) and at either side of a whole number of giant steps
+    if chain == "prefixed":
+        start, Q = me2ph.tail._behind_prefix(DeconvParams(2, 5.0),
+                                             me2ph.tail.chain_generator(_BLOCKS), _HEAD)
+        rate = 6.0
+    else:
+        # tail construction tests the signs of the head
+        start, Q, rate = worked_mono.gamma, worked_mono.matrix, 16.0
+        assert start.min() < 0
+    u = Q.shape[0]
+    c = me2ph.tail._baby_steps(1000, u)
+    ns = (1, 2, 3, c * c - 1, c * c, c * c + 1, 1000)
+    assert 1 < c < 1000 and {n % me2ph.tail._baby_steps(n, u) for n in ns[3:6]} == {c - 1, 0, 1}
+    M = np.eye(u) + Q / rate
+    e = np.maximum(-(Q @ np.ones(u)), 0.0) / rate
+    v, heads, ref = np.array(start, dtype=float), [], []
+    for _ in range(max(ns)):
+        heads.append(v)
+        ref.append(v @ e)
+        v = v @ M
+    heads.append(v)
+    for n in ns:
+        head, q = me2ph.tail._tail_sweep(start, Q, rate, n)
+        assert head == pytest.approx(heads[n], rel=1e-12, abs=1e-300)
+        assert q == pytest.approx(np.array(ref[:n]), rel=1e-12, abs=1e-300)
 
 
 @pytest.mark.parametrize("ph, xs", [
