@@ -3,23 +3,31 @@
 
 Small sanity experiment: convert a handful of distributions, draw samples from
 the resulting absorbing chains, and compare the empirical law against the
-structured distribution function (the Poisson-sum cdf of ``phrep_cdf_grid``;
-these outputs are short, so it sweeps each as one uniformized chain).
+structured distribution function.  ``monte_carlo_check`` takes it on a uniform
+4,097-point grid ``x_j = j h``, as the running sum of the masses absorbed in
+one step ``h``, swept through the powers of ``exp(B h)`` of the dense pair;
+outputs above ``tail._SPARSE_STATES`` states take the Poisson sums of
+``phrep_cdf_grid`` instead.
+
+``--compare`` also evaluates each check's grid by those Poisson sums, and
+prints the largest ``|F_steps - F_poisson|`` with the KS statistic from each.
 """
 
 import argparse
 
 import numpy as np
 
-from me2ph import MERep, convert, ks_threshold, monte_carlo_check
+from me2ph import MERep, convert, ks_threshold, monte_carlo_check, phrep_cdf_grid
 from me2ph.spectral import SpectralData, SpectralTerm, minimal_representation
+from me2ph.tail import _grid_cdf
+from me2ph.validate import _check_sample, _ks_statistic
 
 
-def oscillating_rep():
-    # exp(-x) body with a deeper damped oscillation; needs a genuine tail
-    raw = {(-1.0 + 0j): 0.62, (-2.0 + 1.2j): 0.35 + 0.3j, (-2.0 - 1.2j): 0.35 - 0.3j}
-    total = sum(c / -eta for eta, c in raw.items()).real
-    terms = tuple(SpectralTerm(eta, (c / total,)) for eta, c in raw.items())
+def damped_rep(amp: complex, eta: complex):
+    """exp(-x) plus the damped oscillation ``2 Re(amp exp(eta x))``, normalized."""
+    raw = {(-1.0 + 0j): 1.0, eta: amp, eta.conjugate(): amp.conjugate()}
+    total = sum(c / -e for e, c in raw.items()).real
+    terms = tuple(SpectralTerm(e, (c / total,)) for e, c in raw.items())
     return minimal_representation(SpectralData(terms, dominant=0))
 
 
@@ -27,6 +35,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--samples", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--compare", action="store_true",
+                        help="evaluate each grid both ways and print how far they differ")
     args = parser.parse_args()
 
     cases = {
@@ -34,7 +44,10 @@ def main() -> None:
         "erlang(4, 2)": MERep(
             np.array([1.0, 0, 0, 0]), np.diag([-2.0] * 4) + np.diag([2.0] * 3, 1)
         ),
-        "damped oscillation": oscillating_rep(),
+        # a deeper damped oscillation; needs a genuine tail
+        "damped oscillation": damped_rep((0.35 + 0.3j) / 0.62, -2.0 + 1.2j),
+        # one feedback-Erlang block of 189 states, no tail
+        "long cycle": damped_rep(0.3 + 0j, -1.1 + 6j),
     }
     threshold = ks_threshold(args.samples)
     print(f"samples per case: {args.samples}, KS threshold (1%): {threshold:.5f}")
@@ -44,6 +57,13 @@ def main() -> None:
         tail = f"tail n={ph.tail_n}" if ph.tail_n else "no tail"
         flag = "ok" if ks <= threshold else "FAIL"
         print(f"{name}: order {ph.order} ({tail}), KS = {ks:.5f} [{flag}]")
+        if args.compare:
+            times, grid = _check_sample(ph, args.samples, args.seed)
+            steps = _grid_cdf(ph, grid[1], grid.size)
+            poisson = phrep_cdf_grid(ph, grid)
+            print(f"  max |F_steps - F_poisson| = {np.abs(steps - poisson).max():.2e}, "
+                  f"KS steps {_ks_statistic(times, grid, steps):.15f}, "
+                  f"poisson {_ks_statistic(times, grid, poisson):.15f}")
 
 
 if __name__ == "__main__":

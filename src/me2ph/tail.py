@@ -360,40 +360,46 @@ def compute_bounds(
 # is as fast or faster at every length (at 224, 0.47 against 0.88 ms for 26
 # jumps, 2.7 against 2.8 ms for 256); at 256-288 it loses up to 27% at
 # 256-512 jumps, though it wins 7 times at 8,192; at 500-630 it loses 1.6-4
-# times at 128-2,048 jumps.
+# times at 128-2,048 jumps.  The giant phase also costs a fixed
+# _GIANT_OVERHEAD, about 7 small products: the matrix_power call, the product
+# giants @ babies.T and their arrays (a least-squares fit of interleaved
+# sweeps of 8 to 128 jumps over 8 and 20 states: 3.3 and 3.9 us, against
+# 0.49 and 0.57 us per product).
 _PRODUCT_OVERHEAD = 6000
+_GIANT_OVERHEAD = 40_000
 _SPARSE_STATES = 224
 
 
-def _baby_steps(n: int, u: int) -> int:
+def _baby_steps(n: int, u: int, head: bool = True) -> int:
     """Baby steps ``c`` of the dense sweep of ``n`` jumps over ``u`` states:
-    the power of two below ``n`` whose ``c + 2 (ceil(n/c) - 1)`` products and
-    ``log2 c`` squarings cost least, or ``n``, one product per jump, when
-    that costs less."""
+    the power of two below ``n`` whose ``c + (1 + head) (ceil(n/c) - 1)``
+    products, ``log2 c`` squarings and giant phase cost least, or ``n``, one
+    product per jump, when that costs less."""
     product, square = u * u + _PRODUCT_OVERHEAD, u**3 / 4 + _PRODUCT_OVERHEAD
     best, best_cost = n, n * product
     c, k = 2, 1
     while c < n:
-        cost = (c + 2 * (-(-n // c) - 1)) * product + k * square
+        cost = (c + (1 + head) * (-(-n // c) - 1)) * product + k * square + _GIANT_OVERHEAD
         if cost < best_cost:
             best, best_cost = c, cost
         c, k = 2 * c, k + 1
     return best
 
 
-def _tail_sweep(start: np.ndarray, Q: np.ndarray, rate: float, n: int):
+def _tail_sweep(start: np.ndarray, Q: np.ndarray, rate: float, n: int, head: bool = True):
     """Randomization of the chain ``Q`` at ``rate``: left-to-right products
     through ``M = I + Q/rate``.
 
-    Returns ``start M^n`` and the scalars ``q[j] = start M^j e`` for
-    ``j = 0..n-1``, where ``e = max(-Q 1, 0)/rate`` is the per-jump exit
-    probability.  Up to ``_SPARSE_STATES`` states, by baby and giant steps:
-    the ``c`` rows ``start M^j`` (``j < c``) and the ``m = ceil(n/c)``
-    columns ``P^i e`` of ``P = M^c`` give ``q[c i + j]`` in one product, and
-    ``start M^n = start M^(n - c (m-1)) P^(m-1)``; ``c = _baby_steps(n, u)``,
-    so about ``3 sqrt(n)`` products of O(u^2) and ``log2 c`` squarings of
-    O(u^3), and ``c = n`` is one product per jump without ``P``.  Above, one
-    sparse product per jump: O(n u).
+    Returns ``start M^n`` (``None`` unless ``head``) and the scalars
+    ``q[j] = start M^j e`` for ``j = 0..n-1``, where ``e = max(-Q 1, 0)/rate``
+    is the per-jump exit probability.  Up to ``_SPARSE_STATES`` states, by
+    baby and giant steps: the ``c`` rows ``start M^j`` (``j < c``) and the
+    ``m = ceil(n/c)`` columns ``P^i e`` of ``P = M^c`` give ``q[c i + j]`` in
+    one product, and ``start M^n = start M^(n - c (m-1)) P^(m-1)``;
+    ``c = _baby_steps(n, u, head)``, so about ``2 sqrt(n)`` products of
+    O(u^2), ``3 sqrt(n)`` with the head, and ``log2 c`` squarings of O(u^3),
+    and ``c = n`` is one product per jump without ``P``.  Above, one sparse
+    product per jump: O(n u).
     """
     u = Q.shape[0]
     M = np.eye(u) + Q / rate
@@ -410,25 +416,29 @@ def _tail_sweep(start: np.ndarray, Q: np.ndarray, rate: float, n: int):
         for j in range(n):
             q[j] = v @ e
             v = step(v)
-        return v, q
-    c = _baby_steps(n, u)
+        return (v if head else None), q
+    c = _baby_steps(n, u, head)
     m = -(-n // c)
-    # rows start M^j for j = 0..c, and rows P^i e for i < m, each written in
-    # place from the one before
-    babies, giants = np.empty((c + 1, u)), np.empty((m, u))
+    # rows start M^j for j < c (and c, for the head), and rows P^i e for
+    # i < m, each written in place from the one before
+    babies, giants = np.empty((c + head, u)), np.empty((m, u))
     babies[0], giants[0] = start, e
     step = M.T.dot
     for prev, row in zip(babies, babies[1:]):
         step(prev, out=row)
-    head = babies[n - c * (m - 1)]
     if m > 1:
         P = np.linalg.matrix_power(M, c)
         for prev, row in zip(giants, giants[1:]):
             P.dot(prev, out=row)
+    q = (giants @ babies[:c].T).ravel()[:n]
+    if not head:
+        return None, q
+    v = babies[n - c * (m - 1)]
+    if m > 1:
         step = P.T.dot
         for _ in range(m - 1):
-            head = step(head)
-    return np.array(head), (giants @ babies[:c].T).ravel()[:n]
+            v = step(v)
+    return np.array(v), q
 
 
 def _swept(mono: MonocyclicRep, rate: float, n: int, tol: ToleranceConfig):
@@ -542,7 +552,11 @@ def append_tail(mono: MonocyclicRep, tail: TailChoice,
 # tail weights are summed at ``tail_lambda``, the prefix and body (the "slow
 # chain") at their own largest rate, and where a path crosses from one rate to
 # the other the two parts meet in a convolution done by quadrature.
-# ``_one_chain_cheaper`` picks the path.
+# ``_one_chain_cheaper`` picks the path.  The evaluators keep only the jump
+# sequence, so they sweep without the head.  A uniform grid ``x_j = j h``
+# from 0, as the Monte Carlo check takes, needs no Poisson sum on an output
+# the dense sweep takes: ``_grid_cdf`` sweeps it with ``M = exp(B h)``, whose
+# per-step exit probabilities are the masses absorbed between grid points.
 
 _GL_NODES = 96
 _GLX, _GLW = roots_legendre(_GL_NODES)
@@ -685,7 +699,7 @@ def _jump_sequence(start: np.ndarray, Q: np.ndarray, rate: float, x_max: float) 
         raise NumericError(
             f"PHRep evaluation: {length} jumps needed at x = {x_max}, above the limit {_MAX_JUMPS}"
         )
-    return _tail_sweep(start, Q, rate, length)[1]
+    return _tail_sweep(start, Q, rate, length, head=False)[1]
 
 
 def _through_tail(xs: np.ndarray, slow, fast, breaks, width: float) -> np.ndarray:
@@ -756,6 +770,30 @@ def _evaluate(ph: PHRep, xs: np.ndarray, cdf: bool) -> np.ndarray:
         else:
             out += _poisson_sum(s, rate, xs, cdf)
     return out
+
+
+def _grid_cdf(ph: PHRep, h: float, n: int) -> np.ndarray:
+    """Distribution function at ``x_j = j h`` for ``j = 0..n-1``, ``n >= 2``.
+
+    Up to ``_SPARSE_STATES`` states, by the powers of one step
+    ``E = exp(B h)`` of the dense pair ``(b, B)``: ``_tail_sweep`` with
+    ``M = E`` gives ``q_j = b E^j (1 - E 1)``, the mass absorbed in
+    ``(j h, (j+1) h]``, and ``F`` is their running sum, nondecreasing and
+    free of the cancellation in ``1 - survival``.  Above, the sweep would
+    take a sparse product per jump of a dense ``E``, so the grid is
+    evaluated by ``phrep_cdf_grid``.
+    """
+    if ph.order > _SPARSE_STATES:
+        return phrep_cdf_grid(ph, np.linspace(0.0, h * (n - 1), n))
+    b, B = to_dense(ph)
+    # one product B h, so that a power-of-two change of the time unit leaves
+    # E bit-identical.  E is dimensionless; its entries below 1e-150 (and
+    # any negative rounding) are zeroed, since squaring them makes subnormal
+    # numbers: E @ E took 1.0 ms at 190 states against 0.23 ms zeroed.
+    E = expm(B * h)
+    E[E < 1e-150] = 0.0
+    q = _tail_sweep(b, E - np.eye(E.shape[0]), 1.0, n - 1, head=False)[1]
+    return np.clip(np.concatenate([[0.0], np.cumsum(q)]), 0.0, 1.0)
 
 
 def phrep_pdf(ph: PHRep, x) -> float | np.ndarray:

@@ -10,7 +10,7 @@ from .core import moments, pdf_eval_many
 from .errors import InvalidRepresentationError
 from .monocyclic import FEBlock
 from .spectral import SpectralData, expansion_values, first_nonzero_derivative
-from .tail import PHRep, phrep_cdf_grid, phrep_moments, phrep_pdf
+from .tail import PHRep, _grid_cdf, phrep_moments, phrep_pdf
 
 __all__ = [
     "MarkovianVerdict",
@@ -202,18 +202,34 @@ def simulate_absorption_times(ph: PHRep, samples: int, rng) -> np.ndarray:
     return t
 
 
-def monte_carlo_check(ph: PHRep, samples: int = 100_000, seed: int = 0) -> float:
-    """One-sample KS statistic of simulated absorption times against the
-    structured distribution function.  Deterministic per seed."""
+def _check_sample(ph: PHRep, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``monte_carlo_check``'s sorted absorption times and its cdf grid: 4,097
+    points from 0 to 1.02 times the largest time."""
     if samples < 1:
         raise InvalidRepresentationError(f"monte_carlo_check: {samples} samples; need at least 1")
     rng = np.random.default_rng(seed)
     times = np.sort(simulate_absorption_times(ph, samples, rng))
-    hi = float(times[-1]) * 1.02
-    grid = np.linspace(0.0, hi, 4097)
-    cdf_grid = phrep_cdf_grid(ph, grid)
+    return times, np.linspace(0.0, float(times[-1]) * 1.02, 4097)
+
+
+def _ks_statistic(times: np.ndarray, grid: np.ndarray, cdf_grid: np.ndarray) -> float:
+    """KS statistic of sorted ``times`` against the distribution function
+    interpolated linearly between its values ``cdf_grid`` on ``grid``."""
     F = np.interp(times, grid, cdf_grid)
-    i = np.arange(1, samples + 1)
-    d_plus = np.abs(i / samples - F).max()
-    d_minus = np.abs(F - (i - 1) / samples).max()
+    i = np.arange(1, times.size + 1)
+    d_plus = np.abs(i / times.size - F).max()
+    d_minus = np.abs(F - (i - 1) / times.size).max()
     return float(max(d_plus, d_minus))
+
+
+def monte_carlo_check(ph: PHRep, samples: int = 100_000, seed: int = 0) -> float:
+    """One-sample KS statistic of simulated absorption times against the
+    structured distribution function.  Deterministic per seed.
+
+    The distribution function is taken on a uniform grid of 4,097 points,
+    ``x_j = j h``: up to ``tail._SPARSE_STATES`` states as the running sum
+    of the masses absorbed in one step ``h``, swept through the powers of
+    ``exp(B h)``; above, by ``phrep_cdf_grid``'s Poisson sums.
+    """
+    times, grid = _check_sample(ph, samples, seed)
+    return _ks_statistic(times, grid, _grid_cdf(ph, grid[1], grid.size))

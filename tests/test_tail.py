@@ -13,6 +13,7 @@ import me2ph.core
 import me2ph.pipeline
 import me2ph.spectral
 import me2ph.tail
+import me2ph.validate
 from me2ph import (
     DEFAULT_TOL,
     DeconvParams,
@@ -503,6 +504,10 @@ def test_tail_sweep_matches_stepwise(chain, worked_mono):
         head, q = me2ph.tail._tail_sweep(start, Q, rate, n)
         assert head == pytest.approx(heads[n], rel=1e-12, abs=1e-300)
         assert q == pytest.approx(np.array(ref[:n]), rel=1e-12, abs=1e-300)
+        # without the head, q alone, at the baby steps priced for it
+        head, q = me2ph.tail._tail_sweep(start, Q, rate, n, head=False)
+        assert head is None
+        assert q == pytest.approx(np.array(ref[:n]), rel=1e-12, abs=1e-300)
 
 
 @pytest.mark.parametrize("ph, xs", [
@@ -536,6 +541,8 @@ def test_phrep_evaluators_match_dense_generator(ph, xs, monkeypatch):
         monkeypatch.setattr(me2ph.tail, "_one_chain_cheaper", lambda *_, v=one_chain: v)
         assert phrep_pdf(ph, xs) == pytest.approx(survival @ (-B @ ones), rel=1e-10, abs=1e-14)
         assert np.abs(phrep_cdf_grid(ph, xs) - (1.0 - survival @ ones)).max() <= 1e-12
+    # and by the powers of one step on the uniform grid
+    assert np.abs(me2ph.tail._grid_cdf(ph, xs[1], xs.size) - (1.0 - survival @ ones)).max() <= 1e-12
 
 
 def _short_outputs(worked_rep):
@@ -574,6 +581,22 @@ def test_one_chain_agrees_with_the_convolution_on_short_outputs(worked_rep, monk
         (pdf, cdf), (pdf1, cdf1) = got[False], got[True]
         assert np.abs(pdf1 - pdf).max() <= 1e-12 * pdf.max()
         assert np.abs(cdf1 - cdf).max() <= 1e-12
+
+
+def test_grid_cdf_matches_the_poisson_sums_on_monte_carlo_grids(worked_rep):
+    # the grids of a 20,000-sample check on the paper example's output, the
+    # two smallest anchors' and the long-cycle bodies of 64 to 190 states
+    reps = [worked_rep] + [_damped(*p) for p in TAIL_ANCHORS[:2]]
+    reps += [rep_from_terms([(-1.0, [1.0]), (-1.1 + k * 1j, [0.3])]) for k in (2, 4, 6)]
+    orders = []
+    for rep in reps:
+        ph = convert(rep)[0]
+        orders.append(ph.order)
+        grid = me2ph.validate._check_sample(ph, 20_000, 1502)[1]
+        F = me2ph.tail._grid_cdf(ph, grid[1], grid.size)
+        assert np.abs(F - phrep_cdf_grid(ph, grid)).max() <= 1e-11
+        assert F[0] == 0.0 and np.all(np.diff(F) >= 0.0)
+    assert orders == [41, 9, 10, 64, 127, 190]
 
 
 def test_to_dense_matches_pair_built_entry_by_entry():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import me2ph.tail
+import me2ph.validate
 from me2ph import (
     DEFAULT_TOL,
     DeconvParams,
@@ -191,6 +192,25 @@ def test_monte_carlo_deterministic(worked_conversion):
     a = monte_carlo_check(ph, samples=20_000, seed=5)
     b = monte_carlo_check(ph, samples=20_000, seed=5)
     assert a == b
+
+
+def test_monte_carlo_takes_one_step_powers_up_to_the_sparse_limit(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("refused evaluator called")
+
+    # up to _SPARSE_STATES states the grid needs no Poisson sum
+    ph, _ = convert(erlang_rep(4, 2.0))
+    with monkeypatch.context() as m:
+        m.setattr(me2ph.tail, "phrep_cdf_grid", refused)
+        assert monte_carlo_check(ph, samples=5000, seed=3) <= 0.03
+    # above, one dense step would make the sweep sparse: the Poisson sums
+    # evaluate the grid, and no step is formed: an Erlang(300, 300) tail
+    ph = PHRep(np.zeros(1), (FEBlock(1, 1.0, 0.0),), 300.0, 300, np.eye(1, 300)[0])
+    assert ph.order > me2ph.tail._SPARSE_STATES
+    monkeypatch.setattr(me2ph.tail, "expm", refused)
+    times, grid = me2ph.validate._check_sample(ph, 5000, 3)
+    ks = me2ph.validate._ks_statistic(times, grid, me2ph.tail.phrep_cdf_grid(ph, grid))
+    assert monte_carlo_check(ph, samples=5000, seed=3) == ks <= 0.03
 
 
 def feedback_phrep():
