@@ -12,9 +12,10 @@ inputs whose applied tail is the certified one, and those where it is the
 certified one retried at twice the rate.  The ``outputs`` line hashes
 the bits of every output value (``output_bits``); two checkouts that print
 the same one produced bit-identical outputs.  ``--save PATH`` writes every
-output's values to an ``.npz`` file, and ``--against PATH`` prints the largest
-relative difference of this run's values from those saved, so that a changed
-``outputs`` line says by how much.
+output's parts to an ``.npz`` file, and ``--against PATH`` prints the largest
+difference of this run's values from those saved, relative to each value and
+relative to the 1-norm of its output part, so that a changed ``outputs``
+line says by how much.
 
 Run from the root of a source checkout:
 
@@ -93,22 +94,42 @@ def output_bits(parts: list[np.ndarray]) -> bytes:
                     for arr in parts)
 
 
-def largest_difference(values: dict, saved) -> tuple[float, str | None, list[str]]:
+def largest_difference(values: dict, saved: dict) -> tuple[list, list[str]]:
     """The largest relative difference ``|a - b| / |b|`` (0 where ``a == b``)
-    of a value ``a`` from its saved ``b``, over the inputs converted in both
-    runs to outputs of the same size, with the input it is at; and the inputs
-    converted in one run only or to outputs of different sizes."""
-    worst, where, unmatched = 0.0, None, []
-    for name in sorted(set(values) | set(saved.files)):
-        if name not in values or name not in saved.files or values[name].shape != saved[name].shape:
+    of a value ``a`` from its saved ``b``, and the largest ``|a - b|`` over
+    the 1-norm of the saved output part ``b`` is in, each with the input it
+    is at, over the inputs converted in both runs to outputs of the same
+    sizes; and the inputs converted in one run only or to outputs of
+    different sizes.  The second figure keeps a cancellation-level move in
+    a tiny entry from reading as a large relative change."""
+    worst = [[0.0, None], [0.0, None]]
+    unmatched = []
+    for name in sorted(set(values) | set(saved)):
+        a_parts, b_parts = values.get(name), saved.get(name)
+        if a_parts is None or b_parts is None or [a.shape for a in a_parts] != [b.shape for b in b_parts]:
             unmatched.append(name)
             continue
-        a, b = values[name], saved[name]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.where(a == b, 0.0, np.abs(a - b) / np.abs(b))
-        if rel.size and rel.max() > worst:
-            worst, where = float(rel.max()), name
-    return worst, where, unmatched
+        for a, b in zip(a_parts, b_parts):
+            diff = np.where(a == b, 0.0, np.abs(a - b))
+            if not diff.size:
+                continue
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rel = np.where(diff == 0, 0.0, diff / np.abs(b))
+                of_norm = diff.max() / np.abs(b).sum() if diff.max() else 0.0
+            for slot, value in zip(worst, (rel.max(), of_norm)):
+                if value > slot[0]:
+                    slot[:] = float(value), name
+    return worst, unmatched
+
+
+def load_parts(path: str) -> dict:
+    """``{input: [output part, ...]}`` from a file written by ``--save``."""
+    parts = {}
+    with np.load(path) as saved:
+        for key in saved.files:
+            name, i = key.rsplit("#", 1)
+            parts.setdefault(name, {})[int(i)] = saved[key]
+    return {name: [by_index[i] for i in sorted(by_index)] for name, by_index in parts.items()}
 
 
 def main() -> None:
@@ -116,9 +137,9 @@ def main() -> None:
     parser.add_argument("--damped", type=int, default=2000)
     parser.add_argument("--erlang-damped", type=int, default=1000)
     parser.add_argument("--verbose", action="store_true", help="print one line per input")
-    parser.add_argument("--save", metavar="PATH", help="write every output's values to PATH (.npz)")
+    parser.add_argument("--save", metavar="PATH", help="write every output's parts to PATH (.npz)")
     parser.add_argument("--against", metavar="PATH",
-                        help="print the largest relative difference from the values saved in PATH")
+                        help="print the largest differences from the values saved in PATH")
     args = parser.parse_args()
 
     digest, outputs = hashlib.sha256(), hashlib.sha256()
@@ -131,7 +152,7 @@ def main() -> None:
         digest.update(repr((name, out)).encode())
         outputs.update(name.encode() + output_bits(parts))
         if parts:
-            values[name] = np.concatenate(parts)
+            values[name] = parts
         counts["inputs"] += 1
         if len(out) == 1:
             counts[f"failed: {out[0]}"] += 1
@@ -147,11 +168,13 @@ def main() -> None:
     print(f"digest: {digest.hexdigest()}")
     print(f"outputs: {outputs.hexdigest()}")
     if args.save:
-        np.savez(args.save, **values)
+        np.savez(args.save, **{f"{name}#{i}": part for name, parts in values.items()
+                               for i, part in enumerate(parts)})
     if args.against:
-        with np.load(args.against) as saved:
-            worst, where, unmatched = largest_difference(values, saved)
-        print(f"largest relative difference: {worst:.3g}" + (f" ({where})" if where else ""))
+        worst, unmatched = largest_difference(values, load_parts(args.against))
+        for label, (value, where) in zip(("relative difference", "difference over its part's 1-norm"),
+                                         worst):
+            print(f"largest {label}: {value:.3g}" + (f" ({where})" if where else ""))
         print(f"inputs unmatched: {len(unmatched)}" + (f" ({', '.join(unmatched[:5])})" if unmatched else ""))
 
 

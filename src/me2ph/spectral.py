@@ -193,12 +193,18 @@ def analyze_spectrum(rep: MERep, tol: ToleranceConfig = DEFAULT_TOL) -> Spectral
     """
     s = rep.mean_scale
     T, V, clusters = modal_form(s * rep.A, tol)
-    cond = np.linalg.cond(V)
-    if not np.isfinite(cond) or cond > 1e13:
-        raise NumericError(
-            "analyze_spectrum: modal basis is ill conditioned", detail={"cond": cond}
-        )
-    a, b = rep.alpha @ V, np.linalg.solve(V, np.ones(rep.order))
+    b = np.ones(rep.order)
+    # the identity basis (an upper triangular A that needed no reordering
+    # or decoupling) has b = 1 and needs neither the condition check nor
+    # the solve
+    if not np.array_equal(V, np.eye(rep.order)):
+        cond = np.linalg.cond(V)
+        if not np.isfinite(cond) or cond > 1e13:
+            raise NumericError(
+                "analyze_spectrum: modal basis is ill conditioned", detail={"cond": cond}
+            )
+        b = np.linalg.solve(V, b)
+    a = rep.alpha @ V
     # N is block diagonal: the nilpotent part of every cluster at once
     centers = [eta for eta, _ in clusters]
     sizes = [c.stop - c.start for _, c in clusters]
@@ -285,16 +291,38 @@ def first_nonzero_derivative(spec: SpectralData,
     return None
 
 
+def _term_values(eta: complex, coeffs: tuple[complex, ...], xs: np.ndarray) -> np.ndarray:
+    """Real part of ``sum_j c[j] x^j exp(eta x)``, in real arithmetic for a
+    real ``eta``."""
+    if eta.imag == 0:
+        eta, coeffs = eta.real, [c.real for c in coeffs]
+    poly = 0.0
+    for c in reversed(coeffs):
+        poly = poly * xs + c
+    return (poly * np.exp(eta * xs)).real
+
+
 def expansion_values(spec: SpectralData, xs: np.ndarray) -> np.ndarray:
-    """Evaluate the exponential-polynomial expansion on an array of points."""
+    """Evaluate the exponential-polynomial expansion on an array of points.
+
+    The sum is real: a real eigenvalue's term is evaluated in real
+    arithmetic, and a complex term whose conjugate partner has exactly
+    conjugate coefficients (as in every expansion of a real pair) once, for
+    the member above the real axis, its real part added twice (it is the
+    partner's real part, bit for bit).
+    """
     xs = np.asarray(xs, dtype=float)
-    out = np.zeros(xs.shape, dtype=complex)
-    for term in spec.terms:
-        poly = np.zeros(xs.shape, dtype=complex)
-        for c in reversed(term.coeffs):
-            poly = poly * xs + c
-        out += poly * np.exp(term.eigenvalue * xs)
-    return out.real
+    terms = [(complex(t.eigenvalue), tuple(map(complex, t.coeffs))) for t in spec.terms]
+    out = np.zeros(xs.shape)
+    for eta, coeffs in terms:
+        paired = eta.imag != 0 and (eta.conjugate(), tuple(c.conjugate() for c in coeffs)) in terms
+        if paired and eta.imag < 0:
+            continue
+        values = _term_values(eta, coeffs, xs)
+        out += values
+        if paired:
+            out += values
+    return out
 
 
 def density_evaluator(spec: SpectralData):

@@ -361,7 +361,7 @@ def compute_bounds(
 # jumps, 2.7 against 2.8 ms for 256); at 256-288 it loses up to 27% at
 # 256-512 jumps, though it wins 7 times at 8,192; at 500-630 it loses 1.6-4
 # times at 128-2,048 jumps.  The giant phase also costs a fixed
-# _GIANT_OVERHEAD, about 7 small products: the matrix_power call, the product
+# _GIANT_OVERHEAD, about 7 small products: the squaring loop, the product
 # giants @ babies.T and their arrays (a least-squares fit of interleaved
 # sweeps of 8 to 128 jumps over 8 and 20 states: 3.3 and 3.9 us, against
 # 0.49 and 0.57 us per product).
@@ -427,7 +427,19 @@ def _tail_sweep(start: np.ndarray, Q: np.ndarray, rate: float, n: int, head: boo
     for prev, row in zip(babies, babies[1:]):
         step(prev, out=row)
     if m > 1:
-        P = np.linalg.matrix_power(M, c)
+        # P = M^c by squarings (c is a power of two).  Squaring entries below
+        # 1e-150 makes subnormal numbers, which are slow (the squarings of
+        # the cdf grid's step E at 190 states took up to 1.3 ms each with
+        # them, 0.22 ms without), so they are zeroed after each squaring once
+        # they can occur.  For M >= 0 a nonzero entry of M^(2^k) is at least
+        # low^(2^k), low the smallest nonzero entry of M (where M has
+        # negative entries the bound may fail, which costs only time)
+        P, low = M, np.abs(M[M != 0]).min(initial=np.inf)
+        for _ in range(c.bit_length() - 1):
+            P = P @ P
+            low *= low
+            if low < 1e-150:
+                P[np.abs(P) < 1e-150] = 0.0
         for prev, row in zip(giants, giants[1:]):
             P.dot(prev, out=row)
     q = (giants @ babies[:c].T).ravel()[:n]

@@ -17,6 +17,7 @@ from me2ph import (
     pdf_eval_many,
     solve_gamma,
 )
+from me2ph import monocyclic
 from me2ph.monocyclic import chain_generator, solve_transformation_matrix
 from conftest import G8, GAMMA8
 from genutil import damped_oscillation_rep, rep_from_terms
@@ -341,3 +342,78 @@ def test_transformation_matrix_regroups_a_split_eigenvalue():
     mono = build_generator(spec)
     gamma = solve_gamma(spec, mono).gamma
     assert _rel(solve_gamma(analyze_spectrum(shuffled), mono).gamma, gamma) <= 1e-12
+
+
+def _sequential_sweep(spec, mono):
+    """``W`` by the column-at-a-time backward sweep in extended precision
+    (``clongdouble``), each term's coordinates zero before its first block."""
+    J = minimal_representation(spec).A.astype(np.clongdouble)
+    n, u, blocks = spec.order, mono.order, mono.blocks
+    evs = np.concatenate([blk.eigenvalues() for blk in blocks])
+    block_of = np.repeat(np.arange(len(blocks)), [blk.b for blk in blocks])
+    owner = np.repeat([block_of[np.abs(evs - t.eigenvalue).argmin()] for t in spec.terms],
+                      [t.multiplicity for t in spec.terms])
+    cols = np.zeros((u, n), dtype=np.clongdouble)
+    cols[-1] = -(J @ np.ones(n, dtype=np.clongdouble)) / np.longdouble(blocks[-1].exit_rate)
+    q = u - 1
+    for k in range(len(blocks) - 1, -1, -1):
+        sigma, z = np.longdouble(blocks[k].sigma), np.longdouble(blocks[k].z)
+        p = q - blocks[k].b + 1
+        for j in range(q, p, -1):
+            cols[j - 1] = (J @ cols[j]) / sigma + cols[j]
+        if k:
+            cols[p - 1] = (J @ cols[p] + sigma * (cols[p] - z * cols[q])) / np.longdouble(
+                blocks[k - 1].exit_rate)
+            cols[p - 1, owner >= k] = 0
+        q = p - 1
+    return cols.T
+
+
+@pytest.mark.parametrize("terms, b", [
+    ([(-1, [1]), (-1.1 + 2j, [0.1]), (-100, [0.5])], 63),
+    ([(-1, [1]), (-1.1 + 2j, [0.1]), (-5 + 40j, [0.3])], 63),
+    ([(-1, [1]), (-1.1 + 6j, [0.1]), (-30, [0.2])], 189),
+    ([(-1.0, [0.4, 0.6]), (-1.1 + 6j, [0.1, 0.05])], 189),
+    ([(-1, [1]), (-1.1 + 8j, [0.1]), (-1e5, [0.5])], 252),
+    ([(-1, [1]), (-1.1 + 14j, [0.1]), (-7 + 3j, [0.2])], 440),
+])
+def test_doubled_sweep_matches_an_extended_precision_sweep(terms, b):
+    spec = analyze_spectrum(rep_from_terms(terms))
+    mono = build_generator(spec)
+    assert max(blk.b for blk in mono.blocks) == b
+    W = solve_transformation_matrix(spec, mono)
+    ref = _sequential_sweep(spec, mono)
+    assert np.linalg.norm((W - ref).astype(complex)) <= 1e-12 * np.linalg.norm(ref.astype(complex))
+
+
+def test_fast_eigenvalue_stays_out_of_a_long_block():
+    # a 252-state block of rate 321.9 before the block of -1e5: a power of
+    # that block's K holding the fast eigenvalue's part would reach
+    # |1 - 1e5/321.9|^128, past the largest float
+    rep = rep_from_terms([(-1, [1]), (-1.1 + 8j, [0.1]), (-1e5, [0.5])])
+    ph, _ = convert(rep)
+    assert ph.order == 254
+    assert [blk.b for blk in ph.blocks] == [1, 252, 1]
+
+
+def test_non_finite_transformation_fails_closed(worked_residual, monkeypatch):
+    # a NaN residual or vector sum compares False with any bound: both
+    # checks must raise on it, not pass it on
+    spec = analyze_spectrum(worked_residual)
+    mono = build_generator(spec)
+    jordan_pair = monocyclic._jordan_pair
+
+    def with_nan(spec):
+        alpha, J = jordan_pair(spec)
+        J[0, 0] = np.nan
+        return alpha, J
+
+    with monkeypatch.context() as patch:
+        patch.setattr(monocyclic, "_jordan_pair", with_nan)
+        with pytest.raises(NumericError, match="no consistent solution") as info:
+            solve_transformation_matrix(spec, mono)
+        assert np.isnan(info.value.detail["residual"])
+    monkeypatch.setattr(monocyclic, "_transformation_matrix",
+                        lambda spec, J, mono: np.full((spec.order, mono.order), np.nan))
+    with pytest.raises(NumericError, match="solve_gamma"):
+        solve_gamma(spec, mono)

@@ -13,7 +13,7 @@ from me2ph import (
     pdf_eval_many,
 )
 from me2ph.core import derivatives_at_zero
-from me2ph.spectral import first_nonzero_derivative, modal_form
+from me2ph.spectral import expansion_values, first_nonzero_derivative, modal_form
 from conftest import A6, A7, ALPHA6, f_closed
 from genutil import erlang_damped_rep, random_markovian_rep, rep_from_terms
 
@@ -285,3 +285,44 @@ def test_modal_form_conjugate_partners_are_exact():
     spectrum = dict(cluster_eigenvalues(A7))
     upper = [eta for eta in spectrum if eta.imag > 0]
     assert upper and all(spectrum[eta.conjugate()] == spectrum[eta] for eta in upper)
+
+
+def _unfolded_values(spec, xs):
+    """The expansion summed term by term in complex arithmetic."""
+    out = np.zeros(xs.shape, dtype=complex)
+    for term in spec.terms:
+        poly = np.zeros(xs.shape, dtype=complex)
+        for c in reversed(term.coeffs):
+            poly = poly * xs + c
+        out += poly * np.exp(term.eigenvalue * xs)
+    return out.real
+
+
+@pytest.mark.parametrize("spec", [
+    # a complex pair: a term with no conjugate partner to fold
+    analyze_spectrum(MERep(np.array([0.7 + 0.1j, 0.3 - 0.1j]),
+                           np.array([[-1.0 + 0.5j, 0.3], [0.0, -2.0 - 1j]]))),
+    # a conjugate pair of multiplicity 2 beside a repeated real eigenvalue
+    analyze_spectrum(rep_from_terms([(-1.0, [0.4, 0.6]), (-1.5 + 4j, [0.1, 0.2 - 0.1j])])),
+])
+def test_expansion_values_match_the_unfolded_sum(spec):
+    xs = np.linspace(0.0, 12.0, 2000)
+    ref = _unfolded_values(spec, xs)
+    assert np.abs(expansion_values(spec, xs) - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("terms", [
+    [(-1.0, [0.4, 0.6]), (-2.5, [0.3])],
+    [(-1, [1]), (-1.1 + 2j, [0.1, 0.02]), (-3, [0.2])],
+])
+def test_analyze_spectrum_on_a_triangular_input_skips_the_basis_solve(terms, monkeypatch):
+    # an upper triangular matrix in cluster order is its own modal form: the
+    # expansion is the one the general path reads off the identity basis
+    rep = rep_from_terms(terms)
+    assert not np.any(np.tril(rep.A, -1))
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "array_equal", lambda *args, **kwargs: False)
+        general = analyze_spectrum(rep)
+    monkeypatch.setattr(np.linalg, "cond", None)
+    monkeypatch.setattr(np.linalg, "solve", None)
+    assert analyze_spectrum(rep) == general
