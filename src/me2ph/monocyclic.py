@@ -271,9 +271,14 @@ def _transformation_matrix(spec: SpectralData, J: np.ndarray, mono: MonocyclicRe
     n, u = spec.order, mono.order
     blocks = mono.blocks
     # owner[i]: the first block with the eigenvalue nearest that of
-    # coordinate i's term, the block that holds that eigenvalue
-    block_evs = np.concatenate([blk.eigenvalues() for blk in blocks])
-    block_of = np.repeat(np.arange(len(blocks)), [blk.b for blk in blocks])
+    # coordinate i's term, the block that holds that eigenvalue; a block
+    # repeated for a multiple eigenvalue is looked at once, by its first index
+    first: dict[FEBlock, int] = {}
+    for k, blk in enumerate(blocks):
+        first.setdefault(blk, k)
+    block_evs = np.concatenate([[-blk.sigma] if blk.degenerate else blk.eigenvalues()
+                                for blk in first])
+    block_of = np.repeat(list(first.values()), [blk.b for blk in first])
     owner = np.repeat([block_of[np.abs(block_evs - t.eigenvalue).argmin()] for t in spec.terms],
                       [t.multiplicity for t in spec.terms])
     # sweep the coordinates in order of owner, so the ones live in block k

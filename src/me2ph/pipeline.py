@@ -1,15 +1,19 @@
 """End-to-end conversion of a matrix-exponential pair into Markovian form.
 
-Order of operations: read the density's expansion, check the dominance and
-positivity conditions on it, split off an Erlang factor if the density
-vanishes at 0, build the monocyclic generator and carry the remaining
-expansion over to its initial vector (no pair is built after the input),
-append an Erlang tail if the vector has negative entries, and reattach the
-Erlang factor.  The tail is the smallest whose transformed vector is
-nonnegative: ``smallest_tail`` searches for it and applies the certified
-tail of the paper's bound when nothing smaller passes.  With
-``PaperBounds`` the certified tail is applied by ``append_tail``.  The checks
-read the expansion in the input's units; the construction runs in units of
+Order of operations: read the density's expansion, check the dominance
+condition on it, split off an Erlang factor if the density vanishes at 0,
+build the monocyclic generator and carry the remaining expansion over to its
+initial vector (no pair is built after the input), append an Erlang tail if
+the vector has negative entries, and reattach the Erlang factor.  A
+nonnegative vector proves the density positive, so the positivity check
+(``check_positive_density``) runs only where the vector does not decide:
+when it has a negative entry, before the tail is priced, and when the
+construction fails, to name a density that is not positive as such.  The
+tail is the smallest whose transformed vector is nonnegative:
+``smallest_tail`` searches for it and applies the certified tail of the
+paper's bound when nothing smaller passes.  With ``PaperBounds`` the
+certified tail is applied by ``append_tail``.  The checks read the
+expansion in the input's units; the construction runs in units of
 its mean, a power of two (``MERep.mean_scale``), so ``(alpha, 2^j A)``
 converts to the exact rescaling.
 """
@@ -21,7 +25,8 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .core import MERep
 from .deconv import choose_mu, deconvolve, recompose, zero_multiplicity
-from .errors import DecViolationError, InvalidRepresentationError, NumericError, PositiveDensityError
+from .errors import (DecViolationError, InvalidRepresentationError, Me2PhError, NumericError,
+                     PositiveDensityError)
 from .monocyclic import build_generator, solve_gamma
 from .spectral import analyze_spectrum, check_dec, fmt_complex
 from .tail import BoundsReport, PHRep, TailChoice, append_tail, compute_bounds, find_tau, smallest_tail
@@ -110,6 +115,34 @@ def _fmt_eig(term) -> str:
     return f"{s} (x{term.multiplicity})" if term.multiplicity > 1 else s
 
 
+def _require_positive(spec, tol: ToleranceConfig) -> None:
+    """Raise ``PositiveDensityError`` when ``check_positive_density`` rejects
+    the expansion, naming the failed part."""
+    pd = check_positive_density(spec, tol)
+    if not pd.ok:
+        raise PositiveDensityError(f"{pd.failed_part}: {pd.detail}")
+
+
+def _apply_tail(mono, bounds, paper_bounds, room: int, tol: ToleranceConfig):
+    """The tail applied (``None`` for a nonnegative vector), the output
+    without its prefix, and the tail's order; a tail above ``room``, the
+    certified one or its retry, is not built and comes with ``None``."""
+    if bounds is None:
+        return None, PHRep(mono.gamma, mono.blocks, 0.0, 0, np.zeros(0), tol=tol), 0
+    tail, ph = TailChoice.certified(bounds), None
+    try:
+        if paper_bounds is None:
+            tail, ph = smallest_tail(mono, bounds, room, tol)
+        elif tail.n <= room:
+            ph = append_tail(mono, tail, tol, room)
+            tail = replace(tail, rate=ph.tail_lambda, n=ph.tail_n)
+    except NumericError as exc:
+        if (exc.detail or {}).get("max_n") != room:
+            raise
+        return tail, None, exc.detail["n"]  # the retry append_tail refused
+    return tail, ph, tail.n
+
+
 def convert(
     rep: MERep,
     tol: ToleranceConfig = DEFAULT_TOL,
@@ -119,11 +152,15 @@ def convert(
 ) -> tuple[PHRep, ConversionReport]:
     """Run the full construction and return the Markovian representation.
 
-    Raises ``DecViolationError`` or ``PositiveDensityError`` when the input
-    fails the corresponding existence condition, and ``NumericError`` when no
-    tail can be certified or the order, with the tail applied (retried or
-    not) if one is needed, would exceed ``max_order``.  Makes one tail call:
-    ``smallest_tail``, or ``append_tail`` with ``paper_bounds``.
+    Raises ``DecViolationError`` when the dominance condition fails, and
+    ``NumericError`` when no tail can be certified or the order, with the
+    tail applied (retried or not) if one is needed, would exceed
+    ``max_order``.  A nonnegative body vector proves the density positive,
+    so ``check_positive_density`` runs at most once: when the vector has a
+    negative entry, before the tail is priced, or when the construction
+    fails.  When it rejects the input, ``PositiveDensityError`` is raised,
+    in place of the construction's error.  Makes one tail call: ``smallest_tail``, or ``append_tail``
+    with ``paper_bounds``.
     """
     report = ConversionReport(input_order=rep.order)
 
@@ -139,71 +176,67 @@ def convert(
         raise InvalidRepresentationError(
             "convert: spectrum has an eigenvalue with nonnegative real part"
         )
-    pd = check_positive_density(spec, tol)
-    if not pd.ok:
-        raise PositiveDensityError(f"{pd.failed_part}: {pd.detail}")
 
     # from here on rates are in units of 1/s and times in units of s
     s = rep.mean_scale
-    working_spec, mu = spec.scaled(s), None
-    l = zero_multiplicity(working_spec, tol)
-    report.l = l
-    if l > 0:
-        if paper_bounds is None:
-            mu, working_spec = choose_mu(working_spec, l, tol)
-        else:
-            mu = paper_bounds.mu * s
-            working_spec = deconvolve(working_spec, l, mu, tol)
-            pd = check_positive_density(working_spec, tol)
-            if not pd.ok:
-                raise PositiveDensityError(
-                    f"residual density after the Erlang split is not positive ({pd.detail})"
-                )
-        mu /= s
-        report.mu = mu
-
-    mono = solve_gamma(working_spec, build_generator(working_spec, tol), tol)
-    gamma_min = float(mono.gamma.min())
-    report.gamma_min = gamma_min
-
-    bounds = None
-    if gamma_min < 0:
-        if paper_bounds is not None:
-            bounds = compute_bounds(
-                mono, paper_bounds.tau / s, working_spec, tol=tol,
-                gamma_norm=paper_bounds.gamma_norm,
-                eps1=paper_bounds.eps1,
-                eps2=paper_bounds.eps2 * s,
-                round_rate_to=paper_bounds.round_rate_to * s,
-            )
-        else:
-            tau = find_tau(mono, working_spec, tol)
-            bounds = compute_bounds(mono, tau, working_spec, tol=tol)
-        bounds = replace(bounds, tau=bounds.tau * s, g=bounds.g / s, eps2=bounds.eps2 / s,
-                         lambda_prime=bounds.lambda_prime / s,
-                         lambda_dprime=bounds.lambda_dprime / s, rate=bounds.rate / s)
-        report.bounds = bounds
-    # back in the input's units; the tail sweep's steps Q / rate do not change
-    mono = replace(mono, blocks=tuple(replace(blk, sigma=blk.sigma / s) for blk in mono.blocks),
-                   lambda1=mono.lambda1 / s)
-    report.blocks = [f"({b.b},{b.sigma:g},{b.z:g})" for b in mono.blocks]
-    report.monocyclic_order = mono.order
-    # no tail above the room the limit leaves is swept, a retried one included
-    room = max_order - l - mono.order
-    tail = TailChoice.certified(bounds) if bounds is not None else None
+    graded = False  # whether check_positive_density has run on spec
     try:
-        if bounds is None:
-            ph = PHRep(mono.gamma, mono.blocks, 0.0, 0, np.zeros(0), tol=tol)
-        elif paper_bounds is None:
-            tail, ph = smallest_tail(mono, bounds, room, tol)
-        elif tail.n <= room:
-            ph = append_tail(mono, tail, tol, room)
-            tail = replace(tail, rate=ph.tail_lambda, n=ph.tail_n)
-        n = tail.n if tail is not None else 0
-    except NumericError as exc:
-        if (exc.detail or {}).get("max_n") != room:
-            raise
-        n = exc.detail["n"]  # the retry append_tail refused
+        working_spec, mu = spec.scaled(s), None
+        l = zero_multiplicity(working_spec, tol)
+        report.l = l
+        if l > 0:
+            if paper_bounds is None:
+                mu, working_spec = choose_mu(working_spec, l, tol)
+            else:
+                mu = paper_bounds.mu * s
+                working_spec = deconvolve(working_spec, l, mu, tol)
+                pd = check_positive_density(working_spec, tol)
+                if not pd.ok:
+                    raise PositiveDensityError(
+                        f"residual density after the Erlang split is not positive ({pd.detail})"
+                    )
+            mu /= s
+            report.mu = mu
+
+        mono = solve_gamma(working_spec, build_generator(working_spec, tol), tol)
+        gamma_min = float(mono.gamma.min())
+        report.gamma_min = gamma_min
+
+        bounds = None
+        if gamma_min < 0:
+            # a sign-changing density shows here first: reject it before the
+            # tail is priced
+            graded = True
+            _require_positive(spec, tol)
+            if paper_bounds is not None:
+                bounds = compute_bounds(
+                    mono, paper_bounds.tau / s, working_spec, tol=tol,
+                    gamma_norm=paper_bounds.gamma_norm,
+                    eps1=paper_bounds.eps1,
+                    eps2=paper_bounds.eps2 * s,
+                    round_rate_to=paper_bounds.round_rate_to * s,
+                )
+            else:
+                tau = find_tau(mono, working_spec, tol)
+                bounds = compute_bounds(mono, tau, working_spec, tol=tol)
+            bounds = replace(bounds, tau=bounds.tau * s, g=bounds.g / s, eps2=bounds.eps2 / s,
+                             lambda_prime=bounds.lambda_prime / s,
+                             lambda_dprime=bounds.lambda_dprime / s, rate=bounds.rate / s)
+            report.bounds = bounds
+        # back in the input's units; the tail sweep's steps Q / rate do not change
+        mono = replace(mono, blocks=tuple(replace(blk, sigma=blk.sigma / s) for blk in mono.blocks),
+                       lambda1=mono.lambda1 / s)
+        report.blocks = [f"({b.b},{b.sigma:g},{b.z:g})" for b in mono.blocks]
+        report.monocyclic_order = mono.order
+        # no tail above the room the limit leaves is swept, a retried one included
+        room = max_order - l - mono.order
+        tail, ph, n = _apply_tail(mono, bounds, paper_bounds, room, tol)
+    except Me2PhError:
+        # a density that is not positive fails the construction somewhere;
+        # the check names that failure, if it has not run yet
+        if not graded:
+            _require_positive(spec, tol)
+        raise
     if n > room:
         raise NumericError(
             f"convert: order {l + mono.order + n} exceeds the limit {max_order}",

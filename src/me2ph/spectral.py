@@ -254,20 +254,28 @@ def _jordan_pair(spec: SpectralData) -> tuple[np.ndarray, np.ndarray]:
     a term is complex.
     """
     cplx, n = spec.is_complex(), spec.order
-    alpha, J = np.empty(n, dtype=complex), np.zeros((n, n), dtype=complex if cplx else float)
-    at = 0
-    for term in spec.terms:
-        m, eta = term.multiplicity, term.eigenvalue
-        span = np.arange(at, at + m)
-        J[span, span] = eta if cplx else eta.real
-        J[span[:-1], span[1:]] = 1
-        # partial sums T_k of the block's alpha entries satisfy
-        #   c_j (j-1)! = -(eta T_{m-j+1} + T_{m-j}),  T_0 = 0
+    mult = np.array([t.multiplicity for t in spec.terms])
+    etas = np.array([t.eigenvalue for t in spec.terms])
+    starts = np.cumsum(mult) - mult
+    J = np.zeros((n, n), dtype=complex if cplx else float)
+    flat = J.reshape(-1)
+    flat[:: n + 1] = np.repeat(etas if cplx else etas.real, mult)
+    above = np.ones(n - 1)
+    above[starts[1:] - 1] = 0.0  # none between two blocks
+    flat[1 :: n + 1] = above
+    # partial sums T_k of a block's alpha entries satisfy
+    #   c_j (j-1)! = -(eta T_{m-j+1} + T_{m-j}),  T_0 = 0
+    # so a term of multiplicity 1 has the one entry -c_1/eta
+    alpha = np.empty(n, dtype=complex)
+    simple = mult == 1
+    alpha[starts[simple]] = -np.array([t.coeffs[0] for t in spec.terms])[simple] / etas[simple]
+    for i in np.flatnonzero(~simple):
+        term, at, m = spec.terms[i], starts[i], mult[i]
+        eta = term.eigenvalue
         T = np.zeros(m + 1, dtype=complex)
         for j in range(m, 0, -1):
             T[m - j + 1] = (-term.coeffs[j - 1] * factorial(j - 1) - T[m - j]) / eta
         alpha[at : at + m] = np.diff(T)
-        at += m
     return (alpha if cplx else alpha.real.copy()), J
 
 

@@ -457,9 +457,17 @@ def _swept(mono: MonocyclicRep, rate: float, n: int, tol: ToleranceConfig):
     """Sweep the tail ``(rate, n)`` on the body.  Returns the tailed
     representation, with the transformed vector's entries inside the slack
     ``markov_slack_rel ||gamma||_1`` clipped to zero, or ``None`` when an
-    entry is below it; and that vector ``(head, q)``."""
+    entry is below it or the clipped entries sum to more than
+    ``alpha_sum / 2 * ||gamma||_1``; and that vector ``(head, q)``.
+
+    Clipping a weight ``w < 0`` moves the distribution by at most ``|w|`` in
+    total variation, as each state's part is a sub-probability, so the sum
+    bounds what the clip changes; over a long tail entries each inside the
+    slack can add up past the mass check of ``PHRep``."""
     head, q = _tail_sweep(mono.gamma, mono.matrix, rate, n)
-    if min(head.min(), q.min()) <= -tol.markov_slack_rel * vec_norm1(mono.gamma):
+    norm = vec_norm1(mono.gamma)
+    if (min(head.min(), q.min()) <= -tol.markov_slack_rel * norm
+            or -(head[head < 0].sum() + q[q < 0].sum()) > tol.alpha_sum / 2 * norm):
         return None, head, q
     weights = np.clip(q, 0.0, None)[::-1].copy()
     return PHRep(np.clip(head, 0.0, None), mono.blocks, rate, n, weights, tol=tol), head, q
@@ -524,10 +532,11 @@ def append_tail(mono: MonocyclicRep, tail: TailChoice,
     or any other.
 
     Entries of the transformed vector within the negative slack window are
-    clamped to zero; a genuinely negative entry triggers one retry with the
-    rate, and so the order over the same ``tau``, doubled before failing.  A
-    retry of more than ``max_n`` states is refused before it is swept, by a
-    ``NumericError`` whose ``detail`` holds its order ``n`` and ``max_n``.
+    clamped to zero; a genuinely negative entry, or clamped entries that sum
+    past ``_swept``'s bound, trigger one retry with the rate, and so the
+    order over the same ``tau``, doubled before failing.  A retry of more
+    than ``max_n`` states is refused before it is swept, by a ``NumericError``
+    whose ``detail`` holds its order ``n`` and ``max_n``.
     """
     if mono.gamma is None:
         raise InvalidRepresentationError("append_tail: gamma not set")

@@ -82,7 +82,11 @@ def check_positive_density(spec: SpectralData,
     Three parts: a grid check on a bounded window, the sign of the dominant
     asymptotic coefficient for the far tail, and the first nonzero derivative
     at the origin for the near field.  A full decision procedure does not
-    exist; the window and grid density are configurable.
+    exist; the window and grid density are configurable.  The check can
+    read a positive density as not positive where it vanishes at 0 to high
+    order, so ``convert`` runs it only where the body's vector does not
+    prove positivity: once, when that vector has a negative entry or the
+    construction fails.  ``choose_mu`` runs it on every candidate residual.
     """
     lam1, n1 = spec.lambda1, spec.n1
     if lam1 <= 0:

@@ -68,6 +68,52 @@ def test_choose_mu_gives_up_on_sign_changing_density():
     assert zero_multiplicity(spec) == 1
     with pytest.raises(PositiveDensityError, match="doublings"):
         choose_mu(spec, 1)
+    # convert meets that failure first, and the positivity grid names it
+    with pytest.raises(PositiveDensityError, match=r"^grid: f\(0\.751363\) = -0\.557419 <= 0$"):
+        convert(rep)
+
+
+def test_convert_hypoexponential_chain_grid_would_reject():
+    # the density vanishes like x^4 at 0, where the positivity grid reads
+    # f(0.000776205) = 0; the body's nonnegative vector proves it positive
+    rates = np.array([1.2883192254392675, 1.623662904020971, 1.8466528979451513,
+                      2.8972988942744875, 2.9009273926518704])
+    rep = MERep(np.eye(5)[0], np.diag(-rates) + np.diag(rates[:-1], 1))
+    ph, report = convert(rep)
+    assert (ph.order, ph.prefix_length, ph.u, ph.tail_n) == (9, 4, 5, 0)
+    assert report.bounds is None
+    m_ph, m_rep = np.array(phrep_moments(ph, 5)), np.array(moments(rep, 5))
+    assert np.abs(m_ph / m_rep - 1).max() < 1e-12
+
+
+def test_convert_runs_positivity_grid_only_for_a_negative_vector(monkeypatch, worked_rep):
+    from me2ph import pipeline
+
+    calls = []
+    check = pipeline.check_positive_density
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].order)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "check_positive_density", counted)
+    _, report = convert(rep_from_terms([(-1.0, [1.0]), (-1.1 + 2j, [0.3])]))
+    assert report.bounds is None and calls == []
+    # once, on the input's expansion, not on the split's residual
+    _, report = convert(worked_rep)
+    assert report.bounds is not None and calls == [report.minimal_order] == [6]
+
+
+def test_convert_at_the_positivity_boundary():
+    # c is 1e-7 below the largest c with a positive density: over the 2^21
+    # states of the tail the entries clipped inside the slack add up, and
+    # the search must take a tail whose clipped mass stays within alpha_sum
+    c = 3.407025584758154 * (1 - 1e-7)
+    rep = rep_from_terms([(-1.0, [1.0]), (-1.75 + 1.6j, [c * np.exp(0.3j) / 2])])
+    ph, report = convert(rep)
+    assert report.tail.n == ph.tail_n
+    m_ph, m_rep = np.array(phrep_moments(ph, 5)), np.array(moments(rep, 5))
+    assert np.abs(m_ph / m_rep - 1).max() <= DEFAULT_TOL.equivalence_rel
 
 
 def test_choose_mu_rejects_zero_multiplicity():
