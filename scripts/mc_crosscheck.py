@@ -3,23 +3,24 @@
 
 Small sanity experiment: convert a handful of distributions, draw samples from
 the resulting absorbing chains, and compare the empirical law against the
-structured distribution function.  ``monte_carlo_check`` takes it on a uniform
-4,097-point grid ``x_j = j h``, as the running sum of the masses absorbed in
-one step ``h``, swept through the powers of ``exp(B h)`` of the dense pair;
-outputs above ``tail._SPARSE_STATES`` states take the Poisson sums of
-``phrep_cdf_grid`` instead.
+structured distribution function.  ``monte_carlo_check`` takes it from
+``phrep_cdf_grid`` on a uniform 4,097-point grid ``x_j = j h``, which on an
+output of up to ``tail._SPARSE_STATES`` states the evaluator's rule gives to
+the powers of one step ``exp(B h)`` of the dense pair: the running sum of the
+masses absorbed in one step ``h``.  Larger outputs take windowed Poisson sums.
 
-``--compare`` also evaluates each check's grid by those Poisson sums, and
-prints the largest ``|F_steps - F_poisson|`` with the KS statistic from each.
+``--compare`` also evaluates each check's grid by both paths, forced (the
+powers of one step only up to ``tail._SPARSE_STATES`` states), and prints the
+largest ``|F_steps - F_poisson|`` with the KS statistic from each.
 """
 
 import argparse
 
 import numpy as np
 
-from me2ph import MERep, convert, ks_threshold, monte_carlo_check, phrep_cdf_grid
+from me2ph import MERep, convert, ks_threshold, monte_carlo_check
 from me2ph.spectral import SpectralData, SpectralTerm, minimal_representation
-from me2ph.tail import _grid_cdf
+from me2ph.tail import _SPARSE_STATES, _grid_values, _poisson_values, _progression
 from me2ph.validate import _check_sample, _ks_statistic
 
 
@@ -59,8 +60,12 @@ def main() -> None:
         print(f"{name}: order {ph.order} ({tail}), KS = {ks:.5f} [{flag}]")
         if args.compare:
             times, grid = _check_sample(ph, args.samples, args.seed)
-            steps = _grid_cdf(ph, grid[1], grid.size)
-            poisson = phrep_cdf_grid(ph, grid)
+            poisson = np.clip(_poisson_values(ph, grid, True), 0.0, 1.0)
+            if ph.order > _SPARSE_STATES:
+                print(f"  above {_SPARSE_STATES} states: Poisson sums only, "
+                      f"KS {_ks_statistic(times, grid, poisson):.15f}")
+                continue
+            steps = _grid_values(ph, *_progression(grid), grid.size, True)
             print(f"  max |F_steps - F_poisson| = {np.abs(steps - poisson).max():.2e}, "
                   f"KS steps {_ks_statistic(times, grid, steps):.15f}, "
                   f"poisson {_ks_statistic(times, grid, poisson):.15f}")

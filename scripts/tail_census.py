@@ -17,11 +17,18 @@ difference of this run's values from those saved, relative to each value and
 relative to the 1-norm of its output part, so that a changed ``outputs``
 line says by how much.
 
+``--grid`` also evaluates every output of at most ``tail._SPARSE_STATES``
+states on a 257-point linspace from 0 to 20 means, pdf and cdf, both by the
+powers of one step and by the Poisson sums, and prints the largest pdf
+difference (relative to the largest pdf value), the largest cdf difference
+(absolute), and how many outputs the evaluator's rule sends each way.
+
 Run from the root of a source checkout:
 
     python3 scripts/tail_census.py
     python3 scripts/tail_census.py --save before.npz      # on one checkout
     python3 scripts/tail_census.py --against before.npz   # on another
+    python3 scripts/tail_census.py --grid
 """
 
 import argparse
@@ -38,7 +45,14 @@ for sub in ("src", "perfbench", "tests"):
     sys.path.insert(0, str(ROOT / sub))
 
 from genutil import damped_oscillation_rep, erlang_damped_rep  # noqa: E402
-from me2ph import Me2PhError, convert  # noqa: E402
+from me2ph import Me2PhError, convert, phrep_moments  # noqa: E402
+from me2ph.tail import (  # noqa: E402
+    _SPARSE_STATES,
+    _grid_cheaper,
+    _grid_values,
+    _poisson_values,
+    _progression,
+)
 from workloads import build_cases  # noqa: E402
 
 
@@ -54,17 +68,30 @@ def census_inputs(damped: int, erlang_damped: int):
         yield f"genutil-erlang-damped-{i}", erlang_damped_rep(rng)[0]
 
 
-def outcome(rep) -> tuple[tuple, list[np.ndarray], str | None]:
+def outcome(rep) -> tuple[tuple, object, str | None]:
     """``(order, tail n, certified n, certified tau)``, or the error's class,
-    with the output's ``output_parts`` (none when the conversion fails) and
-    the ``certified_path`` taken."""
+    with the output (``None`` when the conversion fails) and the
+    ``certified_path`` taken."""
     try:
         ph, report = convert(rep)
     except Me2PhError as exc:
-        return (type(exc).__name__,), [], None
+        return (type(exc).__name__,), None, None
     b = report.bounds
     out = (ph.order, ph.tail_n, b.n if b else None, b.tau.hex() if b else None)
-    return out, output_parts(ph), certified_path(report)
+    return out, ph, certified_path(report)
+
+
+def grid_paths(ph) -> tuple[float, float, str]:
+    """pdf and cdf of ``ph`` on 257 points from 0 to 20 means by both paths:
+    the largest pdf difference over the largest pdf value, the largest cdf
+    difference, and the path the evaluator's rule takes on those points."""
+    xs = np.linspace(0.0, 20 * phrep_moments(ph, 1)[0], 257)
+    x0, h = _progression(xs)
+    pdf, cdf = (_grid_values(ph, x0, h, xs.size, cdf) for cdf in (False, True))
+    pdf_ref = _poisson_values(ph, xs, False)
+    cdf_ref = np.clip(_poisson_values(ph, xs, True), 0.0, 1.0)
+    taken = "steps" if _grid_cheaper(ph, xs, x0) else "Poisson sums"
+    return float(np.abs(pdf - pdf_ref).max() / pdf_ref.max()), float(np.abs(cdf - cdf_ref).max()), taken
 
 
 def certified_path(report) -> str | None:
@@ -140,15 +167,25 @@ def main() -> None:
     parser.add_argument("--save", metavar="PATH", help="write every output's parts to PATH (.npz)")
     parser.add_argument("--against", metavar="PATH",
                         help="print the largest differences from the values saved in PATH")
+    parser.add_argument("--grid", action="store_true",
+                        help="compare both evaluation paths on a uniform grid of each short output")
     args = parser.parse_args()
 
     digest, outputs = hashlib.sha256(), hashlib.sha256()
     # the fallback's two paths are printed even when no input takes them
     counts = Counter({"certified tail": 0, "certified tail, retried": 0})
     values = {}
+    paths, worst_pdf, worst_cdf = Counter(), [0.0, None], [0.0, None]
     start = time.perf_counter()
     for name, rep in census_inputs(args.damped, args.erlang_damped):
-        out, parts, path = outcome(rep)
+        out, ph, path = outcome(rep)
+        parts = output_parts(ph) if ph is not None else []
+        if args.grid and ph is not None and ph.order <= _SPARSE_STATES:
+            pdf_diff, cdf_diff, taken = grid_paths(ph)
+            paths[taken] += 1
+            for slot, value in ((worst_pdf, pdf_diff), (worst_cdf, cdf_diff)):
+                if value >= slot[0]:
+                    slot[:] = value, name
         digest.update(repr((name, out)).encode())
         outputs.update(name.encode() + output_bits(parts))
         if parts:
@@ -167,6 +204,11 @@ def main() -> None:
     print(f"time: {time.perf_counter() - start:.1f} s")
     print(f"digest: {digest.hexdigest()}")
     print(f"outputs: {outputs.hexdigest()}")
+    if args.grid:
+        print(f"grid, largest pdf difference over its largest value: {worst_pdf[0]:.3g} ({worst_pdf[1]})")
+        print(f"grid, largest cdf difference: {worst_cdf[0]:.3g} ({worst_cdf[1]})")
+        for key, value in sorted(paths.items()):
+            print(f"grid, outputs by {key}: {value}")
     if args.save:
         np.savez(args.save, **{f"{name}#{i}": part for name, parts in values.items()
                                for i, part in enumerate(parts)})

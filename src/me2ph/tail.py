@@ -351,8 +351,11 @@ def compute_bounds(
 
 # Costs of the dense sweep, in units of one entry of a vector-matrix product
 # (about 0.16 ns): a product costs u^2 plus _PRODUCT_OVERHEAD, a squaring
-# u^3/4 plus the same (1 BLAS thread, 2-core x86: a product 0.9 us at u = 8
-# and 6.4 us at u = 190, a squaring 1 us at u = 8 and 290 us at u = 190).
+# u^3/4 plus _SQUARE_OVERHEAD (1 BLAS thread, 2-core x86: a product 0.9 us at
+# u = 8 and 6.4 us at u = 190, a squaring 290 us at u = 190).  At small u a
+# squaring costs a few products: the least-squares fit of interleaved sweeps
+# below measured it at 1.27 us (2.6 products) at 8 states and 1.67 us (2.9)
+# at 20, and P @ P timed alone took 2.2-2.9 products at 4-20 states.
 # A chain has about two nonzeros per row, so above _SPARSE_STATES the sweep
 # takes one sparse product per jump instead: O(u) with no squaring, against
 # O(u^3) squarings, but about 7-15 us per jump.  Medians of sweeps of 26 to
@@ -366,16 +369,18 @@ def compute_bounds(
 # sweeps of 8 to 128 jumps over 8 and 20 states: 3.3 and 3.9 us, against
 # 0.49 and 0.57 us per product).
 _PRODUCT_OVERHEAD = 6000
+_SQUARE_OVERHEAD = 16_000
 _GIANT_OVERHEAD = 40_000
 _SPARSE_STATES = 224
 
 
-def _baby_steps(n: int, u: int, head: bool = True) -> int:
-    """Baby steps ``c`` of the dense sweep of ``n`` jumps over ``u`` states:
-    the power of two below ``n`` whose ``c + (1 + head) (ceil(n/c) - 1)``
-    products, ``log2 c`` squarings and giant phase cost least, or ``n``, one
-    product per jump, when that costs less."""
-    product, square = u * u + _PRODUCT_OVERHEAD, u**3 / 4 + _PRODUCT_OVERHEAD
+def _baby_steps(n: int, u: int, head: bool = True) -> tuple[int, float]:
+    """Baby steps ``c`` of the dense sweep of ``n`` jumps over ``u`` states,
+    and the sweep's cost: the power of two below ``n`` whose
+    ``c + (1 + head) (ceil(n/c) - 1)`` products, ``log2 c`` squarings and
+    giant phase cost least, or ``n``, one product per jump, when that costs
+    less."""
+    product, square = u * u + _PRODUCT_OVERHEAD, u**3 / 4 + _SQUARE_OVERHEAD
     best, best_cost = n, n * product
     c, k = 2, 1
     while c < n:
@@ -383,28 +388,36 @@ def _baby_steps(n: int, u: int, head: bool = True) -> int:
         if cost < best_cost:
             best, best_cost = c, cost
         c, k = 2 * c, k + 1
-    return best
+    return best, best_cost
 
 
-def _tail_sweep(start: np.ndarray, Q: np.ndarray, rate: float, n: int, head: bool = True):
-    """Randomization of the chain ``Q`` at ``rate``: left-to-right products
-    through ``M = I + Q/rate``.
+def _uniformized(Q: np.ndarray, rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """The chain ``Q`` uniformized at ``rate``: the one-jump matrix
+    ``M = I + Q/rate`` and the per-jump exit probabilities
+    ``e = max(-Q 1, 0)/rate``."""
+    u = Q.shape[0]
+    # rows without an exit may sum to -1e-17: a negative q_j has no logarithm
+    return np.eye(u) + Q / rate, np.maximum(-(Q @ np.ones(u)), 0.0) / rate
+
+
+def _tail_sweep(start: np.ndarray, M: np.ndarray, col: np.ndarray, n: int, head: bool = True):
+    """Left-to-right products of ``start`` through the powers of ``M``.
 
     Returns ``start M^n`` (``None`` unless ``head``) and the scalars
-    ``q[j] = start M^j e`` for ``j = 0..n-1``, where ``e = max(-Q 1, 0)/rate``
-    is the per-jump exit probability.  Up to ``_SPARSE_STATES`` states, by
-    baby and giant steps: the ``c`` rows ``start M^j`` (``j < c``) and the
-    ``m = ceil(n/c)`` columns ``P^i e`` of ``P = M^c`` give ``q[c i + j]`` in
-    one product, and ``start M^n = start M^(n - c (m-1)) P^(m-1)``;
+    ``q[j] = start M^j col`` for ``j = 0..n-1``.  On a chain uniformized at
+    ``rate`` (``_uniformized``) ``q[j]`` is the probability of leaving it at
+    jump ``j + 1``; on the step ``M = exp(B h)`` of a grid, with ``col`` the
+    mass one step absorbs or the exit rates, it is the grid's cdf increment
+    or density.  Up to ``_SPARSE_STATES`` states, by baby and giant steps:
+    the ``c`` rows ``start M^j`` (``j < c``) and the ``m = ceil(n/c)``
+    columns ``P^i col`` of ``P = M^c`` give ``q[c i + j]`` in one product,
+    and ``start M^n = start M^(n - c (m-1)) P^(m-1)``;
     ``c = _baby_steps(n, u, head)``, so about ``2 sqrt(n)`` products of
     O(u^2), ``3 sqrt(n)`` with the head, and ``log2 c`` squarings of O(u^3),
     and ``c = n`` is one product per jump without ``P``.  Above, one sparse
     product per jump: O(n u).
     """
-    u = Q.shape[0]
-    M = np.eye(u) + Q / rate
-    # rows without an exit may sum to -1e-17: a negative q_j has no logarithm
-    e = np.maximum(-(Q @ np.ones(u)), 0.0) / rate
+    u = M.shape[0]
     if u > _SPARSE_STATES:
         # imported here, as only long bodies need it: it adds about 40 ms to
         # importing the package
@@ -414,15 +427,15 @@ def _tail_sweep(start: np.ndarray, Q: np.ndarray, rate: float, n: int, head: boo
         q = np.empty(n)
         v = np.array(start, dtype=float)
         for j in range(n):
-            q[j] = v @ e
+            q[j] = v @ col
             v = step(v)
         return (v if head else None), q
-    c = _baby_steps(n, u, head)
+    c = _baby_steps(n, u, head)[0]
     m = -(-n // c)
-    # rows start M^j for j < c (and c, for the head), and rows P^i e for
+    # rows start M^j for j < c (and c, for the head), and rows P^i col for
     # i < m, each written in place from the one before
     babies, giants = np.empty((c + head, u)), np.empty((m, u))
-    babies[0], giants[0] = start, e
+    babies[0], giants[0] = start, col
     step = M.T.dot
     for prev, row in zip(babies, babies[1:]):
         step(prev, out=row)
@@ -464,7 +477,7 @@ def _swept(mono: MonocyclicRep, rate: float, n: int, tol: ToleranceConfig):
     total variation, as each state's part is a sub-probability, so the sum
     bounds what the clip changes; over a long tail entries each inside the
     slack can add up past the mass check of ``PHRep``."""
-    head, q = _tail_sweep(mono.gamma, mono.matrix, rate, n)
+    head, q = _tail_sweep(mono.gamma, *_uniformized(mono.matrix, rate), n)
     norm = vec_norm1(mono.gamma)
     if (min(head.min(), q.min()) <= -tol.markov_slack_rel * norm
             or -(head[head < 0].sum() + q[q < 0].sum()) > tol.alpha_sum / 2 * norm):
@@ -574,10 +587,15 @@ def append_tail(mono: MonocyclicRep, tail: TailChoice,
 # chain") at their own largest rate, and where a path crosses from one rate to
 # the other the two parts meet in a convolution done by quadrature.
 # ``_one_chain_cheaper`` picks the path.  The evaluators keep only the jump
-# sequence, so they sweep without the head.  A uniform grid ``x_j = j h``
-# from 0, as the Monte Carlo check takes, needs no Poisson sum on an output
-# the dense sweep takes: ``_grid_cdf`` sweeps it with ``M = exp(B h)``, whose
-# per-step exit probabilities are the masses absorbed between grid points.
+# sequence, so they sweep without the head.
+#
+# A uniform grid ``x_j = x0 + j h`` (an ``np.linspace``, as the benchmark,
+# the command line and the Monte Carlo check pass) needs no Poisson sum on an
+# output the dense sweep takes: ``_grid_values`` runs the same sweep through
+# the powers of one step ``E = exp(B h)`` from ``b exp(B x0)``, with the exit
+# rates as the column for the density and the mass one step absorbs for the
+# cdf.  ``_grid_cheaper`` takes that path where one ``expm`` (two when
+# ``x0 > 0``) and the sweep are priced below the Poisson sums.
 
 _GL_NODES = 96
 _GLX, _GLW = roots_legendre(_GL_NODES)
@@ -604,6 +622,20 @@ _PANEL_SPAN = 16.0
 # never built.
 _SWEEP_TERMS = 1.0
 _DENSE_STATES = 2048
+# The grid rule (_grid_cheaper) prices both paths in _baby_steps' units, by a
+# least-squares fit (weighted by 1/time) to 1,784 timings of both paths (1
+# BLAS thread, shared 2-core x86): 74 outputs of 3 to 190 states, the
+# benchmark's and the census's, on grids of 2 to 4,097 points over 4 and 20
+# means, from 0 and from 5% of the span.  Their sweeps took 0.13-0.15 ns per
+# unit; a Poisson term 5.8 ns (_TERM_COST); an expm 18 us plus 3.5 ns times
+# u^3/4, whatever its norm (2.3-5.5 ms at 190 states, timed alone); and the
+# Poisson path 35 us more of fixed cost than the grid path besides its expm.
+# Summed over those timings, the rule's choices cost 0.5% more than the
+# faster path each time, and the Poisson sums alone 3.7 times as much.
+_TERM_COST = 38
+_EXPM_OVERHEAD = 118_000
+_EXPM_CUBES = 23
+_POISSON_OVERHEAD = 230_000
 
 
 def _window(c):
@@ -629,8 +661,26 @@ def _window_sizes(c, length: int):
 
 
 def _sequence_length(c: float) -> int:
-    """Jump counts a sequence needs for Poisson sums at ``rate x <= c``."""
-    return int(_window(c)[1]) + 1
+    """Jump counts a sequence needs for Poisson sums at ``rate x <= c``: one
+    past ``_window(c)``'s high end, in scalar arithmetic (the same bits, in
+    1 us against 8 through ``_window``)."""
+    hi = c + (10.0 * math.sqrt(c) + 25.0)
+    if not hi < 2.0**63:
+        raise NumericError(f"PHRep evaluation: over 2^63 jumps at rate x = {c:g}")
+    return math.ceil(hi) + 1
+
+
+def _fewest_terms(c: float) -> float:
+    """A lower bound on the jump counts in ``_window(c)``, concave and
+    increasing in ``c``: ``min(2 half, c + half) + 1``, ``half`` as there."""
+    half = 10.0 * math.sqrt(c) + 25.0
+    return min(2.0 * half, c + half) + 1.0
+
+
+def _most_terms(c: float) -> float:
+    """An upper bound on the jump counts in ``_window(c)``, concave in ``c``:
+    ``min(2 half, c + half) + 3``, the rounding of both ends added."""
+    return _fewest_terms(c) + 2.0
 
 
 def _one_chain_cheaper(ph: PHRep, xs: np.ndarray) -> bool:
@@ -720,7 +770,7 @@ def _jump_sequence(start: np.ndarray, Q: np.ndarray, rate: float, x_max: float) 
         raise NumericError(
             f"PHRep evaluation: {length} jumps needed at x = {x_max}, above the limit {_MAX_JUMPS}"
         )
-    return _tail_sweep(start, Q, rate, length, head=False)[1]
+    return _tail_sweep(start, *_uniformized(Q, rate), length, head=False)[1]
 
 
 def _through_tail(xs: np.ndarray, slow, fast, breaks, width: float) -> np.ndarray:
@@ -751,13 +801,125 @@ def _through_tail(xs: np.ndarray, slow, fast, breaks, width: float) -> np.ndarra
     return out
 
 
+def _progression(xs: np.ndarray) -> tuple[float, float] | None:
+    """``(x0, h)`` when the points ``xs`` are ``x0 + j h``, ``j = 0..n-1``,
+    with ``n >= 2`` and ``h > 0``, each to within 4 ulps of the largest (as
+    ``np.linspace`` makes them); otherwise ``None``."""
+    if xs.size < 2:
+        return None
+    x0 = float(xs[0])
+    h = (float(xs[-1]) - x0) / (xs.size - 1)
+    if not 0.0 < h < math.inf:  # also refuses NaN
+        return None
+    off = np.abs(xs - (x0 + h * np.arange(xs.size))).max()
+    return (x0, h) if off <= 4 * np.spacing(float(xs[-1])) else None
+
+
+def _expm_cost(u: int) -> float:
+    """Price of one ``expm`` over ``u`` states, in ``_baby_steps``' units."""
+    return _EXPM_OVERHEAD + _EXPM_CUBES * u**3 / 4
+
+
+def _poisson_cost(ph: PHRep, xs: np.ndarray) -> float:
+    """Price of the path ``_evaluate`` takes on ``xs`` without a grid, in
+    ``_baby_steps``' units: its sweeps plus _TERM_COST per windowed Poisson
+    term, times _GL_NODES for the terms a convolution takes at its nodes."""
+    x_max = float(xs.max())
+
+    def chain(rate, states, nodes=1):
+        length = _sequence_length(rate * x_max)
+        terms = _window_sizes(rate * xs, length)[1].sum()
+        return _baby_steps(length, states, head=False)[1] + _TERM_COST * nodes * terms
+
+    slow = _slow_rate(ph)
+    if _one_chain_cheaper(ph, xs):
+        return _POISSON_OVERHEAD + chain(max(slow, ph.tail_lambda), ph.order)
+    cost = _POISSON_OVERHEAD
+    if ph.tail_n:
+        terms = _window_sizes(ph.tail_lambda * xs, ph.tail_n)[1].sum()
+        cost += _TERM_COST * (_GL_NODES if ph.prefix else 1) * terms
+    if ph.head_gamma.sum() > 0:
+        cost += chain(slow, ph.order - ph.tail_n, _GL_NODES if ph.tail_n else 1)
+    return cost
+
+
+def _grid_cheaper(ph: PHRep, xs: np.ndarray, x0: float) -> bool:
+    """Whether the uniform grid ``xs`` from ``x0`` costs less by the powers
+    of one step (``_grid_values``) than by Poisson sums: an output of at
+    most ``_SPARSE_STATES`` states whose Poisson path would take fewer than
+    ``_MAX_JUMPS`` jumps, where one ``expm`` (two when ``x0 > 0``) and the
+    sweep of ``n`` steps are priced below ``_poisson_cost``.  The prices
+    read only the order, ``n``, whether ``x0 > 0``, and the rates times the
+    points, so a power-of-two change of time unit keeps the choice."""
+    slow, x_max = _slow_rate(ph), float(xs[-1])
+    if ph.order > _SPARSE_STATES or not max(slow, ph.tail_lambda) * x_max < _MAX_JUMPS:
+        return False
+    cost = (1 + (x0 > 0)) * _expm_cost(ph.order) + _baby_steps(xs.size, ph.order, head=False)[1]
+    if ph.head_gamma.sum() > 0:
+        # bounds on the Poisson price that size no window (20-50 us on 16
+        # points, about 0.2 ms on 4,097).  Either path sweeps a chain that
+        # holds the prefix and the body, at a rate of at least slow, so over
+        # _sequence_length(slow x_max) jumps or more, and sums at every point
+        # x at least _fewest_terms(slow x) terms; that is concave in x, so
+        # over the grid it sums to at least n times its mean at the two ends.
+        # Without a tail that chain at slow is the only path, and its terms,
+        # at most _most_terms(slow x), also concave, sum to at most n times
+        # their bound at the grid's midpoint.
+        c0, c1 = slow * x0, slow * x_max
+        sweep = _POISSON_OVERHEAD + _baby_steps(_sequence_length(c1), ph.order - ph.tail_n, head=False)[1]
+        if cost < sweep + _TERM_COST * xs.size * (_fewest_terms(c0) + _fewest_terms(c1)) / 2:
+            return True
+        if not ph.tail_n and cost > sweep + _TERM_COST * xs.size * _most_terms((c0 + c1) / 2):
+            return False
+    return bool(cost < _poisson_cost(ph, xs))
+
+
+def _grid_values(ph: PHRep, x0: float, h: float, n: int, cdf: bool) -> np.ndarray:
+    """pdf or cdf at ``x_j = x0 + j h`` for ``j = 0..n-1``, by the powers of
+    one step ``E = exp(B h)`` of the dense pair ``(b, B)``.
+
+    From ``start = b exp(B x0)`` (``b`` itself at ``x0 = 0``),
+    ``_tail_sweep`` through ``M = E`` gives the density
+    ``start E^j t`` with ``t = -B 1``, and for the cdf the masses
+    ``start E^j (1 - E 1)`` absorbed in ``(x_j, x_(j+1)]``; ``F`` is
+    ``F(x0) = b 1 - start 1`` plus their running sum, nondecreasing and free
+    of the cancellation in ``1 - survival``.
+    """
+    b, B = to_dense(ph)
+    u = b.size
+    ones = np.ones(u)
+    # one product B h, so that a power-of-two change of the time unit leaves
+    # E bit-identical.  E is dimensionless; its entries below 1e-150 (and
+    # any negative rounding) are zeroed, since squaring them makes subnormal
+    # numbers: E @ E took 1.0 ms at 190 states against 0.23 ms zeroed.
+    E = expm(B * h)
+    E[E < 1e-150] = 0.0
+    start = b if x0 == 0 else np.maximum(b @ expm(B * x0), 0.0)
+    if not cdf:
+        return _tail_sweep(start, E, np.maximum(-(B @ ones), 0.0), n, head=False)[1]
+    q = _tail_sweep(start, E, np.maximum((np.eye(u) - E) @ ones, 0.0), n - 1, head=False)[1]
+    return np.clip(np.cumsum(np.concatenate([[b.sum() - start.sum()], q])), 0.0, 1.0)
+
+
 def _evaluate(ph: PHRep, xs: np.ndarray, cdf: bool) -> np.ndarray:
-    """pdf or cdf of the structured representation at every ``x >= 0``."""
+    """pdf or cdf of the structured representation at every ``x >= 0``: by
+    the powers of one step where ``xs`` is a uniform grid and
+    ``_grid_cheaper`` prices them below the Poisson sums, else by those."""
     if np.isnan(xs).any():
         raise InvalidRepresentationError("PHRep evaluation: x is NaN")
-    out = np.zeros(xs.shape)
     if xs.size == 0:
-        return out
+        return np.zeros(0)
+    grid = _progression(xs)
+    if grid is not None and _grid_cheaper(ph, xs, grid[0]):
+        return _grid_values(ph, *grid, xs.size, cdf)
+    return _poisson_values(ph, xs, cdf)
+
+
+def _poisson_values(ph: PHRep, xs: np.ndarray, cdf: bool) -> np.ndarray:
+    """pdf or cdf at every point of the nonempty ``xs`` by windowed Poisson
+    sums: of one chain, or of the slow chain convolved with the tail,
+    whichever ``_one_chain_cheaper`` picks."""
+    out = np.zeros(xs.shape)
     x_max = float(xs.max())
     if _one_chain_cheaper(ph, xs):
         b, B = to_dense(ph)
@@ -793,32 +955,15 @@ def _evaluate(ph: PHRep, xs: np.ndarray, cdf: bool) -> np.ndarray:
     return out
 
 
-def _grid_cdf(ph: PHRep, h: float, n: int) -> np.ndarray:
-    """Distribution function at ``x_j = j h`` for ``j = 0..n-1``, ``n >= 2``.
-
-    Up to ``_SPARSE_STATES`` states, by the powers of one step
-    ``E = exp(B h)`` of the dense pair ``(b, B)``: ``_tail_sweep`` with
-    ``M = E`` gives ``q_j = b E^j (1 - E 1)``, the mass absorbed in
-    ``(j h, (j+1) h]``, and ``F`` is their running sum, nondecreasing and
-    free of the cancellation in ``1 - survival``.  Above, the sweep would
-    take a sparse product per jump of a dense ``E``, so the grid is
-    evaluated by ``phrep_cdf_grid``.
-    """
-    if ph.order > _SPARSE_STATES:
-        return phrep_cdf_grid(ph, np.linspace(0.0, h * (n - 1), n))
-    b, B = to_dense(ph)
-    # one product B h, so that a power-of-two change of the time unit leaves
-    # E bit-identical.  E is dimensionless; its entries below 1e-150 (and
-    # any negative rounding) are zeroed, since squaring them makes subnormal
-    # numbers: E @ E took 1.0 ms at 190 states against 0.23 ms zeroed.
-    E = expm(B * h)
-    E[E < 1e-150] = 0.0
-    q = _tail_sweep(b, E - np.eye(E.shape[0]), 1.0, n - 1, head=False)[1]
-    return np.clip(np.concatenate([[0.0], np.cumsum(q)]), 0.0, 1.0)
-
-
 def phrep_pdf(ph: PHRep, x) -> float | np.ndarray:
-    """Density of the structured representation at ``x`` (scalar or array)."""
+    """Density of the structured representation at ``x`` (scalar or array).
+
+    Computed pointwise by windowed Poisson sums, as one chain or convolved
+    with the tail, whichever costs less on ``x``; or, where the points are a
+    uniform grid ``x0 + j h`` (at least two, as ``np.linspace`` makes them)
+    on an output of at most ``_SPARSE_STATES`` (224) states, by the powers
+    of one step ``exp(B h)``, when those are priced lower.
+    """
     xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     if xs.size and xs.min() < 0:
         raise InvalidRepresentationError("phrep_pdf: x must be >= 0")
@@ -861,9 +1006,10 @@ def phrep_moments(ph: PHRep, k_max: int) -> list[float]:
 def phrep_cdf_grid(ph: PHRep, xs: np.ndarray) -> np.ndarray:
     """Distribution function at every point of ``xs``; 0 below the origin.
 
-    Computed pointwise by the same Poisson sums as the density, as one chain
-    or convolved with the tail, whichever costs less on ``xs``; so the grid
-    needs no particular spacing.
+    Computed by the same paths as the density, so the grid needs no
+    particular spacing: pointwise Poisson sums, or on a uniform grid
+    ``x0 + j h``, when priced lower, ``F(x0)`` plus the running sum of the
+    masses absorbed per step ``exp(B h)``, nondecreasing by construction.
     """
     xs = np.maximum(np.asarray(xs, dtype=float), 0.0)
     return np.clip(_evaluate(ph, xs.ravel(), True), 0.0, 1.0).reshape(xs.shape)

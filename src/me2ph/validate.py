@@ -10,7 +10,7 @@ from .core import moments, pdf_eval_many
 from .errors import InvalidRepresentationError
 from .monocyclic import FEBlock
 from .spectral import SpectralData, expansion_values, first_nonzero_derivative
-from .tail import PHRep, _grid_cdf, phrep_moments, phrep_pdf
+from .tail import PHRep, phrep_cdf_grid, phrep_moments, phrep_pdf
 
 __all__ = [
     "MarkovianVerdict",
@@ -230,10 +230,12 @@ def monte_carlo_check(ph: PHRep, samples: int = 100_000, seed: int = 0) -> float
     """One-sample KS statistic of simulated absorption times against the
     structured distribution function.  Deterministic per seed.
 
-    The distribution function is taken on a uniform grid of 4,097 points,
-    ``x_j = j h``: up to ``tail._SPARSE_STATES`` states as the running sum
-    of the masses absorbed in one step ``h``, swept through the powers of
-    ``exp(B h)``; above, by ``phrep_cdf_grid``'s Poisson sums.
+    The distribution function is ``phrep_cdf_grid`` on a uniform grid of
+    4,097 points, ``x_j = j h``.  Up to ``tail._SPARSE_STATES`` states its
+    rule takes the running sum of the masses absorbed in one step ``h``,
+    swept through the powers of ``exp(B h)``, wherever that is priced below
+    the Poisson sums, as on every output the benchmark checks; above, the
+    Poisson sums.
     """
     times, grid = _check_sample(ph, samples, seed)
-    return _ks_statistic(times, grid, _grid_cdf(ph, grid[1], grid.size))
+    return _ks_statistic(times, grid, phrep_cdf_grid(ph, grid))

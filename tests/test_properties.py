@@ -55,16 +55,19 @@ EVALUATED = {**FAMILIES, "tailed": tailed_damped_rep}
 
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(st.sampled_from(sorted(EVALUATED)), st.integers(0, 2**32 - 1),
-       st.lists(st.floats(0.0, 8.0), min_size=1, max_size=8))
-def test_converted_output_evaluates_like_its_input(family, seed, in_means):
+       st.lists(st.floats(0.0, 8.0), min_size=1, max_size=8), st.booleans())
+def test_converted_output_evaluates_like_its_input(family, seed, in_means, uniform):
     # pdf and cdf of the output against the input pair's, at points placed in
-    # units of the input's mean
+    # units of the input's mean; with ``uniform``, on the linspace from the
+    # smallest to the largest, which the powers of one step may take
     rep = EVALUATED[family](np.random.default_rng(seed))
     try:
         ph, _ = convert(rep)
     except Me2PhError:
         return
     mean = moments(rep, 1)[0]
+    if uniform:
+        in_means = np.linspace(min(in_means), max(in_means), len(in_means))
     xs = mean * np.array(in_means)
     pdf = pdf_eval_many(rep, xs)
     cdf = np.array([1.0 - np.real(rep.alpha @ expm(rep.A * x)).sum() for x in xs])

@@ -9,7 +9,8 @@ import pytest
 
 from conftest import ALPHA7, A7
 from genutil import random_markovian_rep, rep_from_terms
-from me2ph import DecViolationError, MERep, convert, monte_carlo_check
+import me2ph.tail
+from me2ph import DecViolationError, MERep, convert, monte_carlo_check, phrep_cdf_grid, phrep_pdf
 from me2ph.cli import main
 from me2ph.io import write_me_file
 
@@ -88,3 +89,20 @@ def test_monte_carlo_statistic_ignores_the_time_unit(name):
     ks = monte_carlo_check(convert(rep)[0], samples=2000, seed=7)
     for j in (-30, 50):
         assert monte_carlo_check(convert(_scaled(rep, 2.0**j))[0], samples=2000, seed=7) == ks
+
+
+@pytest.mark.parametrize("name", ["worked", "long-cycle"])
+@pytest.mark.parametrize("x0", [0.0, 0.5])
+def test_uniform_grid_values_ignore_the_time_unit(name, x0, unit_conversions):
+    # pdf and cdf on a uniform grid take the powers of one step exp(B h),
+    # and B h is the same product in every power-of-two time unit
+    ph0 = unit_conversions[name][0]
+    xs = np.linspace(x0, 20.0, 257)
+    assert me2ph.tail._grid_cheaper(ph0, xs, x0)
+    pdf, cdf = phrep_pdf(ph0, xs), phrep_cdf_grid(ph0, xs)
+    for j in (-30, 50):
+        c = 2.0**j
+        ph = convert(_scaled(INPUTS[name], c))[0]
+        assert me2ph.tail._grid_cheaper(ph, xs / c, x0 / c)
+        assert np.array_equal(phrep_pdf(ph, xs / c), c * pdf)
+        assert np.array_equal(phrep_cdf_grid(ph, xs / c), cdf)

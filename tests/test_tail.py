@@ -39,6 +39,7 @@ from me2ph import (
     to_dense,
 )
 from me2ph.spectral import expansion_values
+from me2ph.tail import _uniformized
 from conftest import G8, fy_closed
 from genutil import damped_oscillation_rep, rep_from_terms, sign_changing_rep
 
@@ -162,7 +163,7 @@ def test_find_tau_names_the_rungs_climbed(worked_mono, worked_spec):
 def test_append_tail_retries_at_twice_the_rate(worked_mono):
     # 8 jumps at rate 16 leave a tail weight of about -3.6e-3; the one retry
     # doubles the rate, and with it the order over the same tau, and passes
-    _, q = me2ph.tail._tail_sweep(worked_mono.gamma, worked_mono.matrix, 16.0, 8)
+    _, q = me2ph.tail._tail_sweep(worked_mono.gamma, *_uniformized(worked_mono.matrix, 16.0), 8)
     assert q.min() < -1e-3
     ph = append_tail(worked_mono, TailChoice(0.5, 16.0, 8))
     assert (ph.tail_lambda, ph.tail_n) == (32.0, 16)
@@ -459,17 +460,19 @@ _WEIGHTS = np.array([0.05, 0.1, 0.1, 0.1])
 def test_sparse_slow_chain_step_matches_dense(monkeypatch):
     # both stepping regimes of the sweep, the dense baby and giant steps and
     # the sparse product per jump, on the chain the evaluators sweep and on a
-    # bare sweep of the body
+    # bare sweep of the body; the evaluators take their Poisson sums, as a
+    # uniform grid would otherwise skip the jump sequence
     ph = PHRep(_HEAD, _BLOCKS, 8.0, 4, _WEIGHTS, prefix=DeconvParams(2, 5.0))
     xs = np.linspace(0.0, 8.0, 33)
     built = []
     csr = scipy.sparse.csr_matrix
     monkeypatch.setattr(scipy.sparse, "csr_matrix", lambda a: built.append(a) or csr(a))
+    monkeypatch.setattr(me2ph.tail, "_grid_cheaper", lambda *_: False)
     results = {}
     for regime, limit in {"dense": me2ph.tail._SPARSE_STATES, "sparse": 0}.items():
         with monkeypatch.context() as m:
             m.setattr(me2ph.tail, "_SPARSE_STATES", limit)
-            head, q = me2ph.tail._tail_sweep(_HEAD, ph.matrix, 6.0, 40)
+            head, q = me2ph.tail._tail_sweep(_HEAD, *_uniformized(ph.matrix, 6.0), 40)
             results[regime] = (phrep_pdf(ph, xs), phrep_cdf_grid(ph, xs), head, q)
     assert len(built) == 3  # pdf, cdf and the bare sweep each stepped sparse
     for ref, got in zip(results["dense"], results["sparse"]):
@@ -489,9 +492,9 @@ def test_tail_sweep_matches_stepwise(chain, worked_mono):
         start, Q, rate = worked_mono.gamma, worked_mono.matrix, 16.0
         assert start.min() < 0
     u = Q.shape[0]
-    c = me2ph.tail._baby_steps(1000, u)
+    c = me2ph.tail._baby_steps(1000, u)[0]
     ns = (1, 2, 3, c * c - 1, c * c, c * c + 1, 1000)
-    assert 1 < c < 1000 and {n % me2ph.tail._baby_steps(n, u) for n in ns[3:6]} == {c - 1, 0, 1}
+    assert 1 < c < 1000 and {n % me2ph.tail._baby_steps(n, u)[0] for n in ns[3:6]} == {c - 1, 0, 1}
     M = np.eye(u) + Q / rate
     e = np.maximum(-(Q @ np.ones(u)), 0.0) / rate
     v, heads, ref = np.array(start, dtype=float), [], []
@@ -501,11 +504,11 @@ def test_tail_sweep_matches_stepwise(chain, worked_mono):
         v = v @ M
     heads.append(v)
     for n in ns:
-        head, q = me2ph.tail._tail_sweep(start, Q, rate, n)
+        head, q = me2ph.tail._tail_sweep(start, M, e, n)
         assert head == pytest.approx(heads[n], rel=1e-12, abs=1e-300)
         assert q == pytest.approx(np.array(ref[:n]), rel=1e-12, abs=1e-300)
         # without the head, q alone, at the baby steps priced for it
-        head, q = me2ph.tail._tail_sweep(start, Q, rate, n, head=False)
+        head, q = me2ph.tail._tail_sweep(start, M, e, n, head=False)
         assert head is None
         assert q == pytest.approx(np.array(ref[:n]), rel=1e-12, abs=1e-300)
 
@@ -532,17 +535,17 @@ def test_tail_sweep_matches_stepwise(chain, worked_mono):
                  np.linspace(0.0, 30.0, 31), id="prefix-body-slow-tail"),
 ])
 def test_phrep_evaluators_match_dense_generator(ph, xs, monkeypatch):
-    # through both paths, forced: the tail convolved with the slow chain, and
-    # the one chain
+    # through every path, forced: the Poisson sums of the tail convolved with
+    # the slow chain and of the one chain, and the powers of one step on the
+    # uniform grid
     b, B = to_dense(ph)
     ones = np.ones(b.size)
     survival = np.array([b @ expm(B * x) for x in xs])
-    for one_chain in (False, True):
+    for one_chain, grid in ((False, False), (True, False), (False, True)):
         monkeypatch.setattr(me2ph.tail, "_one_chain_cheaper", lambda *_, v=one_chain: v)
+        monkeypatch.setattr(me2ph.tail, "_grid_cheaper", lambda *_, v=grid: v)
         assert phrep_pdf(ph, xs) == pytest.approx(survival @ (-B @ ones), rel=1e-10, abs=1e-14)
         assert np.abs(phrep_cdf_grid(ph, xs) - (1.0 - survival @ ones)).max() <= 1e-12
-    # and by the powers of one step on the uniform grid
-    assert np.abs(me2ph.tail._grid_cdf(ph, xs[1], xs.size) - (1.0 - survival @ ones)).max() <= 1e-12
 
 
 def _short_outputs(worked_rep):
@@ -572,6 +575,8 @@ def test_short_outputs_take_one_chain_and_long_tails_the_convolution(
 
 
 def test_one_chain_agrees_with_the_convolution_on_short_outputs(worked_rep, monkeypatch):
+    # both Poisson paths, on a uniform grid the powers of one step would take
+    monkeypatch.setattr(me2ph.tail, "_grid_cheaper", lambda *_: False)
     for ph, mean in _short_outputs(worked_rep):
         xs = np.linspace(0.0, 20 * mean, 257)
         got = {}
@@ -583,9 +588,10 @@ def test_one_chain_agrees_with_the_convolution_on_short_outputs(worked_rep, monk
         assert np.abs(cdf1 - cdf).max() <= 1e-12
 
 
-def test_grid_cdf_matches_the_poisson_sums_on_monte_carlo_grids(worked_rep):
+def test_grid_cdf_matches_the_poisson_sums_on_monte_carlo_grids(worked_rep, monkeypatch):
     # the grids of a 20,000-sample check on the paper example's output, the
-    # two smallest anchors' and the long-cycle bodies of 64 to 190 states
+    # two smallest anchors' and the long-cycle bodies of 64 to 190 states,
+    # each by the powers of one step and by the Poisson sums, forced
     reps = [worked_rep] + [_damped(*p) for p in TAIL_ANCHORS[:2]]
     reps += [rep_from_terms([(-1.0, [1.0]), (-1.1 + k * 1j, [0.3])]) for k in (2, 4, 6)]
     orders = []
@@ -593,10 +599,98 @@ def test_grid_cdf_matches_the_poisson_sums_on_monte_carlo_grids(worked_rep):
         ph = convert(rep)[0]
         orders.append(ph.order)
         grid = me2ph.validate._check_sample(ph, 20_000, 1502)[1]
-        F = me2ph.tail._grid_cdf(ph, grid[1], grid.size)
-        assert np.abs(F - phrep_cdf_grid(ph, grid)).max() <= 1e-11
+        assert me2ph.tail._grid_cheaper(ph, grid, 0.0)
+        F = phrep_cdf_grid(ph, grid)
+        with monkeypatch.context() as m:
+            m.setattr(me2ph.tail, "_grid_cheaper", lambda *_: False)
+            assert np.abs(F - phrep_cdf_grid(ph, grid)).max() <= 1e-11
         assert F[0] == 0.0 and np.all(np.diff(F) >= 0.0)
     assert orders == [41, 9, 10, 64, 127, 190]
+
+
+_GRID_OUTPUTS = [
+    pytest.param(PHRep(_HEAD, _BLOCKS, 8.0, 4, _WEIGHTS, prefix=DeconvParams(2, 5.0)),
+                 id="prefix-body-tail"),
+    pytest.param(PHRep(_HEAD, _BLOCKS, 8.0, 4, _WEIGHTS), id="body-tail"),
+    pytest.param(PHRep(np.zeros(8), _BLOCKS, 8.0, 4, _WEIGHTS / _WEIGHTS.sum()), id="tail"),
+]
+
+
+def _both_paths(ph, xs, monkeypatch):
+    """pdf and cdf on ``xs`` by the powers of one step and by the Poisson sums, forced."""
+    got = {}
+    for grid in (True, False):
+        with monkeypatch.context() as m:
+            m.setattr(me2ph.tail, "_grid_cheaper", lambda *_, v=grid: v)
+            got[grid] = phrep_pdf(ph, xs), phrep_cdf_grid(ph, xs)
+    return got[True], got[False]
+
+
+@pytest.mark.parametrize("ph", _GRID_OUTPUTS)
+@pytest.mark.parametrize("x0", [0.0, 0.7])
+def test_grid_path_matches_the_poisson_sums(ph, x0, monkeypatch):
+    # from the origin, and from x0 > 0, where the sweep starts at b exp(B x0)
+    xs = np.linspace(x0, x0 + 9.0, 46)
+    (pdf, cdf), (pdf_ref, cdf_ref) = _both_paths(ph, xs, monkeypatch)
+    assert np.abs(pdf - pdf_ref).max() <= 1e-12 * pdf_ref.max()
+    assert np.abs(cdf - cdf_ref).max() <= 1e-12
+    assert np.all(np.diff(cdf) >= 0.0) and (cdf[0] == 0.0) == (x0 == 0.0)
+
+
+def test_grid_path_needs_a_progression(monkeypatch):
+    # a point moved by 4 ulps of the largest stays on the grid; by 16, the
+    # Poisson sums take the points, whatever the rule would price
+    ph = PHRep(_HEAD, _BLOCKS, 8.0, 4, _WEIGHTS, prefix=DeconvParams(2, 5.0))
+    xs = np.linspace(0.0, 8.0, 33)
+    assert me2ph.tail._progression(xs) == (0.0, 0.25)
+    near, off = xs.copy(), xs.copy()
+    near[7] += 4 * np.spacing(8.0)
+    off[7] += 16 * np.spacing(8.0)
+    assert me2ph.tail._progression(near) == (0.0, 0.25)
+    assert me2ph.tail._progression(off) is None
+    for bad in (xs[:1], xs[::-1], np.zeros(4), np.r_[xs[:-1], np.nan], np.r_[xs[:-1], np.inf]):
+        assert me2ph.tail._progression(bad) is None
+
+    def refused(*args, **kwargs):
+        raise AssertionError("grid path taken")
+
+    monkeypatch.setattr(me2ph.tail, "_grid_cheaper", lambda *_: True)
+    monkeypatch.setattr(me2ph.tail, "_grid_values", refused)
+    b, B = to_dense(ph)
+    ref = np.array([b @ expm(B * x) @ (-B @ np.ones(b.size)) for x in off])
+    assert phrep_pdf(ph, off) == pytest.approx(ref, rel=1e-10, abs=1e-14)
+    phrep_cdf_grid(ph, off)
+
+
+def test_grid_rule_on_the_benchmark_grids(worked_rep):
+    # the 41-state paper output on a 513-point cdf grid takes the powers of
+    # one step; the 190-state long-cycle body on a 50-point pdf grid from
+    # x0 = 0.1, which would need a second expm, keeps the Poisson sums
+    ph = convert(worked_rep)[0]
+    xs = np.linspace(0.0, 12.0, 513)
+    assert ph.order == 41 and me2ph.tail._grid_cheaper(ph, xs, xs[0])
+    ph = convert(rep_from_terms([(-1.0, [1.0]), (-1.1 + 6j, [0.3])]))[0]
+    xs = np.linspace(0.1, 10.0, 50)
+    assert ph.order == 190 and not me2ph.tail._grid_cheaper(ph, xs, xs[0])
+
+
+def test_grid_rule_bounds_only_skip_sizing_windows(worked_rep, monkeypatch):
+    # _fewest_terms and _most_terms bound every window, so the bounds on the
+    # Poisson price never change a choice: with them out, each is the same
+    cs = np.concatenate([np.linspace(0.0, 200.0, 4001), np.geomspace(1e-6, 1e9, 2000)])
+    lo, hi = me2ph.tail._window(cs)
+    fewest = np.array([me2ph.tail._fewest_terms(c) for c in cs])
+    assert np.all(fewest <= hi - lo + 1) and np.all(hi - lo + 1 <= fewest + 2)
+    outputs = [convert(worked_rep)[0], PHRep(_HEAD, _BLOCKS, 8.0, 4, _WEIGHTS, prefix=DeconvParams(2, 5.0))]
+    outputs += [convert(_damped(*p))[0] for p in TAIL_ANCHORS[:2]]
+    outputs += [convert(rep_from_terms([(-1.0, [1.0]), (-1.1 + k * 1j, [0.3])]))[0] for k in (2, 6)]
+    grids = [np.linspace(x0, x1, n) for x0, x1 in ((0.0, 4.0), (0.5, 12.0), (0.0, 40.0))
+             for n in (2, 16, 513, 4097)]
+    chosen = [me2ph.tail._grid_cheaper(ph, xs, xs[0]) for ph in outputs for xs in grids]
+    monkeypatch.setattr(me2ph.tail, "_fewest_terms", lambda c: -np.inf)
+    monkeypatch.setattr(me2ph.tail, "_most_terms", lambda c: np.inf)
+    assert chosen == [me2ph.tail._grid_cheaper(ph, xs, xs[0]) for ph in outputs for xs in grids]
+    assert True in chosen and False in chosen
 
 
 def test_to_dense_matches_pair_built_entry_by_entry():
@@ -630,7 +724,7 @@ def test_tail_sweep_chunk_stays_in_memory_budget():
     gamma = rng.random(u)
     tracemalloc.start()
     try:
-        head, q = me2ph.tail._tail_sweep(gamma, G, rate, n)
+        head, q = me2ph.tail._tail_sweep(gamma, *_uniformized(G, rate), n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -650,7 +744,7 @@ def test_tail_sweep_long_cycle_body_matches_stepwise():
     ph, _ = convert(rep_from_terms([(-1.0, [1.0]), (-1.1 + 6j, [0.3])]))
     assert ph.u == 190
     G, rate, n = ph.matrix, max(b.sigma for b in ph.blocks), 2_692
-    head, q = me2ph.tail._tail_sweep(ph.head_gamma, G, rate, n)
+    head, q = me2ph.tail._tail_sweep(ph.head_gamma, *_uniformized(G, rate), n)
     M = np.eye(ph.u) + G / rate
     e = np.maximum(-(G @ np.ones(ph.u)), 0.0) / rate
     v, ref = ph.head_gamma, np.empty(n)

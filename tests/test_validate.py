@@ -201,7 +201,7 @@ def test_monte_carlo_takes_one_step_powers_up_to_the_sparse_limit(monkeypatch):
     # up to _SPARSE_STATES states the grid needs no Poisson sum
     ph, _ = convert(erlang_rep(4, 2.0))
     with monkeypatch.context() as m:
-        m.setattr(me2ph.tail, "phrep_cdf_grid", refused)
+        m.setattr(me2ph.tail, "_poisson_sum", refused)
         assert monte_carlo_check(ph, samples=5000, seed=3) <= 0.03
     # above, one dense step would make the sweep sparse: the Poisson sums
     # evaluate the grid, and no step is formed: an Erlang(300, 300) tail
