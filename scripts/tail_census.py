@@ -5,11 +5,17 @@ The census is the benchmark's paper example and its random batch (seed 1),
 then ``--damped`` draws of ``genutil.damped_oscillation_rep`` and
 ``--erlang-damped`` draws of ``genutil.erlang_damped_rep``, all from one
 ``default_rng(12)``.  Per input the digest takes the output order, the applied
-tail's ``n``, and the certificate's ``n`` and ``tau`` (exact, as ``float.hex``),
-or the error's class when the conversion fails.  Two checkouts that print the
-same digest chose the same tail on every input.  The summary also counts the
-inputs whose applied tail is the certified one, and those where it is the
-certified one retried at twice the rate.  The ``outputs`` line hashes
+tail's ``n``, and the certificate's ``n`` and ``tau`` (exact, as ``float.hex``;
+``None`` where ``convert`` priced no certificate, as when its search found
+the tail without one), or the error's class when the conversion fails.  Two
+checkouts that print the same digest chose the same tail on every input and
+priced the same certificates.  The ``applied`` line hashes only the output
+order and the applied tail's ``n`` (or the error's class), so it reads the
+same for two checkouts that chose the same tails, whichever certificates
+they priced.  The summary also counts the inputs whose applied tail is the
+certified one, and those where it is the certified one retried at twice
+the rate, and prints the most jumps one conversion's search swept.  The
+``outputs`` line hashes
 the bits of every output value (``output_bits``); two checkouts that print
 the same one produced bit-identical outputs.  ``--save PATH`` writes every
 output's parts to an ``.npz`` file, and ``--against PATH`` prints the largest
@@ -68,17 +74,17 @@ def census_inputs(damped: int, erlang_damped: int):
         yield f"genutil-erlang-damped-{i}", erlang_damped_rep(rng)[0]
 
 
-def outcome(rep) -> tuple[tuple, object, str | None]:
+def outcome(rep) -> tuple[tuple, object, object]:
     """``(order, tail n, certified n, certified tau)``, or the error's class,
-    with the output (``None`` when the conversion fails) and the
-    ``certified_path`` taken."""
+    with the output and the report (both ``None`` when the conversion
+    fails)."""
     try:
         ph, report = convert(rep)
     except Me2PhError as exc:
         return (type(exc).__name__,), None, None
     b = report.bounds
     out = (ph.order, ph.tail_n, b.n if b else None, b.tau.hex() if b else None)
-    return out, ph, certified_path(report)
+    return out, ph, report
 
 
 def grid_paths(ph) -> tuple[float, float, str]:
@@ -99,9 +105,11 @@ def certified_path(report) -> str | None:
     ``(tau, n)``, ``"certified tail, retried"`` when it has the certificate's
     ``tau`` and a larger ``n``; ``None`` for a searched tail or none."""
     t, b = report.tail, report.bounds
-    if t is not None and (t.tau, t.n) == (b.tau, b.n):
+    if t is None or b is None:
+        return None
+    if (t.tau, t.n) == (b.tau, b.n):
         return "certified tail"
-    if t is not None and t.n > b.n:
+    if t.n > b.n:
         return "certified tail, retried"
     return None
 
@@ -171,14 +179,14 @@ def main() -> None:
                         help="compare both evaluation paths on a uniform grid of each short output")
     args = parser.parse_args()
 
-    digest, outputs = hashlib.sha256(), hashlib.sha256()
+    digest, applied, outputs = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     # the fallback's two paths are printed even when no input takes them
     counts = Counter({"certified tail": 0, "certified tail, retried": 0})
-    values = {}
+    values, most_jumps = {}, [0, None]
     paths, worst_pdf, worst_cdf = Counter(), [0.0, None], [0.0, None]
     start = time.perf_counter()
     for name, rep in census_inputs(args.damped, args.erlang_damped):
-        out, ph, path = outcome(rep)
+        out, ph, report = outcome(rep)
         parts = output_parts(ph) if ph is not None else []
         if args.grid and ph is not None and ph.order <= _SPARSE_STATES:
             pdf_diff, cdf_diff, taken = grid_paths(ph)
@@ -187,6 +195,7 @@ def main() -> None:
                 if value >= slot[0]:
                     slot[:] = value, name
         digest.update(repr((name, out)).encode())
+        applied.update(repr((name, out[:2])).encode())
         outputs.update(name.encode() + output_bits(parts))
         if parts:
             values[name] = parts
@@ -195,14 +204,20 @@ def main() -> None:
             counts[f"failed: {out[0]}"] += 1
         elif out[1]:
             counts["with a tail"] += 1
-        if path is not None:
-            counts[path] += 1
+        if report is not None:
+            path = certified_path(report)
+            if path is not None:
+                counts[path] += 1
+            if report.tail is not None and report.tail.jumps > most_jumps[0]:
+                most_jumps[:] = report.tail.jumps, name
         if args.verbose:
             print(name, *out)
     for key, value in sorted(counts.items()):
         print(f"{key}: {value}")
     print(f"time: {time.perf_counter() - start:.1f} s")
+    print(f"most jumps swept: {most_jumps[0]}" + (f" ({most_jumps[1]})" if most_jumps[1] else ""))
     print(f"digest: {digest.hexdigest()}")
+    print(f"applied: {applied.hexdigest()}")
     print(f"outputs: {outputs.hexdigest()}")
     if args.grid:
         print(f"grid, largest pdf difference over its largest value: {worst_pdf[0]:.3g} ({worst_pdf[1]})")

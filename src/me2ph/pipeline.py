@@ -7,12 +7,15 @@ initial vector (no pair is built after the input), append an Erlang tail if
 the vector has negative entries, and reattach the Erlang factor.  A
 nonnegative vector proves the density positive, so the positivity check
 (``check_positive_density``) runs only where the vector does not decide:
-when it has a negative entry, before the tail is priced, and when the
+when it has a negative entry, before the tail is searched for, and when the
 construction fails, to name a density that is not positive as such.  The
 tail is the smallest whose transformed vector is nonnegative:
-``smallest_tail`` searches for it and applies the certified tail of the
-paper's bound when nothing smaller passes.  With ``PaperBounds`` the
-certified tail is applied by ``append_tail``.  The checks read the
+``smallest_tail`` searches for it under a fixed budget of jumps, with no
+certificate.  Only when that search finds nothing is the paper's bound
+priced (``find_tau``, ``compute_bounds``); the search then runs again
+below the certified tail, which it applies when nothing smaller passes.
+With ``PaperBounds`` the certified tail is applied by ``append_tail``.
+The checks read the
 expansion in the input's units; the construction runs in units of
 its mean, a power of two (``MERep.mean_scale``), so ``(alpha, 2^j A)``
 converts to the exact rescaling.
@@ -29,7 +32,8 @@ from .errors import (DecViolationError, InvalidRepresentationError, Me2PhError, 
                      PositiveDensityError)
 from .monocyclic import build_generator, solve_gamma
 from .spectral import analyze_spectrum, check_dec, fmt_complex
-from .tail import BoundsReport, PHRep, TailChoice, append_tail, compute_bounds, find_tau, smallest_tail
+from .tail import (_SEARCH_JUMPS, BoundsReport, PHRep, TailChoice, append_tail, compute_bounds, find_tau,
+                   smallest_tail)
 from .validate import check_positive_density
 
 __all__ = ["PaperBounds", "ConversionReport", "convert"]
@@ -56,9 +60,11 @@ class PaperBounds:
 class ConversionReport:
     """Step-by-step record of one conversion.
 
-    ``bounds`` is the certificate: the tail the paper's bound guarantees.
-    ``tail`` is the one applied, with the jumps the search swept; in computed
-    mode it is the smallest the search found, at most the certified one.
+    ``bounds`` is the certificate, the tail the paper's bound guarantees:
+    ``None`` where none was computed, as when the search without it found
+    a tail.  ``tail`` is the one applied, with the jumps the search that
+    chose it swept; in computed mode it is the smallest the search found,
+    at most the certified one when there is one.
     """
 
     input_order: int = 0
@@ -96,14 +102,14 @@ class ConversionReport:
                 f"lambda: {b.rate!r}",
                 f"n: {b.n}",
             ]
-            if self.tail is not None:
-                t = self.tail
-                out += [
-                    f"applied tau: {t.tau!r}",
-                    f"applied lambda: {t.rate!r}",
-                    f"applied n: {t.n}",
-                    f"jumps swept: {t.jumps}",
-                ]
+        if self.tail is not None:
+            t = self.tail
+            out += [
+                f"applied tau: {t.tau!r}",
+                f"applied lambda: {t.rate!r}",
+                f"applied n: {t.n}",
+                f"jumps swept: {t.jumps}",
+            ]
         else:
             out.append("tail: not needed")
         out.append(f"final order: {self.final_order}")
@@ -123,24 +129,55 @@ def _require_positive(spec, tol: ToleranceConfig) -> None:
         raise PositiveDensityError(f"{pd.failed_part}: {pd.detail}")
 
 
-def _apply_tail(mono, bounds, paper_bounds, room: int, tol: ToleranceConfig):
-    """The tail applied (``None`` for a nonnegative vector), the output
-    without its prefix, and the tail's order; a tail above ``room``, the
+def _certificate(mono, spec, s: float, paper_bounds, tol: ToleranceConfig) -> BoundsReport:
+    """The paper's certificate for the body ``mono``, built in units of the
+    mean ``s`` from the expansion ``spec`` it realizes, in the input's units."""
+    if paper_bounds is not None:
+        bounds = compute_bounds(
+            mono, paper_bounds.tau / s, spec, tol=tol,
+            gamma_norm=paper_bounds.gamma_norm,
+            eps1=paper_bounds.eps1,
+            eps2=paper_bounds.eps2 * s,
+            round_rate_to=paper_bounds.round_rate_to * s,
+        )
+    else:
+        bounds = compute_bounds(mono, find_tau(mono, spec, tol), spec, tol=tol)
+    return replace(bounds, tau=bounds.tau * s, g=bounds.g / s, eps2=bounds.eps2 / s,
+                   lambda_prime=bounds.lambda_prime / s,
+                   lambda_dprime=bounds.lambda_dprime / s, rate=bounds.rate / s)
+
+
+def _apply_tail(mono, body, spec, s: float, paper_bounds, room: int, tol: ToleranceConfig):
+    """The certificate (``None`` where none was needed), the tail applied
+    (``None`` for a nonnegative vector), the output without its prefix, and
+    the tail's order.  ``mono`` is the body in units of the mean ``s``,
+    ``body`` the same in the input's units.  A tail above ``room``, the
     certified one or its retry, is not built and comes with ``None``."""
-    if bounds is None:
-        return None, PHRep(mono.gamma, mono.blocks, 0.0, 0, np.zeros(0), tol=tol), 0
+    if mono.gamma.min() >= 0:
+        return None, None, PHRep(body.gamma, body.blocks, 0.0, 0, np.zeros(0), tol=tol), 0
+    if paper_bounds is None:
+        tail, ph = smallest_tail(body, None, room, tol)
+        if ph is not None:
+            return None, tail, ph, tail.n
+    try:
+        bounds = _certificate(mono, spec, s, paper_bounds, tol)
+    except NumericError as exc:
+        if paper_bounds is not None:
+            raise
+        budget = max(min(_SEARCH_JUMPS, room), 0)
+        raise NumericError(f"{exc}; no tail passed a search of {budget} jumps", detail=exc.detail) from exc
     tail, ph = TailChoice.certified(bounds), None
     try:
         if paper_bounds is None:
-            tail, ph = smallest_tail(mono, bounds, room, tol)
+            tail, ph = smallest_tail(body, bounds, room, tol)
         elif tail.n <= room:
-            ph = append_tail(mono, tail, tol, room)
+            ph = append_tail(body, tail, tol, room)
             tail = replace(tail, rate=ph.tail_lambda, n=ph.tail_n)
     except NumericError as exc:
         if (exc.detail or {}).get("max_n") != room:
             raise
-        return tail, None, exc.detail["n"]  # the retry append_tail refused
-    return tail, ph, tail.n
+        return bounds, tail, None, exc.detail["n"]  # the retry append_tail refused
+    return bounds, tail, ph, tail.n
 
 
 def convert(
@@ -157,10 +194,14 @@ def convert(
     tail applied (retried or not) if one is needed, would exceed
     ``max_order``.  A nonnegative body vector proves the density positive,
     so ``check_positive_density`` runs at most once: when the vector has a
-    negative entry, before the tail is priced, or when the construction
-    fails.  When it rejects the input, ``PositiveDensityError`` is raised,
-    in place of the construction's error.  Makes one tail call: ``smallest_tail``, or ``append_tail``
-    with ``paper_bounds``.
+    negative entry, before the tail is searched for, or when the
+    construction fails.  When it rejects the input, ``PositiveDensityError``
+    is raised, in place of the construction's error.  In computed mode the
+    tail comes from ``smallest_tail`` without a certificate, under
+    ``_SEARCH_JUMPS`` jumps or the room ``max_order`` leaves if smaller; only
+    when that finds nothing are ``find_tau`` and ``compute_bounds`` run, and
+    ``smallest_tail`` again under the certificate.  With ``paper_bounds``
+    ``append_tail`` applies the certified tail.
     """
     report = ConversionReport(input_order=rep.order)
 
@@ -202,35 +243,19 @@ def convert(
         gamma_min = float(mono.gamma.min())
         report.gamma_min = gamma_min
 
-        bounds = None
         if gamma_min < 0:
-            # a sign-changing density shows here first: reject it before the
-            # tail is priced
+            # a sign-changing density shows here first: reject it before a
+            # tail is searched for
             graded = True
             _require_positive(spec, tol)
-            if paper_bounds is not None:
-                bounds = compute_bounds(
-                    mono, paper_bounds.tau / s, working_spec, tol=tol,
-                    gamma_norm=paper_bounds.gamma_norm,
-                    eps1=paper_bounds.eps1,
-                    eps2=paper_bounds.eps2 * s,
-                    round_rate_to=paper_bounds.round_rate_to * s,
-                )
-            else:
-                tau = find_tau(mono, working_spec, tol)
-                bounds = compute_bounds(mono, tau, working_spec, tol=tol)
-            bounds = replace(bounds, tau=bounds.tau * s, g=bounds.g / s, eps2=bounds.eps2 / s,
-                             lambda_prime=bounds.lambda_prime / s,
-                             lambda_dprime=bounds.lambda_dprime / s, rate=bounds.rate / s)
-            report.bounds = bounds
         # back in the input's units; the tail sweep's steps Q / rate do not change
-        mono = replace(mono, blocks=tuple(replace(blk, sigma=blk.sigma / s) for blk in mono.blocks),
+        body = replace(mono, blocks=tuple(replace(blk, sigma=blk.sigma / s) for blk in mono.blocks),
                        lambda1=mono.lambda1 / s)
-        report.blocks = [f"({b.b},{b.sigma:g},{b.z:g})" for b in mono.blocks]
-        report.monocyclic_order = mono.order
+        report.blocks = [f"({b.b},{b.sigma:g},{b.z:g})" for b in body.blocks]
+        report.monocyclic_order = body.order
         # no tail above the room the limit leaves is swept, a retried one included
-        room = max_order - l - mono.order
-        tail, ph, n = _apply_tail(mono, bounds, paper_bounds, room, tol)
+        room = max_order - l - body.order
+        report.bounds, tail, ph, n = _apply_tail(mono, body, working_spec, s, paper_bounds, room, tol)
     except Me2PhError:
         # a density that is not positive fails the construction somewhere;
         # the check names that failure, if it has not run yet
@@ -239,7 +264,7 @@ def convert(
         raise
     if n > room:
         raise NumericError(
-            f"convert: order {l + mono.order + n} exceeds the limit {max_order}",
+            f"convert: order {l + body.order + n} exceeds the limit {max_order}",
             detail={"n": n, "max_order": max_order},
         )
     report.tail = tail

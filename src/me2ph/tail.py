@@ -9,9 +9,12 @@ approximate density samples ``f(k/lam)/lam`` and the head entries approach
 bound ``|e^z - (1+z/n)^n| <= r^2 e^r / (2n)`` for ``|z| <= r``.  The bound
 proves that a tail exists, but can overshoot by orders of magnitude (950,965
 states where 32 suffice on the paper's example).  The transformed vector
-itself certifies a tail, so ``smallest_tail`` searches below the certified
-one and applies it only when nothing smaller passes; one step, ``_swept``,
-sweeps and tests every candidate, the certified tail and its retry included.
+itself certifies a tail, so ``smallest_tail`` searches first, without the
+bound, under ``_SEARCH_JUMPS`` jumps; only a search that finds nothing needs
+the certificate (``find_tau``, ``compute_bounds``), and then the search runs
+again below the certified tail, which it applies when nothing smaller
+passes.  One step, ``_swept``, sweeps and tests every candidate, the
+certified tail and its retry included.
 """
 
 import math
@@ -486,11 +489,17 @@ def _swept(mono: MonocyclicRep, rate: float, n: int, tol: ToleranceConfig):
     return PHRep(np.clip(head, 0.0, None), mono.blocks, rate, n, weights, tol=tol), head, q
 
 
-def smallest_tail(mono: MonocyclicRep, bounds: BoundsReport, max_n: int,
-                  tol: ToleranceConfig = DEFAULT_TOL) -> tuple[TailChoice, PHRep | None]:
+# The jumps a search without a certificate may sweep.  The largest search of
+# the 3,199 inputs of scripts/tail_census.py sweeps 517 jumps, so 2^14 is 28
+# times that; where it fails, the certificate prices the search's next cap.
+_SEARCH_JUMPS = 2**14
+
+
+def smallest_tail(mono: MonocyclicRep, bounds: BoundsReport | None, max_n: int,
+                  tol: ToleranceConfig = DEFAULT_TOL) -> tuple[TailChoice | None, PHRep | None]:
     """Apply the smallest tail of at most ``max_n`` states whose transformed
-    vector passes the test, with the certified tail ``bounds`` as the last
-    candidate.
+    vector passes the test; with a certificate ``bounds``, the certified tail
+    is the last candidate.
 
     Every tail on the body gives exactly the distribution the body's vector
     gives, and it is Markovian when its transformed vector is nonnegative;
@@ -500,21 +509,28 @@ def smallest_tail(mono: MonocyclicRep, bounds: BoundsReport, max_n: int,
     skipped.  On a rung ``n`` starts at the smallest
     power of two with ``n / tau`` at least the body's largest rate, so
     ``M = I + G/rate`` is nonnegative, and doubles until the vector passes
-    or ``n`` reaches the best found or passes ``max_n``.  The search ends at
+    or ``n`` reaches the best found or passes the cap.  The search ends at
     the first rung whose rate bound alone does so, or before its sweeps
-    would pass ``min(bounds.n, max_n)`` jumps in total.  When no candidate
-    passes, ``append_tail`` applies the certified tail, retry included.
+    would pass the budget of jumps in total.  Without ``bounds`` cap and
+    budget are ``min(_SEARCH_JUMPS, max_n)``; with it they are ``max_n`` or
+    below the certified ``n``, and when no candidate passes, ``append_tail``
+    applies the certified tail, retry included.
 
-    Returns the tail applied, with the jumps swept, and its representation;
-    a certified tail above ``max_n`` is not swept, and comes with ``None``,
-    and ``append_tail`` refuses a retry above it.
+    Returns the tail applied, with the jumps swept, and its representation.
+    A certified tail above ``max_n`` is not swept, and comes with ``None``,
+    and ``append_tail`` refuses a retry above it; without ``bounds`` a search
+    that finds nothing returns ``(None, None)``.
     """
     if mono.gamma is None:
         raise InvalidRepresentationError("smallest_tail: gamma not set")
     sigma = max(blk.sigma for blk in mono.blocks)
-    budget = min(bounds.n, max_n)
-    tail, ph, jumps = TailChoice.certified(bounds), None, 0
-    cap = min(bounds.n - 1, max_n)  # the largest n worth sweeping
+    if bounds is None:
+        tail, budget = None, min(_SEARCH_JUMPS, max_n)
+        cap = budget
+    else:
+        tail, budget = TailChoice.certified(bounds), min(bounds.n, max_n)
+        cap = min(bounds.n - 1, max_n)  # the largest n worth sweeping
+    ph, jumps = None, 0
     for tau, head in _ladder(mono, tol):
         if math.ceil(sigma * tau) > cap:
             break
@@ -532,6 +548,8 @@ def smallest_tail(mono: MonocyclicRep, bounds: BoundsReport, max_n: int,
                 tail, ph, cap = TailChoice(tau, n / tau, n), found, n - 1
         if n <= cap:
             break  # the next sweep would pass the budget
+    if tail is None:
+        return None, None
     if ph is None and tail.n <= max_n:
         ph = append_tail(mono, tail, tol, max_n)
         tail = replace(tail, rate=ph.tail_lambda, n=ph.tail_n)

@@ -1,11 +1,26 @@
 """Shared fixtures: the order-7 regression example and its derived forms."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from me2ph import MERep, PaperBounds, SpectralData, SpectralTerm, convert
+from me2ph import (
+    BoundsReport,
+    MERep,
+    PaperBounds,
+    SpectralData,
+    SpectralTerm,
+    analyze_spectrum,
+    build_generator,
+    choose_mu,
+    compute_bounds,
+    convert,
+    find_tau,
+    solve_gamma,
+    zero_multiplicity,
+)
 
 SCALE = 102 / 139
 
@@ -116,3 +131,18 @@ def worked_residual() -> MERep:
 def worked_conversion(worked_rep):
     """Converted regression example with the published rounded constants."""
     return convert(worked_rep, paper_bounds=PaperBounds())
+
+
+def certificate(rep: MERep) -> BoundsReport:
+    """The certificate ``convert`` prices when its search finds no tail:
+    ``find_tau`` and ``compute_bounds`` on the body and the expansion it
+    realizes, in units of the input's mean, returned in the input's units."""
+    s = rep.mean_scale
+    spec = analyze_spectrum(rep).scaled(s)
+    l = zero_multiplicity(spec)
+    if l:
+        spec = choose_mu(spec, l)[1]
+    mono = solve_gamma(spec, build_generator(spec))
+    b = compute_bounds(mono, find_tau(mono, spec), spec)
+    return replace(b, tau=b.tau * s, g=b.g / s, eps2=b.eps2 / s, lambda_prime=b.lambda_prime / s,
+                   lambda_dprime=b.lambda_dprime / s, rate=b.rate / s)

@@ -268,7 +268,7 @@ def test_criterion_3_monte_carlo_cross_check():
     while True:
         rep = damped_oscillation_rep(rng)
         ph, report = convert(rep)
-        if report.bounds is not None:
+        if report.tail is not None:
             examples.append(ph)
             break
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import me2ph
-from me2ph import DeconvParams, FEBlock, MERep, PHRep
+from me2ph import DEFAULT_TOL, DeconvParams, FEBlock, MERep, PHRep, moments, phrep_moments
 from me2ph.cli import main
 from me2ph.io import read_file, read_me_file, read_ph_file, write_me_file, write_ph_file
 from conftest import SCALE
@@ -175,17 +175,20 @@ def test_convert_cli_worked_example_paper_bounds(tmp_path, capsys, worked_me_fil
 
 
 def test_convert_cli_prints_certificate_and_applied_tail(tmp_path, capsys, worked_me_file):
+    # the search finds the tail without a certificate: only the applied tail
+    # is printed, and it is far below the certified 950,965 states
     out = tmp_path / "worked.ph.json"
     assert main(["convert", str(worked_me_file), str(out)]) == 0
     printed = capsys.readouterr().out.splitlines()
     json_line = {line.split(": ", 1)[0]: json.loads(line.split(": ", 1)[1])
                  for line in printed if line.startswith(("bounds: {", "tail: {"))}
-    certified, applied = json_line["bounds"], json_line["tail"]
-    assert certified["n"] == 950_965
-    assert applied["n"] == read_ph_file(out).tail_n <= certified["n"]
-    assert applied["jumps"] <= certified["n"]
+    assert "bounds" not in json_line
+    applied = json_line["tail"]
+    assert applied["n"] == read_ph_file(out).tail_n == 32
+    assert applied["jumps"] == 100 < 950_965
     assert f"applied n: {applied['n']}" in printed
     assert f"jumps swept: {applied['jumps']}" in printed
+    assert not any(line.startswith("tau: ") for line in printed)
 
 
 def test_convert_cli_deterministic_output(tmp_path, capsys, worked_me_file):
@@ -241,15 +244,21 @@ def test_convert_cli_max_order_without_tail(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_convert_cli_rate_overflow_exits_numeric(tmp_path, capsys):
+def test_convert_cli_converts_where_the_certified_rate_overflows(tmp_path, capsys):
     # its 195-state body overflows the derivative powers of the spectral
-    # fit, and the certified rate lambda' alone is far beyond 1e15
+    # fit, and the certified rate lambda' alone is far beyond 1e15; the
+    # search, which needs no certificate, finds a tail within its budget
     rep = rep_from_terms([(-1.0, [0.62]), (-2.0 + 1.2j, [0.35 + 0.3j]), (-1.1 + 6j, [0.02])])
     inp = tmp_path / "overflow.json"
+    out = tmp_path / "x.json"
     write_me_file(rep, inp)
-    code = main(["convert", str(inp), str(tmp_path / "x.json")])
-    assert code == 4
-    assert "exceeds 1e15" in capsys.readouterr().err
+    assert main(["convert", str(inp), str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "bounds: {" not in printed and "monocyclic order: 195" in printed
+    ph = read_ph_file(out)
+    assert 0 < ph.tail_n <= 2**14
+    got, ref = np.array(phrep_moments(ph, 5)), np.array(moments(rep, 5))
+    assert np.abs(got / ref - 1).max() <= DEFAULT_TOL.equivalence_rel
 
 
 def test_convert_cli_sign_changing_input_exits_numeric(tmp_path, capsys):

@@ -16,6 +16,7 @@ from me2ph import (
     phrep_moments,
     zero_multiplicity,
 )
+from conftest import certificate
 from genutil import random_markovian_rep, rep_from_terms
 
 
@@ -39,15 +40,27 @@ def test_convert_enforces_order_limit_without_tail():
 
 
 def test_convert_worked_example_computed_tail(worked_rep):
-    # the tau ladder prices each rung by the bound compute_bounds certifies;
-    # the tail applied is the smallest the search finds below that certificate
+    # the search finds a tail without the certificate, so convert prices
+    # none; priced by hand, the tau ladder prices each rung by the bound
+    # compute_bounds certifies, and the searched tail is far below it
     ph, report = convert(worked_rep)
-    b = report.bounds
+    assert report.bounds is None
+    b = certificate(worked_rep)
     assert b.tau == 0.5
     assert b.n == 950_965
     assert abs(b.eps2 - 0.029211928006851035) <= 1e-12
     assert ph.order == report.final_order < 100
     assert ph.tail_n == report.tail.n <= b.n
+
+
+def test_report_prints_a_searched_tail_without_a_certificate(worked_rep):
+    lines = convert(worked_rep)[1].lines()
+    assert not any(line.startswith(("tau:", "eps2:", "n:")) for line in lines)
+    assert "tail: not needed" not in lines
+    assert {"applied tau: 0.5", "applied n: 32", "jumps swept: 100"} <= set(lines)
+    # under the published constants both are printed
+    lines = convert(worked_rep, paper_bounds=PaperBounds())[1].lines()
+    assert {"tau: 0.5", "n: 403300", "applied n: 403300", "jumps swept: 0"} <= set(lines)
 
 
 def test_convert_erlang_reports_prefix():
@@ -86,6 +99,33 @@ def test_convert_hypoexponential_chain_grid_would_reject():
     assert np.abs(m_ph / m_rep - 1).max() < 1e-12
 
 
+def test_convert_searches_where_the_certificate_overflows():
+    # a damped oscillation with a 241-state body: its certified rate exceeds
+    # 1e15, yet the search, which needs no certificate, finds a 64-state tail
+    a, b, c, phi = 1.39252846017499, 29.982029705468896, 1.0038715080476077, 3.402101183476623
+    rep = rep_from_terms([(-1.0, [1.0]), (complex(-a, b), [c * np.exp(1j * phi) / 2])])
+    with pytest.raises(NumericError, match="exceeds 1e15"):
+        certificate(rep)
+    ph, report = convert(rep)
+    assert report.bounds is None
+    assert (report.monocyclic_order, ph.tail_n, report.tail.jumps, ph.order) == (241, 64, 96, 305)
+    m_ph, m_rep = np.array(phrep_moments(ph, 5)), np.array(moments(rep, 5))
+    assert np.abs(m_ph / m_rep - 1).max() < 1e-13
+
+
+def test_convert_erlang_damped_input_whose_first_weight_vanishes():
+    # x^2 e^-x plus a damped oscillation starting like x^2: after the Erlang
+    # split the body's first weight is zero up to rounding.  Its vector is
+    # nonnegative, so no tail and no certificate is needed
+    a, b, amp, phase = 1.9844971157790774, 1.3550341249420614, 0.25837856345991206, 5.6020707917423795
+    rep = rep_from_terms([(-1.0, [0.0, 0.0, 1.0]), (complex(-a, b), [0.0, 0.0, amp * np.exp(1j * phase) / 2])])
+    ph, report = convert(rep)
+    assert (ph.order, report.l, ph.tail_n) == (20, 2, 0)
+    assert report.bounds is None and report.tail is None
+    m_ph, m_rep = np.array(phrep_moments(ph, 5)), np.array(moments(rep, 5))
+    assert np.abs(m_ph / m_rep - 1).max() < 1e-13
+
+
 def test_convert_runs_positivity_grid_only_for_a_negative_vector(monkeypatch, worked_rep):
     from me2ph import pipeline
 
@@ -101,7 +141,7 @@ def test_convert_runs_positivity_grid_only_for_a_negative_vector(monkeypatch, wo
     assert report.bounds is None and calls == []
     # once, on the input's expansion, not on the split's residual
     _, report = convert(worked_rep)
-    assert report.bounds is not None and calls == [report.minimal_order] == [6]
+    assert report.tail is not None and calls == [report.minimal_order] == [6]
 
 
 def test_convert_at_the_positivity_boundary():

@@ -19,6 +19,7 @@ from me2ph import (
     phrep_moments,
     phrep_pdf,
 )
+from me2ph.tail import _SEARCH_JUMPS
 from genutil import damped_oscillation_rep, erlang_damped_rep, random_markovian_rep, tailed_damped_rep
 
 FAMILIES = {
@@ -40,12 +41,16 @@ def test_convert_returns_an_equivalent_output_within_the_limit_or_refuses(family
     got, ref = np.array(phrep_moments(ph, 3)), np.array(moments(rep, 3))
     assert np.abs(got / ref - 1).max() <= DEFAULT_TOL.equivalence_rel
     t, b = report.tail, report.bounds
+    if t is None:
+        assert b is None and ph.tail_n == 0
+        return
+    assert ph.tail_n == t.n
     if b is None:
-        assert t is None and ph.tail_n == 0
+        # found by the search without a certificate, within its budget
+        assert t.n <= t.jumps <= _SEARCH_JUMPS
         return
     # searched below the certificate, the certified tail, or its one retry
     # at twice the rate over the same tau
-    assert ph.tail_n == t.n
     assert t.n < b.n or (t.tau, t.n) == (b.tau, b.n) or (t.tau == b.tau and t.n > b.n)
 
 

@@ -39,8 +39,8 @@ from me2ph import (
     to_dense,
 )
 from me2ph.spectral import expansion_values
-from me2ph.tail import _uniformized
-from conftest import G8, fy_closed
+from me2ph.tail import _SEARCH_JUMPS, _uniformized
+from conftest import G8, certificate, fy_closed
 from genutil import damped_oscillation_rep, rep_from_terms, sign_changing_rep
 
 
@@ -184,7 +184,9 @@ def test_tail_weights_sample_the_density():
 
 def test_convert_long_body_tail_reads_working_spectrum(monkeypatch):
     # a 14-state body: re-analysing it is ill conditioned, so the tail bound
-    # must read the density off the spectrum convert already holds
+    # must read the density off the spectrum convert already holds.  The
+    # search finds the tail without the bound; with no jumps to search
+    # first, convert prices the bound, and the search under it finds the same
     def refuse(*args, **kwargs):
         raise AssertionError("pdf_eval_many called")
 
@@ -201,9 +203,13 @@ def test_convert_long_body_tail_reads_working_spectrum(monkeypatch):
     rep = rep_from_terms([(-1, [1]), (-1.8 + 3j, [0.55])])
     ph, report = convert(rep)
     assert report.monocyclic_order == 14
-    assert report.bounds.n == 3_454
+    assert report.bounds is None
     assert ph.tail_n == report.tail.n == 2
     assert ph.order == 16
+    monkeypatch.setattr(me2ph.tail, "_SEARCH_JUMPS", 0)
+    ph, report = convert(rep)
+    assert report.bounds.n == certificate(rep).n == 3_454
+    assert ph.tail_n == report.tail.n == 2
     assert orders and max(orders) <= rep.order
 
 
@@ -224,10 +230,11 @@ def _damped(a, b, c, phi) -> MERep:
 
 def _assert_searched_tail(rep, ph, report):
     """The applied tail is at most the certified one, found within as many
-    jumps, and the output is Markovian and has the input's moments."""
-    assert report.bounds is not None
-    assert ph.tail_n == report.tail.n <= report.bounds.n
-    assert report.tail.jumps <= report.bounds.n
+    jumps, or within the search's budget where no certificate was priced,
+    and the output is Markovian and has the input's moments."""
+    cap = _SEARCH_JUMPS if report.bounds is None else report.bounds.n
+    assert ph.tail_n == report.tail.n <= cap
+    assert report.tail.jumps <= cap
     assert ph.head_gamma.min() >= 0 and ph.tail_weights.min() >= 0
     got, ref = np.array(phrep_moments(ph, 5)), np.array(moments(rep, 5))
     assert np.abs(got / ref - 1).max() <= DEFAULT_TOL.equivalence_rel
@@ -236,8 +243,9 @@ def _assert_searched_tail(rep, ph, report):
 def test_smallest_tail_worked_example(worked_rep):
     ph, report = convert(worked_rep)
     _assert_searched_tail(worked_rep, ph, report)
-    # one rung below the certified tau = 0.5 suffices; the search sweeps
-    # 100 jumps where the certified tail has 950,965 states
+    # the rung of the certified tau = 0.5 suffices; the search sweeps 100
+    # jumps, without pricing the certified tail of 950,965 states
+    assert report.bounds is None
     assert (report.tail.tau, report.tail.n, report.tail.jumps) == (0.5, 32, 100)
 
 
@@ -246,14 +254,16 @@ def test_smallest_tail_anchors(params):
     rep = _damped(*params)
     ph, report = convert(rep)
     _assert_searched_tail(rep, ph, report)
-    assert ph.tail_n < report.bounds.n == CERTIFIED_N[params]
+    assert report.bounds is None
+    assert ph.tail_n < certificate(rep).n == CERTIFIED_N[params]
     # every searched tail keeps the rate at least the body's largest
     assert report.tail.rate >= max(blk.sigma for blk in ph.blocks) * (1 - 1e-12)
 
 
 def test_tau_ladder_costs_one_expm_per_walk(monkeypatch, worked_mono, worked_spec, worked_rep):
     # find_tau and smallest_tail climb the same ladder, each from one expm at
-    # its lowest rung; compute_bounds makes the third call
+    # its lowest rung.  A search that finds a tail makes the only call; where
+    # it finds none, find_tau and compute_bounds make one each
     calls = []
     original = me2ph.tail.expm
 
@@ -266,50 +276,54 @@ def test_tau_ladder_costs_one_expm_per_walk(monkeypatch, worked_mono, worked_spe
     assert len(calls) == 1
     calls.clear()
     convert(worked_rep)
-    assert len(calls) == 3
+    assert len(calls) == 1
     calls.clear()
     with pytest.raises(NumericError, match="exceeds 1e15"):
         convert(sign_changing_rep())
-    assert len(calls) == 2
+    assert len(calls) == 3
 
 
 def test_smallest_tail_falls_back_to_the_certified_tail(monkeypatch):
-    # a sweep shorter than the certified tail reports a negative head: no
-    # searched candidate passes, and the certified tail is applied
+    # every sweep but the certified tail's reports a negative head: the
+    # search without a certificate finds nothing, so the certificate is
+    # priced; no candidate below it passes, and the certified tail is applied
     rep = _damped(*TAIL_ANCHORS[0])
-    certified = convert(rep)[1].bounds.n
+    certified = certificate(rep).n
     original = me2ph.tail._tail_sweep
     swept = []
 
-    def failing_below(start, Q, rate, n):
+    def failing_elsewhere(start, Q, rate, n):
         head, q = original(start, Q, rate, n)
         swept.append(n)
-        return (head - 1.0 if n < certified else head), q
+        return (head - 1.0 if n != certified else head), q
 
-    monkeypatch.setattr(me2ph.tail, "_tail_sweep", failing_below)
+    monkeypatch.setattr(me2ph.tail, "_tail_sweep", failing_elsewhere)
     ph, report = convert(rep)
     assert ph.tail_n == report.tail.n == report.bounds.n == certified
     assert report.tail.rate == report.bounds.rate
-    assert sum(swept[:-1]) == report.tail.jumps <= certified
-    assert swept[-1] == certified
+    # the jumps reported are the second search's, under the certificate
+    assert report.tail.jumps <= certified
+    assert report.tail.jumps < sum(swept[:-1]) <= report.tail.jumps + _SEARCH_JUMPS
+    assert swept[-1] == certified and certified not in swept[:-1]
     _assert_searched_tail(rep, ph, report)
 
 
 def test_order_limit_holds_after_the_retry(monkeypatch):
-    # every sweep of at most the certified 211 states fails: the certified
-    # tail fits the room a limit of 224 leaves (the body has 8 states, no
-    # prefix), and its retry at twice the rate, 421 states, does not, so it
-    # is refused before it is swept
+    # every sweep shorter than the retry of the certified 211 states fails,
+    # so the searches find nothing: the certified tail fits the room a limit
+    # of 224 leaves (the body has 8 states, no prefix), and its retry at
+    # twice the rate, 421 states, does not, so it is refused before it is
+    # swept
     rep = _damped(*TAIL_ANCHORS[0])
     original = me2ph.tail._tail_sweep
     swept = []
 
-    def failing_up_to_certified(start, Q, rate, n):
+    def failing_below_the_retry(start, Q, rate, n):
         head, q = original(start, Q, rate, n)
         swept.append(n)
-        return (head - 1.0 if n <= CERTIFIED_N[TAIL_ANCHORS[0]] else head), q
+        return (head - 1.0 if n < 421 else head), q
 
-    monkeypatch.setattr(me2ph.tail, "_tail_sweep", failing_up_to_certified)
+    monkeypatch.setattr(me2ph.tail, "_tail_sweep", failing_below_the_retry)
     with pytest.raises(NumericError, match="order 429 exceeds the limit 224") as exc:
         convert(rep, max_order=224)
     assert exc.value.detail["n"] == 421
@@ -323,7 +337,8 @@ def test_order_limit_holds_after_the_retry(monkeypatch):
 def test_smallest_tail_sweeps_nothing_above_the_order_limit(monkeypatch):
     # every candidate fails and the certified tail of 125,270 states is above
     # the limit: convert refuses without sweeping a tail longer than the room
-    # the limit leaves, nor more jumps in total
+    # the limit leaves, nor more jumps in total in either search, the one
+    # without the certificate and the one under it
     rep = _damped(*TAIL_ANCHORS[3])
     body = convert(rep)[1].monocyclic_order
     original = me2ph.tail._tail_sweep
@@ -339,26 +354,32 @@ def test_smallest_tail_sweeps_nothing_above_the_order_limit(monkeypatch):
     with pytest.raises(NumericError, match="exceeds the limit 100") as exc:
         convert(rep, max_order=max_order)
     assert exc.value.detail["n"] > max_order
-    assert swept and sum(swept) <= max_order - body  # no Erlang prefix
+    room = max_order - body  # no Erlang prefix
+    assert swept and max(swept) <= room and sum(swept) <= 2 * room
 
 
 def test_smallest_tail_fits_below_the_order_limit(worked_rep):
     # the certified tail of 950,965 states is far above the limit, the
-    # searched one is not
+    # searched one is not, and the search needs no certificate
     ph, report = convert(worked_rep, max_order=100)
-    assert report.bounds.n > 100 >= ph.order
+    assert report.bounds is None and ph.order <= 100
     _assert_searched_tail(worked_rep, ph, report)
 
 
-def test_sign_changing_input_fails_in_the_bound_without_a_sweep(monkeypatch):
-    # negative between the positivity grid's points: no tail can be
-    # certified, and the search must not start
-    def refuse(*args, **kwargs):
-        raise AssertionError("_tail_sweep called")
+def test_sign_changing_input_fails_in_the_bound_after_the_search(monkeypatch):
+    # negative between the positivity grid's points: no tail passes the
+    # search, which stays within its budget, and no tail can be certified
+    original = me2ph.tail._tail_sweep
+    swept = []
 
-    monkeypatch.setattr(me2ph.tail, "_tail_sweep", refuse)
-    with pytest.raises(NumericError, match="exceeds 1e15"):
+    def counted(start, Q, rate, n):
+        swept.append(n)
+        return original(start, Q, rate, n)
+
+    monkeypatch.setattr(me2ph.tail, "_tail_sweep", counted)
+    with pytest.raises(NumericError, match="exceeds 1e15.*no tail passed a search of 16384 jumps"):
         convert(sign_changing_rep())
+    assert swept and sum(swept) <= _SEARCH_JUMPS == 2**14
 
 
 def test_phrep_pdf_matches_residual_closed_form(worked_tailed):
