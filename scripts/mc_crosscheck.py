@@ -9,8 +9,9 @@ output of up to ``tail._SPARSE_STATES`` states the evaluator's rule gives to
 the powers of one step ``exp(B h)`` of the dense pair: the running sum of the
 masses absorbed in one step ``h``.  Larger outputs take windowed Poisson sums.
 
-``--compare`` also evaluates each check's grid by both paths, forced (the
-powers of one step only up to ``tail._SPARSE_STATES`` states), and prints the
+``--compare`` also evaluates each check's grid by both paths, forced: the
+powers of one step (only up to ``tail._SPARSE_STATES`` states) and the Poisson
+path the rule prices lower, the one chain or the convolution.  It prints the
 largest ``|F_steps - F_poisson|`` with the KS statistic from each.
 """
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from me2ph import MERep, convert, ks_threshold, monte_carlo_check
 from me2ph.spectral import SpectralData, SpectralTerm, minimal_representation
-from me2ph.tail import _SPARSE_STATES, _grid_values, _poisson_values, _progression
+from me2ph.tail import _SPARSE_STATES, _cheapest_path, _grid_values, _poisson_values, _progression
 from me2ph.validate import _check_sample, _ks_statistic
 
 
@@ -60,7 +61,8 @@ def main() -> None:
         print(f"{name}: order {ph.order} ({tail}), KS = {ks:.5f} [{flag}]")
         if args.compare:
             times, grid = _check_sample(ph, args.samples, args.seed)
-            poisson = np.clip(_poisson_values(ph, grid, True), 0.0, 1.0)
+            one_chain = _cheapest_path(ph, grid, None) == "one chain"
+            poisson = np.clip(_poisson_values(ph, grid, True, one_chain), 0.0, 1.0)
             if ph.order > _SPARSE_STATES:
                 print(f"  above {_SPARSE_STATES} states: Poisson sums only, "
                       f"KS {_ks_statistic(times, grid, poisson):.15f}")

@@ -25,7 +25,8 @@ line says by how much.
 
 ``--grid`` also evaluates every output of at most ``tail._SPARSE_STATES``
 states on a 257-point linspace from 0 to 20 means, pdf and cdf, both by the
-powers of one step and by the Poisson sums, and prints the largest pdf
+powers of one step and by the Poisson path the evaluator's rule prices
+lower, and prints the largest pdf
 difference (relative to the largest pdf value), the largest cdf difference
 (absolute), and how many outputs the evaluator's rule sends each way.
 
@@ -54,7 +55,7 @@ from genutil import damped_oscillation_rep, erlang_damped_rep  # noqa: E402
 from me2ph import Me2PhError, convert, phrep_moments  # noqa: E402
 from me2ph.tail import (  # noqa: E402
     _SPARSE_STATES,
-    _grid_cheaper,
+    _cheapest_path,
     _grid_values,
     _poisson_values,
     _progression,
@@ -88,15 +89,17 @@ def outcome(rep) -> tuple[tuple, object, object]:
 
 
 def grid_paths(ph) -> tuple[float, float, str]:
-    """pdf and cdf of ``ph`` on 257 points from 0 to 20 means by both paths:
+    """pdf and cdf of ``ph`` on 257 points from 0 to 20 means by the powers
+    of one step and by the Poisson path the evaluator's rule prices lower:
     the largest pdf difference over the largest pdf value, the largest cdf
-    difference, and the path the evaluator's rule takes on those points."""
+    difference, and the path the rule takes on those points."""
     xs = np.linspace(0.0, 20 * phrep_moments(ph, 1)[0], 257)
-    x0, h = _progression(xs)
-    pdf, cdf = (_grid_values(ph, x0, h, xs.size, cdf) for cdf in (False, True))
-    pdf_ref = _poisson_values(ph, xs, False)
-    cdf_ref = np.clip(_poisson_values(ph, xs, True), 0.0, 1.0)
-    taken = "steps" if _grid_cheaper(ph, xs, x0) else "Poisson sums"
+    grid = _progression(xs)
+    pdf, cdf = (_grid_values(ph, *grid, xs.size, cdf) for cdf in (False, True))
+    one_chain = _cheapest_path(ph, xs, None) == "one chain"
+    pdf_ref = _poisson_values(ph, xs, False, one_chain)
+    cdf_ref = np.clip(_poisson_values(ph, xs, True, one_chain), 0.0, 1.0)
+    taken = "steps" if _cheapest_path(ph, xs, grid) == "grid" else "Poisson sums"
     return float(np.abs(pdf - pdf_ref).max() / pdf_ref.max()), float(np.abs(cdf - cdf_ref).max()), taken
 
 

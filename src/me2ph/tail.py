@@ -361,12 +361,13 @@ def compute_bounds(
 # at 20, and P @ P timed alone took 2.2-2.9 products at 4-20 states.
 # A chain has about two nonzeros per row, so above _SPARSE_STATES the sweep
 # takes one sparse product per jump instead: O(u) with no squaring, against
-# O(u^3) squarings, but about 7-15 us per jump.  Medians of sweeps of 26 to
-# 512 jumps over one feedback-Erlang block: up to 224 states the dense sweep
-# is as fast or faster at every length (at 224, 0.47 against 0.88 ms for 26
-# jumps, 2.7 against 2.8 ms for 256); at 256-288 it loses up to 27% at
-# 256-512 jumps, though it wins 7 times at 8,192; at 500-630 it loses 1.6-4
-# times at 128-2,048 jumps.  The giant phase also costs a fixed
+# O(u^3) squarings, but 10.5, 11.1, 12.1 and 16.2 us per jump at 240, 305,
+# 600 and 1,200 states, priced _SPARSE_PRODUCT + _SPARSE_ENTRY u.  Medians of
+# sweeps of 26 to 512 jumps over one feedback-Erlang block: up to 224 states
+# the dense sweep is as fast or faster at every length (at 224, 0.47 against
+# 0.88 ms for 26 jumps, 2.7 against 2.8 ms for 256); at 256-288 it loses up
+# to 27% at 256-512 jumps, though it wins 7 times at 8,192; at 500-630 it
+# loses 1.6-4 times at 128-2,048 jumps.  The giant phase also costs a fixed
 # _GIANT_OVERHEAD, about 7 small products: the squaring loop, the product
 # giants @ babies.T and their arrays (a least-squares fit of interleaved
 # sweeps of 8 to 128 jumps over 8 and 20 states: 3.3 and 3.9 us, against
@@ -375,6 +376,8 @@ _PRODUCT_OVERHEAD = 6000
 _SQUARE_OVERHEAD = 16_000
 _GIANT_OVERHEAD = 40_000
 _SPARSE_STATES = 224
+_SPARSE_PRODUCT = 62_000
+_SPARSE_ENTRY = 33
 
 
 def _baby_steps(n: int, u: int, head: bool = True) -> tuple[int, float]:
@@ -392,6 +395,15 @@ def _baby_steps(n: int, u: int, head: bool = True) -> tuple[int, float]:
             best, best_cost = c, cost
         c, k = 2 * c, k + 1
     return best, best_cost
+
+
+def _sweep_cost(n: int, u: int) -> float:
+    """Price of ``_tail_sweep`` of ``n`` jumps over ``u`` states without
+    the head, by the stepping it takes: the dense sweep's ``_baby_steps``
+    price, or above ``_SPARSE_STATES`` one sparse product per jump."""
+    if u > _SPARSE_STATES:
+        return n * (_SPARSE_PRODUCT + _SPARSE_ENTRY * u)
+    return _baby_steps(n, u, head=False)[1]
 
 
 def _uniformized(Q: np.ndarray, rate: float) -> tuple[np.ndarray, np.ndarray]:
@@ -599,21 +611,19 @@ def append_tail(mono: MonocyclicRep, tail: TailChoice,
 # Every path through a PHRep makes a Poisson number of jumps once its chain is
 # uniformized, so pdf and cdf are windowed Poisson sums of nonnegative
 # jump-count sequences, each swept by ``_tail_sweep``, which also builds the
-# tail.  A short output is swept as one chain: prefix, body and tail together
-# (``to_dense``) at their largest rate.  A long tail is never densified: the
-# tail weights are summed at ``tail_lambda``, the prefix and body (the "slow
+# tail.  The one chain sweeps prefix, body and tail together (``to_dense``)
+# at their largest rate.  The convolution never densifies the tail: its
+# weights are summed at ``tail_lambda``, the prefix and body (the "slow
 # chain") at their own largest rate, and where a path crosses from one rate to
-# the other the two parts meet in a convolution done by quadrature.
-# ``_one_chain_cheaper`` picks the path.  The evaluators keep only the jump
-# sequence, so they sweep without the head.
+# the other the two parts meet in a convolution done by quadrature.  The
+# evaluators keep only the jump sequence, so they sweep without the head.
 #
 # A uniform grid ``x_j = x0 + j h`` (an ``np.linspace``, as the benchmark,
 # the command line and the Monte Carlo check pass) needs no Poisson sum on an
 # output the dense sweep takes: ``_grid_values`` runs the same sweep through
 # the powers of one step ``E = exp(B h)`` from ``b exp(B x0)``, with the exit
 # rates as the column for the density and the mass one step absorbs for the
-# cdf.  ``_grid_cheaper`` takes that path where one ``expm`` (two when
-# ``x0 > 0``) and the sweep are priced below the Poisson sums.
+# cdf.  ``_cheapest_path`` picks among the grid, one chain and convolution.
 
 _GL_NODES = 96
 _GLX, _GLW = roots_legendre(_GL_NODES)
@@ -625,31 +635,19 @@ _GLX, _GLW = roots_legendre(_GL_NODES)
 _CHUNK = 1 << 15
 _MAX_JUMPS = 10_000_000
 _PANEL_SPAN = 16.0
-# Path costs are counted in Poisson terms, about 10 ns each (1 BLAS thread,
-# 2-core x86).  A jump of the sweep costs 2-9 ns per state, under one term:
-# 4.6 at 41 states and 759 jumps, 2.0 at 3,067; 5.0 at 219 states and 5,743
-# jumps, 1.7 at 26,651; 9.4 at 2,346 states (sparse) and 35,899 jumps.
-# _SWEEP_TERMS takes 1.  With it the rule picks the faster path on each of:
-# the 41-state paper output (16 points: 4.2 ms convolved against 0.7 ms as one
-# chain; 4,097 points: 1,000 against 27 ms), a 219-state certified tail of
-# rate 1,681 (16 points: 1.8 against 7.9 ms; 4,097 points: 377 against 91 ms)
-# and a 2,346-state one (4,097 points: 460 ms convolved, and a 2.7 s sweep).
-# On the 219-state output 4 took the convolution up to 2,049 points, where
-# one chain is faster from 257 on (513 points: 59 against 25 ms); 1 takes one
-# chain from 1,025.  The one chain is dense: above _DENSE_STATES (32 MB) it is
-# never built.
-_SWEEP_TERMS = 1.0
+# The one chain is dense: above _DENSE_STATES (32 MB) it is never built.
 _DENSE_STATES = 2048
-# The grid rule (_grid_cheaper) prices both paths in _baby_steps' units, by a
-# least-squares fit (weighted by 1/time) to 1,784 timings of both paths (1
-# BLAS thread, shared 2-core x86): 74 outputs of 3 to 190 states, the
-# benchmark's and the census's, on grids of 2 to 4,097 points over 4 and 20
-# means, from 0 and from 5% of the span.  Their sweeps took 0.13-0.15 ns per
-# unit; a Poisson term 5.8 ns (_TERM_COST); an expm 18 us plus 3.5 ns times
-# u^3/4, whatever its norm (2.3-5.5 ms at 190 states, timed alone); and the
-# Poisson path 35 us more of fixed cost than the grid path besides its expm.
-# Summed over those timings, the rule's choices cost 0.5% more than the
-# faster path each time, and the Poisson sums alone 3.7 times as much.
+# _cheapest_path prices every path in _baby_steps' units.  The constants come
+# from a least-squares fit (weighted by 1/time) to 1,784 timings of the grid
+# and the Poisson paths (1 BLAS thread, shared 2-core x86): 74 outputs of 3 to
+# 190 states, the benchmark's and the census's, on grids of 2 to 4,097 points
+# over 4 and 20 means, from 0 and from 5% of the span.  Their sweeps took
+# 0.13-0.15 ns per unit; a Poisson term 5.8 ns (_TERM_COST); an expm 18 us
+# plus 3.5 ns times u^3/4, whatever its norm (2.3-5.5 ms at 190 states, timed
+# alone); and the Poisson paths 35 us more of fixed cost than the grid path
+# besides its expm.  Summed over those timings, the grid rule's choices cost
+# 0.5% more than the faster path each time, and the Poisson sums alone 3.7
+# times as much.
 _TERM_COST = 38
 _EXPM_OVERHEAD = 118_000
 _EXPM_CUBES = 23
@@ -669,13 +667,6 @@ def _window(c):
     if not np.all(hi < 2.0**63):  # compared before the cast to int64, which wraps
         raise NumericError(f"PHRep evaluation: over 2^63 jumps at rate x = {np.max(c):g}")
     return np.maximum(np.floor(c - half), 0.0).astype(np.int64), hi.astype(np.int64)
-
-
-def _window_sizes(c, length: int):
-    """``_window``'s low end at every ``c``, and the number of its jump counts
-    below ``length``: the terms a Poisson sum over ``length`` jumps adds."""
-    lo, hi = _window(c)
-    return lo, np.maximum(np.minimum(hi, length - 1) - lo + 1, 0)
 
 
 def _sequence_length(c: float) -> int:
@@ -701,35 +692,21 @@ def _most_terms(c: float) -> float:
     return _fewest_terms(c) + 2.0
 
 
-def _one_chain_cheaper(ph: PHRep, xs: np.ndarray) -> bool:
-    """Whether one chain, swept over every state at the largest rate, costs
-    less than the convolution of the slow chain with the tail over ``xs``.
-
-    One chain: jumps times states (``_SWEEP_TERMS`` each), plus the Poisson
-    terms at the largest rate.  The convolution: ``_GL_NODES`` times the
-    slow chain's Poisson terms at every point.  Without a tail, or a tail
-    alone, there is no convolution to replace.
-    """
-    if not ph.tail_n or ph.order > _DENSE_STATES or not (ph.prefix or ph.head_gamma.sum() > 0):
-        return False
-    slow = _slow_rate(ph)
-    rate, x_max = max(slow, ph.tail_lambda), float(xs.max())
-    if not rate * x_max < _MAX_JUMPS:  # the one chain would refuse x_max
-        return False
-    jumps = _sequence_length(rate * x_max)
-    one = _SWEEP_TERMS * jumps * ph.order + _window_sizes(rate * xs, jumps)[1].sum()
-    return bool(one < _GL_NODES * _window_sizes(slow * xs, _sequence_length(slow * x_max))[1].sum())
-
-
 def _poisson_sum(seq: np.ndarray, rate: float, xs: np.ndarray, cdf: bool) -> np.ndarray:
     """Windowed Poisson sum of a nonnegative jump-count sequence at every x.
 
     pdf: ``rate sum_k seq_k Pois(k; rate x)``; cdf:
-    ``sum_j Pois(j; rate x) (seq_0 + ... + seq_(j-1))``.
+    ``sum_j Pois(j; rate x) (seq_0 + ... + seq_(j-1))``.  A term is
+    ``exp(k log c - c + log(coef_k / k!))`` at ``c = rate x``; its exponent
+    sums parts near ``c log c``, so its relative error grows like
+    ``c log c 2^-53`` (against 40 digits, up to 2.9e-14 at ``c = 10``,
+    2.4e-12 at 1e3, 6.1e-11 at 2e4, 2.9e-9 at 1e6): the one chain's cdf errs
+    by 2.1e-11 at tail rate 1,024 on 20 means.
     """
     c = rate * xs
     coef = np.concatenate([[0.0], np.cumsum(seq)]) if cdf else rate * seq
-    lo, sizes = _window_sizes(c, coef.size)
+    lo, hi = _window(c)
+    sizes = np.maximum(np.minimum(hi, coef.size - 1) - lo + 1, 0)
     offs = np.concatenate([[0], np.cumsum(sizes)])
     with np.errstate(divide="ignore"):
         # log(coef_k / k!), so that a term is exp(this + k log c - c)
@@ -838,58 +815,71 @@ def _expm_cost(u: int) -> float:
     return _EXPM_OVERHEAD + _EXPM_CUBES * u**3 / 4
 
 
-def _poisson_cost(ph: PHRep, xs: np.ndarray) -> float:
-    """Price of the path ``_evaluate`` takes on ``xs`` without a grid, in
-    ``_baby_steps``' units: its sweeps plus _TERM_COST per windowed Poisson
-    term, times _GL_NODES for the terms a convolution takes at its nodes."""
-    x_max = float(xs.max())
+def _cheapest_path(ph: PHRep, xs: np.ndarray, grid: tuple[float, float] | None) -> str:
+    """The path ``_evaluate`` takes on the nonempty ``xs``, the one priced
+    lowest in ``_baby_steps``' units, with sweeps at ``_sweep_cost`` and
+    each windowed Poisson term at ``_TERM_COST``:
 
-    def chain(rate, states, nodes=1):
-        length = _sequence_length(rate * x_max)
-        terms = _window_sizes(rate * xs, length)[1].sum()
-        return _baby_steps(length, states, head=False)[1] + _TERM_COST * nodes * terms
+    - ``"grid"``, the powers of one step on the uniform grid ``grid =
+      (x0, h)``, up to ``_SPARSE_STATES`` states: one ``expm`` (two when
+      ``x0 > 0``) and a sweep of ``xs.size`` steps;
+    - ``"one chain"``, for a tailed output of up to ``_DENSE_STATES``
+      states: a sweep of every state and its terms, at the largest rate;
+    - ``"convolution"``, the last resort: the slow chain's sweep and terms,
+      these times ``_GL_NODES`` with a tail, and the tail's terms, times
+      ``_GL_NODES`` behind a prefix.  Without a tail it is the one chain.
 
-    slow = _slow_rate(ph)
-    if _one_chain_cheaper(ph, xs):
-        return _POISSON_OVERHEAD + chain(max(slow, ph.tail_lambda), ph.order)
-    cost = _POISSON_OVERHEAD
+    The first two are not taken where the one chain would pass
+    ``_MAX_JUMPS`` jumps.  The prices read only the orders, ``xs.size``,
+    whether ``x0 > 0`` and the rates times the points, so a power-of-two
+    change of time unit keeps the choice.
+    """
+    slow, lam, order = _slow_rate(ph), ph.tail_lambda, ph.order
+    x_max = float(xs.max() if grid is None else xs[-1])
+    rate, body, has_head = max(slow, lam), order - ph.tail_n, ph.head_gamma.sum() > 0
+    fits = rate * x_max < _MAX_JUMPS
+    grid_price = one_chain = math.inf
+    if grid is not None and fits and order <= _SPARSE_STATES:
+        x0 = grid[0]
+        grid_price = (1 + (x0 > 0)) * _expm_cost(order) + _baby_steps(xs.size, order, head=False)[1]
+        if has_head:
+            # bounds on the Poisson prices that size no window (20-50 us on
+            # 16 points, about 0.2 ms on 4,097).  Either Poisson path sweeps
+            # a chain that holds the prefix and the body, at a rate of at
+            # least slow, so over _sequence_length(slow x_max) jumps or more,
+            # and sums at every point x at least _fewest_terms(slow x) terms;
+            # that is concave in x, so over the grid it sums to at least n
+            # times its mean at the two ends.  Without a tail that chain at
+            # slow is the only Poisson path, and its terms, at most
+            # _most_terms(slow x), also concave, sum to at most n times their
+            # bound at the grid's midpoint.
+            c0, c1 = slow * x0, slow * x_max
+            sweep = _POISSON_OVERHEAD + _sweep_cost(_sequence_length(c1), body)
+            if grid_price < sweep + _TERM_COST * xs.size * (_fewest_terms(c0) + _fewest_terms(c1)) / 2:
+                return "grid"
+            if not ph.tail_n and grid_price > sweep + _TERM_COST * xs.size * _most_terms((c0 + c1) / 2):
+                return "convolution"
+    # the windowed Poisson terms at rate r over xs, of jumps below length;
+    # each rate's windows are sized once
+    windows = {}
+
+    def terms(r, length=math.inf):
+        if r not in windows:
+            windows[r] = _window(r * xs)
+        lo, hi = windows[r]
+        return np.maximum(np.minimum(hi, length - 1) - lo + 1, 0).sum()
+
+    convolution = _POISSON_OVERHEAD
     if ph.tail_n:
-        terms = _window_sizes(ph.tail_lambda * xs, ph.tail_n)[1].sum()
-        cost += _TERM_COST * (_GL_NODES if ph.prefix else 1) * terms
-    if ph.head_gamma.sum() > 0:
-        cost += chain(slow, ph.order - ph.tail_n, _GL_NODES if ph.tail_n else 1)
-    return cost
-
-
-def _grid_cheaper(ph: PHRep, xs: np.ndarray, x0: float) -> bool:
-    """Whether the uniform grid ``xs`` from ``x0`` costs less by the powers
-    of one step (``_grid_values``) than by Poisson sums: an output of at
-    most ``_SPARSE_STATES`` states whose Poisson path would take fewer than
-    ``_MAX_JUMPS`` jumps, where one ``expm`` (two when ``x0 > 0``) and the
-    sweep of ``n`` steps are priced below ``_poisson_cost``.  The prices
-    read only the order, ``n``, whether ``x0 > 0``, and the rates times the
-    points, so a power-of-two change of time unit keeps the choice."""
-    slow, x_max = _slow_rate(ph), float(xs[-1])
-    if ph.order > _SPARSE_STATES or not max(slow, ph.tail_lambda) * x_max < _MAX_JUMPS:
-        return False
-    cost = (1 + (x0 > 0)) * _expm_cost(ph.order) + _baby_steps(xs.size, ph.order, head=False)[1]
-    if ph.head_gamma.sum() > 0:
-        # bounds on the Poisson price that size no window (20-50 us on 16
-        # points, about 0.2 ms on 4,097).  Either path sweeps a chain that
-        # holds the prefix and the body, at a rate of at least slow, so over
-        # _sequence_length(slow x_max) jumps or more, and sums at every point
-        # x at least _fewest_terms(slow x) terms; that is concave in x, so
-        # over the grid it sums to at least n times its mean at the two ends.
-        # Without a tail that chain at slow is the only path, and its terms,
-        # at most _most_terms(slow x), also concave, sum to at most n times
-        # their bound at the grid's midpoint.
-        c0, c1 = slow * x0, slow * x_max
-        sweep = _POISSON_OVERHEAD + _baby_steps(_sequence_length(c1), ph.order - ph.tail_n, head=False)[1]
-        if cost < sweep + _TERM_COST * xs.size * (_fewest_terms(c0) + _fewest_terms(c1)) / 2:
-            return True
-        if not ph.tail_n and cost > sweep + _TERM_COST * xs.size * _most_terms((c0 + c1) / 2):
-            return False
-    return bool(cost < _poisson_cost(ph, xs))
+        convolution += _TERM_COST * (_GL_NODES if ph.prefix else 1) * terms(lam, ph.tail_n)
+    if has_head:
+        convolution += (_sweep_cost(_sequence_length(slow * x_max), body)
+                        + _TERM_COST * (_GL_NODES if ph.tail_n else 1) * terms(slow))
+    if ph.tail_n and fits and order <= _DENSE_STATES:
+        one_chain = (_POISSON_OVERHEAD + _sweep_cost(_sequence_length(rate * x_max), order)
+                     + _TERM_COST * terms(rate))
+    prices = {"convolution": convolution, "one chain": one_chain, "grid": grid_price}
+    return min(prices, key=prices.get)
 
 
 def _grid_values(ph: PHRep, x0: float, h: float, n: int, cdf: bool) -> np.ndarray:
@@ -920,26 +910,27 @@ def _grid_values(ph: PHRep, x0: float, h: float, n: int, cdf: bool) -> np.ndarra
 
 
 def _evaluate(ph: PHRep, xs: np.ndarray, cdf: bool) -> np.ndarray:
-    """pdf or cdf of the structured representation at every ``x >= 0``: by
-    the powers of one step where ``xs`` is a uniform grid and
-    ``_grid_cheaper`` prices them below the Poisson sums, else by those."""
+    """pdf or cdf of the structured representation at every ``x >= 0``, by
+    the path ``_cheapest_path`` prices lowest: the powers of one step where
+    ``xs`` is a uniform grid, or the Poisson sums of the one chain or of the
+    convolution."""
     if np.isnan(xs).any():
         raise InvalidRepresentationError("PHRep evaluation: x is NaN")
     if xs.size == 0:
         return np.zeros(0)
     grid = _progression(xs)
-    if grid is not None and _grid_cheaper(ph, xs, grid[0]):
+    path = _cheapest_path(ph, xs, grid)
+    if path == "grid":
         return _grid_values(ph, *grid, xs.size, cdf)
-    return _poisson_values(ph, xs, cdf)
+    return _poisson_values(ph, xs, cdf, path == "one chain")
 
 
-def _poisson_values(ph: PHRep, xs: np.ndarray, cdf: bool) -> np.ndarray:
+def _poisson_values(ph: PHRep, xs: np.ndarray, cdf: bool, one_chain: bool) -> np.ndarray:
     """pdf or cdf at every point of the nonempty ``xs`` by windowed Poisson
-    sums: of one chain, or of the slow chain convolved with the tail,
-    whichever ``_one_chain_cheaper`` picks."""
+    sums: of the one chain, or of the slow chain convolved with the tail."""
     out = np.zeros(xs.shape)
     x_max = float(xs.max())
-    if _one_chain_cheaper(ph, xs):
+    if one_chain:
         b, B = to_dense(ph)
         rate = -B.diagonal().min()
         return _poisson_sum(_jump_sequence(b, B, rate, x_max), rate, xs, cdf)
@@ -976,11 +967,12 @@ def _poisson_values(ph: PHRep, xs: np.ndarray, cdf: bool) -> np.ndarray:
 def phrep_pdf(ph: PHRep, x) -> float | np.ndarray:
     """Density of the structured representation at ``x`` (scalar or array).
 
-    Computed pointwise by windowed Poisson sums, as one chain or convolved
-    with the tail, whichever costs less on ``x``; or, where the points are a
-    uniform grid ``x0 + j h`` (at least two, as ``np.linspace`` makes them)
-    on an output of at most ``_SPARSE_STATES`` (224) states, by the powers
-    of one step ``exp(B h)``, when those are priced lower.
+    Computed by whichever path ``_cheapest_path`` prices lowest on ``x``:
+    pointwise windowed Poisson sums, of one chain or of the slow chain
+    convolved with the tail; or, where the points are a uniform grid
+    ``x0 + j h`` (at least two, as ``np.linspace`` makes them) on an output
+    of at most ``_SPARSE_STATES`` (224) states, the powers of one step
+    ``exp(B h)``.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     if xs.size and xs.min() < 0:
@@ -1024,9 +1016,9 @@ def phrep_moments(ph: PHRep, k_max: int) -> list[float]:
 def phrep_cdf_grid(ph: PHRep, xs: np.ndarray) -> np.ndarray:
     """Distribution function at every point of ``xs``; 0 below the origin.
 
-    Computed by the same paths as the density, so the grid needs no
-    particular spacing: pointwise Poisson sums, or on a uniform grid
-    ``x0 + j h``, when priced lower, ``F(x0)`` plus the running sum of the
+    Computed by the same paths as the density, chosen by the same prices,
+    so the grid needs no particular spacing: pointwise Poisson sums, or on
+    a uniform grid ``x0 + j h`` ``F(x0)`` plus the running sum of the
     masses absorbed per step ``exp(B h)``, nondecreasing by construction.
     """
     xs = np.maximum(np.asarray(xs, dtype=float), 0.0)

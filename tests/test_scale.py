@@ -9,10 +9,11 @@ import pytest
 
 from conftest import ALPHA7, A7
 from genutil import random_markovian_rep, rep_from_terms
-import me2ph.tail
-from me2ph import DecViolationError, MERep, convert, monte_carlo_check, phrep_cdf_grid, phrep_pdf
+from me2ph import (DecViolationError, MERep, convert, monte_carlo_check, phrep_cdf_grid, phrep_moments,
+                   phrep_pdf)
 from me2ph.cli import main
 from me2ph.io import write_me_file
+from me2ph.tail import _cheapest_path, _progression
 
 INPUTS = {
     "worked": MERep(ALPHA7, A7),
@@ -98,11 +99,31 @@ def test_uniform_grid_values_ignore_the_time_unit(name, x0, unit_conversions):
     # and B h is the same product in every power-of-two time unit
     ph0 = unit_conversions[name][0]
     xs = np.linspace(x0, 20.0, 257)
-    assert me2ph.tail._grid_cheaper(ph0, xs, x0)
+    assert _cheapest_path(ph0, xs, _progression(xs)) == "grid"
     pdf, cdf = phrep_pdf(ph0, xs), phrep_cdf_grid(ph0, xs)
     for j in (-30, 50):
         c = 2.0**j
         ph = convert(_scaled(INPUTS[name], c))[0]
-        assert me2ph.tail._grid_cheaper(ph, xs / c, x0 / c)
+        assert _cheapest_path(ph, xs / c, _progression(xs / c)) == "grid"
         assert np.array_equal(phrep_pdf(ph, xs / c), c * pdf)
         assert np.array_equal(phrep_cdf_grid(ph, xs / c), cdf)
+
+
+@pytest.mark.parametrize("name, pick", [("worked", "one chain"), ("long-cycle", "convolution")])
+def test_poisson_path_pick_ignores_the_time_unit(name, pick, unit_conversions):
+    # on scattered points the rule prices rates times points, which a
+    # power-of-two time unit leaves bit-identical: 1 point, 16 on [0, 4
+    # means) and 257 on [0, 20 means)
+    ph0 = unit_conversions[name][0]
+    mean = phrep_moments(ph0, 1)[0]
+    rng = np.random.default_rng(0)
+    for xs in (np.array([0.7]), 4 * np.sort(rng.random(16)), 20 * np.sort(rng.random(257))):
+        xs = mean * xs
+        assert _progression(xs) is None and _cheapest_path(ph0, xs, None) == pick
+        pdf, cdf = phrep_pdf(ph0, xs), phrep_cdf_grid(ph0, xs)
+        for j in (-30, 50):
+            c = 2.0**j
+            ph = convert(_scaled(INPUTS[name], c))[0]
+            assert _cheapest_path(ph, xs / c, None) == pick
+            assert phrep_pdf(ph, xs / c) == pytest.approx(c * pdf, rel=1e-13, abs=0)
+            assert np.array_equal(phrep_cdf_grid(ph, xs / c), cdf)

@@ -39,7 +39,7 @@ from me2ph import (
     to_dense,
 )
 from me2ph.spectral import expansion_values
-from me2ph.tail import _SEARCH_JUMPS, _uniformized
+from me2ph.tail import _SEARCH_JUMPS, _cheapest_path, _progression, _uniformized
 from conftest import G8, certificate, fy_closed
 from genutil import damped_oscillation_rep, rep_from_terms, sign_changing_rep
 
@@ -481,14 +481,14 @@ _WEIGHTS = np.array([0.05, 0.1, 0.1, 0.1])
 def test_sparse_slow_chain_step_matches_dense(monkeypatch):
     # both stepping regimes of the sweep, the dense baby and giant steps and
     # the sparse product per jump, on the chain the evaluators sweep and on a
-    # bare sweep of the body; the evaluators take their Poisson sums, as a
-    # uniform grid would otherwise skip the jump sequence
+    # bare sweep of the body; the evaluators take the one chain's Poisson
+    # sums, forced, as a uniform grid would otherwise skip the jump sequence
     ph = PHRep(_HEAD, _BLOCKS, 8.0, 4, _WEIGHTS, prefix=DeconvParams(2, 5.0))
     xs = np.linspace(0.0, 8.0, 33)
     built = []
     csr = scipy.sparse.csr_matrix
     monkeypatch.setattr(scipy.sparse, "csr_matrix", lambda a: built.append(a) or csr(a))
-    monkeypatch.setattr(me2ph.tail, "_grid_cheaper", lambda *_: False)
+    monkeypatch.setattr(me2ph.tail, "_cheapest_path", lambda *_: "one chain")
     results = {}
     for regime, limit in {"dense": me2ph.tail._SPARSE_STATES, "sparse": 0}.items():
         with monkeypatch.context() as m:
@@ -562,9 +562,8 @@ def test_phrep_evaluators_match_dense_generator(ph, xs, monkeypatch):
     b, B = to_dense(ph)
     ones = np.ones(b.size)
     survival = np.array([b @ expm(B * x) for x in xs])
-    for one_chain, grid in ((False, False), (True, False), (False, True)):
-        monkeypatch.setattr(me2ph.tail, "_one_chain_cheaper", lambda *_, v=one_chain: v)
-        monkeypatch.setattr(me2ph.tail, "_grid_cheaper", lambda *_, v=grid: v)
+    for path in ("convolution", "one chain", "grid"):
+        monkeypatch.setattr(me2ph.tail, "_cheapest_path", lambda *_, v=path: v)
         assert phrep_pdf(ph, xs) == pytest.approx(survival @ (-B @ ones), rel=1e-10, abs=1e-14)
         assert np.abs(phrep_cdf_grid(ph, xs) - (1.0 - survival @ ones)).max() <= 1e-12
 
@@ -576,16 +575,28 @@ def _short_outputs(worked_rep):
     return [(convert(rep)[0], moments(rep, 1)[0]) for rep in reps]
 
 
+def _poisson_pick(ph, xs, grid):
+    """The rule's pick with the grid path left out, as on scattered points."""
+    return _cheapest_path(ph, xs, None)
+
+
 def test_short_outputs_take_one_chain_and_long_tails_the_convolution(
         worked_rep, worked_conversion, monkeypatch):
-    # on a Monte Carlo check's grid of 4,097 points
-    for ph, mean in _short_outputs(worked_rep):
+    # on a Monte Carlo check's grid of 4,097 points the powers of one step;
+    # without them, as on scattered points, the one chain; and the paper
+    # output at one point takes the one chain too
+    outputs = _short_outputs(worked_rep)
+    for ph, mean in outputs:
         assert ph.tail_n and ph.order <= 41
-        assert me2ph.tail._one_chain_cheaper(ph, np.linspace(0.0, 20 * mean, 4097))
+        grid = np.linspace(0.0, 20 * mean, 4097)
+        assert _cheapest_path(ph, grid, _progression(grid)) == "grid"
+        assert _cheapest_path(ph, grid, None) == "one chain"
+    ph, mean = outputs[0]
+    assert _cheapest_path(ph, np.array([0.7 * mean]), None) == "one chain"
     # the published constants' 403,309-state output is never densified
     ph = worked_conversion[0]
     grid = np.linspace(0.0, 20.0, 4097)
-    assert ph.order == 403_309 and not me2ph.tail._one_chain_cheaper(ph, grid)
+    assert ph.order == 403_309 and _cheapest_path(ph, grid, _progression(grid)) == "convolution"
 
     def refused(*args, **kwargs):
         raise AssertionError("to_dense called")
@@ -595,16 +606,41 @@ def test_short_outputs_take_one_chain_and_long_tails_the_convolution(
     assert phrep_pdf(ph, grid[::64]).max() > 0
 
 
+# damped oscillation whose certificate overflows: a 241-state body, which the
+# sweep steps sparse, and a searched 64-state tail
+_OVERFLOWING = (1.39252846017499, 29.982029705468896, 1.0038715080476077, 3.402101183476623)
+# scattered points in units of the mean: 1 point, 16 on [0, 4) and 257 on
+# [0, 20), as scripts/path_prices.py draws them
+_rng = np.random.default_rng(0)
+_SCATTERED = (np.array([0.7]), 4 * np.sort(_rng.random(16)), 20 * np.sort(_rng.random(257)))
+
+
+def test_rule_picks_the_faster_poisson_path_on_scattered_points():
+    # the faster path by scripts/path_prices.py's timings: the first anchor's
+    # certified 219-state output takes the convolution at 1 and 16 points
+    # and the one chain at 257; the 305-state output the convolution at all
+    rep = _damped(*TAIL_ANCHORS[0])
+    spec = analyze_spectrum(rep).scaled(rep.mean_scale)
+    mono = solve_gamma(spec, build_generator(spec))
+    certified = append_tail(mono, TailChoice.certified(compute_bounds(mono, find_tau(mono, spec), spec)))
+    searched = convert(_damped(*_OVERFLOWING))[0]
+    assert (certified.order, searched.order) == (219, 305)
+    for ph, picks in ((certified, ["convolution", "convolution", "one chain"]),
+                      (searched, ["convolution"] * 3)):
+        mean = phrep_moments(ph, 1)[0]
+        assert [_cheapest_path(ph, mean * xs, _progression(mean * xs)) for xs in _SCATTERED] == picks
+
+
 def test_one_chain_agrees_with_the_convolution_on_short_outputs(worked_rep, monkeypatch):
-    # both Poisson paths, on a uniform grid the powers of one step would take
-    monkeypatch.setattr(me2ph.tail, "_grid_cheaper", lambda *_: False)
+    # both Poisson paths, forced, on a uniform grid the powers of one step
+    # would take
     for ph, mean in _short_outputs(worked_rep):
         xs = np.linspace(0.0, 20 * mean, 257)
         got = {}
-        for one_chain in (False, True):
-            monkeypatch.setattr(me2ph.tail, "_one_chain_cheaper", lambda *_, v=one_chain: v)
-            got[one_chain] = phrep_pdf(ph, xs), phrep_cdf_grid(ph, xs)
-        (pdf, cdf), (pdf1, cdf1) = got[False], got[True]
+        for path in ("convolution", "one chain"):
+            monkeypatch.setattr(me2ph.tail, "_cheapest_path", lambda *_, v=path: v)
+            got[path] = phrep_pdf(ph, xs), phrep_cdf_grid(ph, xs)
+        (pdf, cdf), (pdf1, cdf1) = got["convolution"], got["one chain"]
         assert np.abs(pdf1 - pdf).max() <= 1e-12 * pdf.max()
         assert np.abs(cdf1 - cdf).max() <= 1e-12
 
@@ -620,10 +656,10 @@ def test_grid_cdf_matches_the_poisson_sums_on_monte_carlo_grids(worked_rep, monk
         ph = convert(rep)[0]
         orders.append(ph.order)
         grid = me2ph.validate._check_sample(ph, 20_000, 1502)[1]
-        assert me2ph.tail._grid_cheaper(ph, grid, 0.0)
+        assert _cheapest_path(ph, grid, _progression(grid)) == "grid"
         F = phrep_cdf_grid(ph, grid)
         with monkeypatch.context() as m:
-            m.setattr(me2ph.tail, "_grid_cheaper", lambda *_: False)
+            m.setattr(me2ph.tail, "_cheapest_path", _poisson_pick)
             assert np.abs(F - phrep_cdf_grid(ph, grid)).max() <= 1e-11
         assert F[0] == 0.0 and np.all(np.diff(F) >= 0.0)
     assert orders == [41, 9, 10, 64, 127, 190]
@@ -639,12 +675,12 @@ _GRID_OUTPUTS = [
 
 def _both_paths(ph, xs, monkeypatch):
     """pdf and cdf on ``xs`` by the powers of one step and by the Poisson sums, forced."""
-    got = {}
-    for grid in (True, False):
+    got = []
+    for pick in (lambda *_: "grid", _poisson_pick):
         with monkeypatch.context() as m:
-            m.setattr(me2ph.tail, "_grid_cheaper", lambda *_, v=grid: v)
-            got[grid] = phrep_pdf(ph, xs), phrep_cdf_grid(ph, xs)
-    return got[True], got[False]
+            m.setattr(me2ph.tail, "_cheapest_path", pick)
+            got.append((phrep_pdf(ph, xs), phrep_cdf_grid(ph, xs)))
+    return got
 
 
 @pytest.mark.parametrize("ph", _GRID_OUTPUTS)
@@ -660,22 +696,23 @@ def test_grid_path_matches_the_poisson_sums(ph, x0, monkeypatch):
 
 def test_grid_path_needs_a_progression(monkeypatch):
     # a point moved by 4 ulps of the largest stays on the grid; by 16, the
-    # Poisson sums take the points, whatever the rule would price
+    # Poisson sums take the points, though the rule prices the grid lowest
+    # on a progression
     ph = PHRep(_HEAD, _BLOCKS, 8.0, 4, _WEIGHTS, prefix=DeconvParams(2, 5.0))
     xs = np.linspace(0.0, 8.0, 33)
-    assert me2ph.tail._progression(xs) == (0.0, 0.25)
+    assert _progression(xs) == (0.0, 0.25)
     near, off = xs.copy(), xs.copy()
     near[7] += 4 * np.spacing(8.0)
     off[7] += 16 * np.spacing(8.0)
-    assert me2ph.tail._progression(near) == (0.0, 0.25)
-    assert me2ph.tail._progression(off) is None
+    assert _progression(near) == (0.0, 0.25)
+    assert _progression(off) is None
     for bad in (xs[:1], xs[::-1], np.zeros(4), np.r_[xs[:-1], np.nan], np.r_[xs[:-1], np.inf]):
-        assert me2ph.tail._progression(bad) is None
+        assert _progression(bad) is None
+    assert _cheapest_path(ph, near, _progression(near)) == "grid"
 
     def refused(*args, **kwargs):
         raise AssertionError("grid path taken")
 
-    monkeypatch.setattr(me2ph.tail, "_grid_cheaper", lambda *_: True)
     monkeypatch.setattr(me2ph.tail, "_grid_values", refused)
     b, B = to_dense(ph)
     ref = np.array([b @ expm(B * x) @ (-B @ np.ones(b.size)) for x in off])
@@ -689,15 +726,15 @@ def test_grid_rule_on_the_benchmark_grids(worked_rep):
     # x0 = 0.1, which would need a second expm, keeps the Poisson sums
     ph = convert(worked_rep)[0]
     xs = np.linspace(0.0, 12.0, 513)
-    assert ph.order == 41 and me2ph.tail._grid_cheaper(ph, xs, xs[0])
+    assert ph.order == 41 and _cheapest_path(ph, xs, _progression(xs)) == "grid"
     ph = convert(rep_from_terms([(-1.0, [1.0]), (-1.1 + 6j, [0.3])]))[0]
     xs = np.linspace(0.1, 10.0, 50)
-    assert ph.order == 190 and not me2ph.tail._grid_cheaper(ph, xs, xs[0])
+    assert ph.order == 190 and _cheapest_path(ph, xs, _progression(xs)) == "convolution"
 
 
 def test_grid_rule_bounds_only_skip_sizing_windows(worked_rep, monkeypatch):
     # _fewest_terms and _most_terms bound every window, so the bounds on the
-    # Poisson price never change a choice: with them out, each is the same
+    # Poisson prices never change a choice: with them out, each is the same
     cs = np.concatenate([np.linspace(0.0, 200.0, 4001), np.geomspace(1e-6, 1e9, 2000)])
     lo, hi = me2ph.tail._window(cs)
     fewest = np.array([me2ph.tail._fewest_terms(c) for c in cs])
@@ -707,11 +744,11 @@ def test_grid_rule_bounds_only_skip_sizing_windows(worked_rep, monkeypatch):
     outputs += [convert(rep_from_terms([(-1.0, [1.0]), (-1.1 + k * 1j, [0.3])]))[0] for k in (2, 6)]
     grids = [np.linspace(x0, x1, n) for x0, x1 in ((0.0, 4.0), (0.5, 12.0), (0.0, 40.0))
              for n in (2, 16, 513, 4097)]
-    chosen = [me2ph.tail._grid_cheaper(ph, xs, xs[0]) for ph in outputs for xs in grids]
+    chosen = [_cheapest_path(ph, xs, _progression(xs)) for ph in outputs for xs in grids]
     monkeypatch.setattr(me2ph.tail, "_fewest_terms", lambda c: -np.inf)
     monkeypatch.setattr(me2ph.tail, "_most_terms", lambda c: np.inf)
-    assert chosen == [me2ph.tail._grid_cheaper(ph, xs, xs[0]) for ph in outputs for xs in grids]
-    assert True in chosen and False in chosen
+    assert chosen == [_cheapest_path(ph, xs, _progression(xs)) for ph in outputs for xs in grids]
+    assert "grid" in chosen and len(set(chosen)) > 1
 
 
 def test_to_dense_matches_pair_built_entry_by_entry():
