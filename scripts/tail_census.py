@@ -13,9 +13,8 @@ priced the same certificates.  The ``applied`` line hashes only the output
 order and the applied tail's ``n`` (or the error's class), so it reads the
 same for two checkouts that chose the same tails, whichever certificates
 they priced.  The summary also counts the inputs whose applied tail is the
-certified one, and those where it is the certified one retried at twice
-the rate, and prints the most jumps one conversion's search swept.  The
-``outputs`` line hashes
+certified one, and prints the most jumps one conversion's search swept.
+The ``outputs`` line hashes
 the bits of every output value (``output_bits``); two checkouts that print
 the same one produced bit-identical outputs.  ``--save PATH`` writes every
 output's parts to an ``.npz`` file, and ``--against PATH`` prints the largest
@@ -103,18 +102,10 @@ def grid_paths(ph) -> tuple[float, float, str]:
     return float(np.abs(pdf - pdf_ref).max() / pdf_ref.max()), float(np.abs(cdf - cdf_ref).max()), taken
 
 
-def certified_path(report) -> str | None:
-    """``"certified tail"`` when the applied tail has the certificate's
-    ``(tau, n)``, ``"certified tail, retried"`` when it has the certificate's
-    ``tau`` and a larger ``n``; ``None`` for a searched tail or none."""
+def certified(report) -> bool:
+    """Whether the applied tail has the certificate's ``(tau, n)``."""
     t, b = report.tail, report.bounds
-    if t is None or b is None:
-        return None
-    if (t.tau, t.n) == (b.tau, b.n):
-        return "certified tail"
-    if t.n > b.n:
-        return "certified tail, retried"
-    return None
+    return t is not None and b is not None and (t.tau, t.n) == (b.tau, b.n)
 
 
 def output_parts(ph) -> list[np.ndarray]:
@@ -183,8 +174,8 @@ def main() -> None:
     args = parser.parse_args()
 
     digest, applied, outputs = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
-    # the fallback's two paths are printed even when no input takes them
-    counts = Counter({"certified tail": 0, "certified tail, retried": 0})
+    # printed even when no input takes the certified tail
+    counts = Counter({"certified tail": 0})
     values, most_jumps = {}, [0, None]
     paths, worst_pdf, worst_cdf = Counter(), [0.0, None], [0.0, None]
     start = time.perf_counter()
@@ -208,9 +199,7 @@ def main() -> None:
         elif out[1]:
             counts["with a tail"] += 1
         if report is not None:
-            path = certified_path(report)
-            if path is not None:
-                counts[path] += 1
+            counts["certified tail"] += certified(report)
             if report.tail is not None and report.tail.jumps > most_jumps[0]:
                 most_jumps[:] = report.tail.jumps, name
         if args.verbose:

@@ -9,16 +9,14 @@ nonnegative vector proves the density positive, so the positivity check
 (``check_positive_density``) runs only where the vector does not decide:
 when it has a negative entry, before the tail is searched for, and when the
 construction fails, to name a density that is not positive as such.  The
-tail is the smallest whose transformed vector is nonnegative:
-``smallest_tail`` searches for it under a fixed budget of jumps, with no
-certificate.  Only when that search finds nothing is the paper's bound
-priced (``find_tau``, ``compute_bounds``); the search then runs again
-below the certified tail, which it applies when nothing smaller passes.
-With ``PaperBounds`` the certified tail is applied by ``append_tail``.
-The checks read the
-expansion in the input's units; the construction runs in units of
-its mean, a power of two (``MERep.mean_scale``), so ``(alpha, 2^j A)``
-converts to the exact rescaling.
+tail is ``smallest_tail``'s: the smallest whose transformed vector is
+nonnegative, found under a fixed budget of jumps with no certificate, or,
+where that search finds nothing, under the paper's bound, which is then
+priced.  With ``PaperBounds`` the certified tail is applied by
+``append_tail``.  The checks read the expansion in the input's units; the
+construction runs in units of its mean, a power of two
+(``MERep.mean_scale``), and its output and report are rescaled once, after
+it, so ``(alpha, 2^j A)`` converts to the exact rescaling.
 """
 
 from dataclasses import dataclass, field, replace
@@ -32,8 +30,7 @@ from .errors import (DecViolationError, InvalidRepresentationError, Me2PhError, 
                      PositiveDensityError)
 from .monocyclic import build_generator, solve_gamma
 from .spectral import analyze_spectrum, check_dec, fmt_complex
-from .tail import (_SEARCH_JUMPS, BoundsReport, PHRep, TailChoice, append_tail, compute_bounds, find_tau,
-                   smallest_tail)
+from .tail import BoundsReport, PHRep, TailChoice, append_tail, compute_bounds, smallest_tail
 from .validate import check_positive_density
 
 __all__ = ["PaperBounds", "ConversionReport", "convert"]
@@ -129,55 +126,12 @@ def _require_positive(spec, tol: ToleranceConfig) -> None:
         raise PositiveDensityError(f"{pd.failed_part}: {pd.detail}")
 
 
-def _certificate(mono, spec, s: float, paper_bounds, tol: ToleranceConfig) -> BoundsReport:
-    """The paper's certificate for the body ``mono``, built in units of the
-    mean ``s`` from the expansion ``spec`` it realizes, in the input's units."""
-    if paper_bounds is not None:
-        bounds = compute_bounds(
-            mono, paper_bounds.tau / s, spec, tol=tol,
-            gamma_norm=paper_bounds.gamma_norm,
-            eps1=paper_bounds.eps1,
-            eps2=paper_bounds.eps2 * s,
-            round_rate_to=paper_bounds.round_rate_to * s,
-        )
-    else:
-        bounds = compute_bounds(mono, find_tau(mono, spec, tol), spec, tol=tol)
-    return replace(bounds, tau=bounds.tau * s, g=bounds.g / s, eps2=bounds.eps2 / s,
-                   lambda_prime=bounds.lambda_prime / s,
-                   lambda_dprime=bounds.lambda_dprime / s, rate=bounds.rate / s)
-
-
-def _apply_tail(mono, body, spec, s: float, paper_bounds, room: int, tol: ToleranceConfig):
-    """The certificate (``None`` where none was needed), the tail applied
-    (``None`` for a nonnegative vector), the output without its prefix, and
-    the tail's order.  ``mono`` is the body in units of the mean ``s``,
-    ``body`` the same in the input's units.  A tail above ``room``, the
-    certified one or its retry, is not built and comes with ``None``."""
-    if mono.gamma.min() >= 0:
-        return None, None, PHRep(body.gamma, body.blocks, 0.0, 0, np.zeros(0), tol=tol), 0
-    if paper_bounds is None:
-        tail, ph = smallest_tail(body, None, room, tol)
-        if ph is not None:
-            return None, tail, ph, tail.n
-    try:
-        bounds = _certificate(mono, spec, s, paper_bounds, tol)
-    except NumericError as exc:
-        if paper_bounds is not None:
-            raise
-        budget = max(min(_SEARCH_JUMPS, room), 0)
-        raise NumericError(f"{exc}; no tail passed a search of {budget} jumps", detail=exc.detail) from exc
-    tail, ph = TailChoice.certified(bounds), None
-    try:
-        if paper_bounds is None:
-            tail, ph = smallest_tail(body, bounds, room, tol)
-        elif tail.n <= room:
-            ph = append_tail(body, tail, tol, room)
-            tail = replace(tail, rate=ph.tail_lambda, n=ph.tail_n)
-    except NumericError as exc:
-        if (exc.detail or {}).get("max_n") != room:
-            raise
-        return bounds, tail, None, exc.detail["n"]  # the retry append_tail refused
-    return bounds, tail, ph, tail.n
+def _in_input_units(ph: PHRep, s: float) -> PHRep:
+    """``ph``, built in units of the mean ``s``, in the input's units: every
+    rate (block ``sigma``, tail ``lambda``, prefix ``mu``) over ``s``."""
+    blocks = tuple(replace(blk, sigma=blk.sigma / s) for blk in ph.blocks)
+    prefix = ph.prefix and replace(ph.prefix, mu=ph.prefix.mu / s)
+    return replace(ph, blocks=blocks, tail_lambda=ph.tail_lambda / s, prefix=prefix)
 
 
 def convert(
@@ -191,17 +145,16 @@ def convert(
 
     Raises ``DecViolationError`` when the dominance condition fails, and
     ``NumericError`` when no tail can be certified or the order, with the
-    tail applied (retried or not) if one is needed, would exceed
-    ``max_order``.  A nonnegative body vector proves the density positive,
-    so ``check_positive_density`` runs at most once: when the vector has a
+    tail applied if one is needed, would exceed ``max_order``.  A
+    nonnegative body vector proves the density positive, so
+    ``check_positive_density`` runs at most once: when the vector has a
     negative entry, before the tail is searched for, or when the
     construction fails.  When it rejects the input, ``PositiveDensityError``
-    is raised, in place of the construction's error.  In computed mode the
-    tail comes from ``smallest_tail`` without a certificate, under
-    ``_SEARCH_JUMPS`` jumps or the room ``max_order`` leaves if smaller; only
-    when that finds nothing are ``find_tau`` and ``compute_bounds`` run, and
-    ``smallest_tail`` again under the certificate.  With ``paper_bounds``
-    ``append_tail`` applies the certified tail.
+    is raised, in place of the construction's error.  In computed mode
+    ``smallest_tail`` chooses the tail, and prices the certificate only
+    where its search without one finds nothing; it sweeps no tail above the
+    room ``max_order`` leaves.  With ``paper_bounds`` ``append_tail``
+    applies the certified tail.
     """
     report = ConversionReport(input_order=rep.order)
 
@@ -220,9 +173,8 @@ def convert(
 
     # from here on rates are in units of 1/s and times in units of s
     s = rep.mean_scale
-    graded = False  # whether check_positive_density has run on spec
     try:
-        working_spec, mu = spec.scaled(s), None
+        working_spec = spec.scaled(s)
         l = zero_multiplicity(working_spec, tol)
         report.l = l
         if l > 0:
@@ -236,40 +188,56 @@ def convert(
                     raise PositiveDensityError(
                         f"residual density after the Erlang split is not positive ({pd.detail})"
                     )
-            mu /= s
-            report.mu = mu
+            report.mu = mu / s
 
         mono = solve_gamma(working_spec, build_generator(working_spec, tol), tol)
         gamma_min = float(mono.gamma.min())
-        report.gamma_min = gamma_min
-
-        if gamma_min < 0:
-            # a sign-changing density shows here first: reject it before a
-            # tail is searched for
-            graded = True
-            _require_positive(spec, tol)
-        # back in the input's units; the tail sweep's steps Q / rate do not change
-        body = replace(mono, blocks=tuple(replace(blk, sigma=blk.sigma / s) for blk in mono.blocks),
-                       lambda1=mono.lambda1 / s)
-        report.blocks = [f"({b.b},{b.sigma:g},{b.z:g})" for b in body.blocks]
-        report.monocyclic_order = body.order
-        # no tail above the room the limit leaves is swept, a retried one included
-        room = max_order - l - body.order
-        report.bounds, tail, ph, n = _apply_tail(mono, body, working_spec, s, paper_bounds, room, tol)
+        if gamma_min >= 0:
+            ph = PHRep(mono.gamma, mono.blocks, 0.0, 0, np.zeros(0), tol=tol)
     except Me2PhError:
         # a density that is not positive fails the construction somewhere;
-        # the check names that failure, if it has not run yet
-        if not graded:
-            _require_positive(spec, tol)
+        # the check names that failure
+        _require_positive(spec, tol)
         raise
+    report.gamma_min = gamma_min
+    report.monocyclic_order = mono.order
+    # no tail above the room the limit leaves is swept
+    room = max_order - l - mono.order
+    bounds = tail = None
+    if gamma_min < 0:
+        # a sign-changing density shows here first: reject it before a tail
+        # is searched for
+        _require_positive(spec, tol)
+        if paper_bounds is None:
+            bounds, tail, ph = smallest_tail(mono, working_spec, room, tol)
+        else:
+            bounds = compute_bounds(
+                mono, paper_bounds.tau / s, working_spec, tol=tol,
+                gamma_norm=paper_bounds.gamma_norm,
+                eps1=paper_bounds.eps1,
+                eps2=paper_bounds.eps2 * s,
+                round_rate_to=paper_bounds.round_rate_to * s,
+            )
+            tail = TailChoice.certified(bounds)
+            ph = append_tail(mono, tail, tol) if tail.n <= room else None
+    n = tail.n if tail is not None else 0
     if n > room:
         raise NumericError(
-            f"convert: order {l + body.order + n} exceeds the limit {max_order}",
+            f"convert: order {l + mono.order + n} exceeds the limit {max_order}",
             detail={"n": n, "max_order": max_order},
         )
-    report.tail = tail
-
     if l > 0:
         ph = recompose(ph, l, mu)
+
+    # back in the input's units, exactly: a power-of-two unit leaves the
+    # ladder's G tau and the tail sweep's steps G / rate the same bit for bit
+    ph = _in_input_units(ph, s)
+    report.blocks = [f"({b.b},{b.sigma:g},{b.z:g})" for b in ph.blocks]
+    if bounds is not None:
+        report.bounds = replace(bounds, tau=bounds.tau * s, g=bounds.g / s, eps2=bounds.eps2 / s,
+                                lambda_prime=bounds.lambda_prime / s,
+                                lambda_dprime=bounds.lambda_dprime / s, rate=bounds.rate / s)
+    if tail is not None:
+        report.tail = replace(tail, tau=tail.tau * s, rate=tail.rate / s)
     report.final_order = ph.order
     return ph, report

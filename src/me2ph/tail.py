@@ -14,7 +14,7 @@ bound, under ``_SEARCH_JUMPS`` jumps; only a search that finds nothing needs
 the certificate (``find_tau``, ``compute_bounds``), and then the search runs
 again below the certified tail, which it applies when nothing smaller
 passes.  One step, ``_swept``, sweeps and tests every candidate, the
-certified tail and its retry included.
+certified tail included.
 """
 
 import math
@@ -72,8 +72,8 @@ class BoundsReport:
 
 @dataclass(frozen=True)
 class TailChoice:
-    """The tail ``append_tail`` applies: horizon ``tau``, ``rate`` and order
-    ``n``, and the jumps ``smallest_tail`` swept to choose it."""
+    """A tail: horizon ``tau``, ``rate`` and order ``n``, and the jumps the
+    search that chose it swept (0 for a tail no search chose)."""
 
     tau: float
     rate: float
@@ -507,42 +507,22 @@ def _swept(mono: MonocyclicRep, rate: float, n: int, tol: ToleranceConfig):
 _SEARCH_JUMPS = 2**14
 
 
-def smallest_tail(mono: MonocyclicRep, bounds: BoundsReport | None, max_n: int,
-                  tol: ToleranceConfig = DEFAULT_TOL) -> tuple[TailChoice | None, PHRep | None]:
-    """Apply the smallest tail of at most ``max_n`` states whose transformed
-    vector passes the test; with a certificate ``bounds``, the certified tail
-    is the last candidate.
+def _search(mono: MonocyclicRep, cap: int, budget: int, tol: ToleranceConfig):
+    """The smallest tail of at most ``cap`` states whose transformed vector
+    passes ``_swept``, found within ``budget`` jumps in all: its
+    ``TailChoice`` and representation, or ``None`` for both; and the jumps
+    swept.
 
-    Every tail on the body gives exactly the distribution the body's vector
-    gives, and it is Markovian when its transformed vector is nonnegative;
-    so that vector certifies a tail, and the bound only caps the search.
     The rungs ``tau`` of ``_ladder`` go in ascending order; one where
     ``gamma exp(G tau)``, the head's limit, has a nonpositive entry is
-    skipped.  On a rung ``n`` starts at the smallest
-    power of two with ``n / tau`` at least the body's largest rate, so
-    ``M = I + G/rate`` is nonnegative, and doubles until the vector passes
-    or ``n`` reaches the best found or passes the cap.  The search ends at
-    the first rung whose rate bound alone does so, or before its sweeps
-    would pass the budget of jumps in total.  Without ``bounds`` cap and
-    budget are ``min(_SEARCH_JUMPS, max_n)``; with it they are ``max_n`` or
-    below the certified ``n``, and when no candidate passes, ``append_tail``
-    applies the certified tail, retry included.
-
-    Returns the tail applied, with the jumps swept, and its representation.
-    A certified tail above ``max_n`` is not swept, and comes with ``None``,
-    and ``append_tail`` refuses a retry above it; without ``bounds`` a search
-    that finds nothing returns ``(None, None)``.
+    skipped.  On a rung ``n`` starts at the smallest power of two with
+    ``n / tau`` at least the body's largest rate, so ``M = I + G/rate`` is
+    nonnegative, and doubles until the vector passes or ``n`` reaches the
+    best found or passes the cap.  The search ends at the first rung whose
+    rate bound alone does so, or before its sweeps would pass the budget.
     """
-    if mono.gamma is None:
-        raise InvalidRepresentationError("smallest_tail: gamma not set")
     sigma = max(blk.sigma for blk in mono.blocks)
-    if bounds is None:
-        tail, budget = None, min(_SEARCH_JUMPS, max_n)
-        cap = budget
-    else:
-        tail, budget = TailChoice.certified(bounds), min(bounds.n, max_n)
-        cap = min(bounds.n - 1, max_n)  # the largest n worth sweeping
-    ph, jumps = None, 0
+    tail, ph, jumps = None, None, 0
     for tau, head in _ladder(mono, tol):
         if math.ceil(sigma * tau) > cap:
             break
@@ -560,49 +540,69 @@ def smallest_tail(mono: MonocyclicRep, bounds: BoundsReport | None, max_n: int,
                 tail, ph, cap = TailChoice(tau, n / tau, n), found, n - 1
         if n <= cap:
             break  # the next sweep would pass the budget
-    if tail is None:
-        return None, None
-    if ph is None and tail.n <= max_n:
-        ph = append_tail(mono, tail, tol, max_n)
-        tail = replace(tail, rate=ph.tail_lambda, n=ph.tail_n)
-    return replace(tail, jumps=jumps), ph
+    return tail, ph, jumps
+
+
+def smallest_tail(mono: MonocyclicRep, spec: SpectralData, max_n: int,
+                  tol: ToleranceConfig = DEFAULT_TOL
+                  ) -> tuple[BoundsReport | None, TailChoice, PHRep | None]:
+    """The certificate, the tail applied and its representation, in four
+    steps: ``_search`` under ``min(_SEARCH_JUMPS, max_n)`` jumps, with no
+    certificate (``None`` when it finds a tail); else ``find_tau`` and
+    ``compute_bounds`` on the expansion ``spec`` the body realizes;
+    ``_search`` below the certified ``n``; and the certified tail, through
+    ``append_tail``, when that finds nothing either.
+
+    Every tail on the body gives exactly the distribution the body's vector
+    gives, and it is Markovian when its transformed vector is nonnegative;
+    so that vector certifies a tail, and the bound only caps the search.
+    No tail above ``max_n`` is swept: a certified one above it comes with
+    ``None``.  The tail's ``jumps`` are the last search's, and a
+    ``NumericError`` of the certificate names the first search's budget.
+    """
+    if mono.gamma is None:
+        raise InvalidRepresentationError("smallest_tail: gamma not set")
+    budget = min(_SEARCH_JUMPS, max_n)
+    tail, ph, jumps = _search(mono, budget, budget, tol)
+    if ph is not None:
+        return None, replace(tail, jumps=jumps), ph
+    try:
+        bounds = compute_bounds(mono, find_tau(mono, spec, tol), spec, tol=tol)
+    except NumericError as exc:
+        raise NumericError(f"{exc}; no tail passed a search of {max(budget, 0)} jumps",
+                           detail=exc.detail) from exc
+    tail, ph, jumps = _search(mono, min(bounds.n - 1, max_n), min(bounds.n, max_n), tol)
+    if ph is None:
+        tail = TailChoice.certified(bounds)
+        if tail.n <= max_n:
+            ph = append_tail(mono, tail, tol)
+    return bounds, replace(tail, jumps=jumps), ph
 
 
 def append_tail(mono: MonocyclicRep, tail: TailChoice,
-                tol: ToleranceConfig = DEFAULT_TOL, max_n: int | None = None) -> PHRep:
+                tol: ToleranceConfig = DEFAULT_TOL) -> PHRep:
     """Extend the monocyclic representation with the Erlang tail ``tail`` of
     at least one state: the certified one, ``TailChoice.certified(bounds)``,
     or any other.
 
     Entries of the transformed vector within the negative slack window are
-    clamped to zero; a genuinely negative entry, or clamped entries that sum
-    past ``_swept``'s bound, trigger one retry with the rate, and so the
-    order over the same ``tau``, doubled before failing.  A retry of more
-    than ``max_n`` states is refused before it is swept, by a ``NumericError``
-    whose ``detail`` holds its order ``n`` and ``max_n``.
+    clipped to zero; a genuinely negative entry, or clipped entries that sum
+    past ``_swept``'s bound, raise a ``NumericError`` whose ``detail`` holds
+    the smallest head and tail entries, each as ``(index, value)``.
     """
     if mono.gamma is None:
         raise InvalidRepresentationError("append_tail: gamma not set")
     if tail.n < 1:
         raise InvalidRepresentationError(f"append_tail: a tail needs at least one state, got {tail.n}")
-    rate, n = tail.rate, tail.n
-    for attempt in range(2):
-        ph, head, q = _swept(mono, rate, n, tol)
-        if ph is not None:
-            return ph
-        if attempt == 0:
-            rate *= 2
-            n = _order(tail.tau, rate)
-            if max_n is not None and n > max_n:
-                raise NumericError(
-                    f"append_tail: the retried tail of {n} states exceeds the room of {max_n}",
-                    detail={"n": n, "max_n": max_n},
-                )
-    raise NumericError(
-        "append_tail: transformed vector stays negative after doubling the rate",
-        detail={"head_min": (int(head.argmin()), float(head.min())),
-                "tail_min": (int(q.argmin()), float(q.min())), "rate": rate},
-    )
+    ph, head, q = _swept(mono, tail.rate, tail.n, tol)
+    if ph is None:
+        raise NumericError(
+            f"append_tail: transformed vector of the tail (rate {tail.rate!r}, n = {tail.n}) is "
+            f"negative: smallest head entry {head.min():.3e}, smallest tail entry {q.min():.3e}",
+            detail={"head_min": (int(head.argmin()), float(head.min())),
+                    "tail_min": (int(q.argmin()), float(q.min())), "rate": tail.rate},
+        )
+    return ph
 
 
 # ---------------------------------------------------------------------------

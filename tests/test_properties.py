@@ -49,9 +49,8 @@ def test_convert_returns_an_equivalent_output_within_the_limit_or_refuses(family
         # found by the search without a certificate, within its budget
         assert t.n <= t.jumps <= _SEARCH_JUMPS
         return
-    # searched below the certificate, the certified tail, or its one retry
-    # at twice the rate over the same tau
-    assert t.n < b.n or (t.tau, t.n) == (b.tau, b.n) or (t.tau == b.tau and t.n > b.n)
+    # searched below the certificate, or the certified tail
+    assert t.n < b.n or (t.tau, t.rate, t.n) == (b.tau, b.rate, b.n)
 
 
 # the families above rarely need a tail

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import me2ph.tail
 from conftest import ALPHA7, A7
 from genutil import random_markovian_rep, rep_from_terms
 from me2ph import (DecViolationError, MERep, convert, monte_carlo_check, phrep_cdf_grid, phrep_moments,
@@ -28,6 +29,11 @@ INPUTS = {
 }
 
 
+# prices a 3,454-state certificate when the search without one may sweep no
+# jumps, and applies a 2-state tail that the search below it finds in 4
+CERTIFIED = rep_from_terms([(-1, [1]), (-1.8 + 3j, [0.55])])
+
+
 @pytest.fixture(scope="module")
 def unit_conversions():
     return {name: convert(rep) for name, rep in INPUTS.items()}
@@ -37,12 +43,19 @@ def _scaled(rep: MERep, c: float) -> MERep:
     return MERep(rep.alpha, c * rep.A)
 
 
-@pytest.mark.parametrize("name", sorted(INPUTS))
-def test_power_of_two_time_unit_is_an_exact_rescaling(name, unit_conversions):
-    ph0, report0 = unit_conversions[name]
+@pytest.mark.parametrize("name", sorted(INPUTS) + ["certified"])
+def test_power_of_two_time_unit_is_an_exact_rescaling(name, unit_conversions, monkeypatch):
+    if name == "certified":
+        monkeypatch.setattr(me2ph.tail, "_SEARCH_JUMPS", 0)
+        rep = CERTIFIED
+        ph0, report0 = convert(rep)
+        assert report0.bounds.n == 3_454 and (report0.tail.n, report0.tail.jumps) == (2, 4)
+    else:
+        rep = INPUTS[name]
+        ph0, report0 = unit_conversions[name]
     for j in (-30, -7, 3, 30):
         c = 2.0**j
-        ph, report = convert(_scaled(INPUTS[name], c))
+        ph, report = convert(_scaled(rep, c))
         assert np.array_equal(ph.head_gamma, ph0.head_gamma)
         assert np.array_equal(ph.tail_weights, ph0.tail_weights)
         assert [(b.b, b.sigma, b.z) for b in ph.blocks] == [(b.b, b.sigma * c, b.z) for b in ph0.blocks]
@@ -56,6 +69,9 @@ def test_power_of_two_time_unit_is_an_exact_rescaling(name, unit_conversions):
             b, b0 = report.bounds, report0.bounds
             assert (b.tau, b.g, b.eps2, b.rate) == (b0.tau / c, b0.g * c, b0.eps2 * c, b0.rate * c)
             assert (b.eps1, b.gamma_norm, b.n) == (b0.eps1, b0.gamma_norm, b0.n)
+        if report0.tail is not None:
+            t, t0 = report.tail, report0.tail
+            assert (t.tau, t.rate, t.n, t.jumps) == (t0.tau / c, t0.rate * c, t0.n, t0.jumps)
 
 
 @pytest.mark.parametrize("c", [1e-8, 1e8, 3600.0])

@@ -147,8 +147,11 @@ def test_append_tail_rejects_an_empty_tail(worked_mono):
 
 def test_append_tail_reports_offending_entry_when_rate_too_small(worked_mono, worked_spec):
     bad = compute_bounds(worked_mono, 0.5, worked_spec, gamma_norm=1.5, eps1=1e6, eps2=1e6)
-    with pytest.raises(NumericError, match="stays negative"):
+    with pytest.raises(NumericError, match=r"tail \(rate .*, n = 1\) is negative: smallest head entry") as exc:
         append_tail(worked_mono, TailChoice.certified(bad))
+    head, q = me2ph.tail._tail_sweep(worked_mono.gamma, *_uniformized(worked_mono.matrix, bad.rate), 1)
+    assert exc.value.detail["head_min"] == (int(head.argmin()), float(head.min()))
+    assert exc.value.detail["tail_min"] == (0, float(q[0])) and q[0] > 0
 
 
 def test_find_tau_names_the_rungs_climbed(worked_mono, worked_spec):
@@ -158,19 +161,6 @@ def test_find_tau_names_the_rungs_climbed(worked_mono, worked_spec):
     with pytest.raises(NumericError, match=r"every rung tau = \(n1/lambda1\) 2\^k, "
                                            r"k = -12 to 59 \(72 rungs\)"):
         find_tau(mono, worked_spec)
-
-
-def test_append_tail_retries_at_twice_the_rate(worked_mono):
-    # 8 jumps at rate 16 leave a tail weight of about -3.6e-3; the one retry
-    # doubles the rate, and with it the order over the same tau, and passes
-    _, q = me2ph.tail._tail_sweep(worked_mono.gamma, *_uniformized(worked_mono.matrix, 16.0), 8)
-    assert q.min() < -1e-3
-    ph = append_tail(worked_mono, TailChoice(0.5, 16.0, 8))
-    assert (ph.tail_lambda, ph.tail_n) == (32.0, 16)
-    assert ph.tail_weights.min() >= 0 and ph.head_gamma.min() >= 0
-    assert check_markovian(ph).ok
-    for x in (0.25, 1.0, 2.0):
-        assert phrep_pdf(ph, x) == pytest.approx(float(fy_closed(x)), rel=1e-9)
 
 
 def test_tail_weights_sample_the_density():
@@ -308,30 +298,31 @@ def test_smallest_tail_falls_back_to_the_certified_tail(monkeypatch):
     _assert_searched_tail(rep, ph, report)
 
 
-def test_order_limit_holds_after_the_retry(monkeypatch):
-    # every sweep shorter than the retry of the certified 211 states fails,
-    # so the searches find nothing: the certified tail fits the room a limit
-    # of 224 leaves (the body has 8 states, no prefix), and its retry at
-    # twice the rate, 421 states, does not, so it is refused before it is
-    # swept
+def test_order_limit_holds_for_the_certified_tail(monkeypatch):
+    # every sweep shorter than the certified 211 states fails, so the
+    # searches find nothing: the certified tail does not fit the room a
+    # limit of 218 leaves (the body has 8 states, no prefix), so it is
+    # refused before it is swept, and it fits the room 219 leaves
     rep = _damped(*TAIL_ANCHORS[0])
+    certified = CERTIFIED_N[TAIL_ANCHORS[0]]
     original = me2ph.tail._tail_sweep
     swept = []
 
-    def failing_below_the_retry(start, Q, rate, n):
+    def failing_below_the_certified(start, Q, rate, n):
         head, q = original(start, Q, rate, n)
         swept.append(n)
-        return (head - 1.0 if n < 421 else head), q
+        return (head - 1.0 if n < certified else head), q
 
-    monkeypatch.setattr(me2ph.tail, "_tail_sweep", failing_below_the_retry)
-    with pytest.raises(NumericError, match="order 429 exceeds the limit 224") as exc:
-        convert(rep, max_order=224)
-    assert exc.value.detail["n"] == 421
-    assert CERTIFIED_N[TAIL_ANCHORS[0]] in swept and max(swept) <= 224 - 8
-    ph, report = convert(rep, max_order=429)
-    assert ph.order == 429 and report.monocyclic_order == 8
-    assert (report.tail.tau, report.tail.n) == (report.bounds.tau, 421)
-    assert report.tail.rate == 2 * report.bounds.rate
+    monkeypatch.setattr(me2ph.tail, "_tail_sweep", failing_below_the_certified)
+    with pytest.raises(NumericError, match="order 219 exceeds the limit 218") as exc:
+        convert(rep, max_order=218)
+    assert exc.value.detail["n"] == certified
+    assert swept and max(swept) <= 218 - 8
+    swept.clear()
+    ph, report = convert(rep, max_order=219)
+    assert ph.order == 219 and report.monocyclic_order == 8
+    assert (report.tail.tau, report.tail.rate, report.tail.n) == (report.bounds.tau, report.bounds.rate, certified)
+    assert swept[-1] == certified
 
 
 def test_smallest_tail_sweeps_nothing_above_the_order_limit(monkeypatch):

@@ -253,6 +253,22 @@ def test_mc_crosscheck_script_passes():
     assert "FAIL" not in proc.stdout and "[ok]" in proc.stdout
 
 
+def test_tail_census_script_runs_on_the_benchmark_inputs():
+    # the paper example and the random batch alone: the script's imports of
+    # the package's private tail names, and its counts
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "tail_census.py"), "--damped", "0", "--erlang-damped", "0"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "inputs: 199" in lines and "certified tail: 0" in lines
+    assert not any(line.startswith("failed:") for line in lines)
+
+
 def test_worked_example_script_passes():
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
