@@ -105,9 +105,9 @@ def cmd_validate(args) -> int:
     try:
         verdict["markovian"] = bool(check_markovian(obj, tol).ok)
         if kind == "me":
-            spec = analyze_spectrum(obj, tol)
-            verdict["dec"] = bool(check_dec(spec, tol).ok)
-            verdict["positive_density"] = bool(check_positive_density(spec, tol).ok)
+            spec = analyze_spectrum(obj)
+            verdict["dec"] = bool(check_dec(spec).ok)
+            verdict["positive_density"] = bool(check_positive_density(spec).ok)
         else:
             # structural: every block keeps the leading rate dominant; a
             # Markovian representation with reachable states has positive density
@@ -115,7 +115,7 @@ def cmd_validate(args) -> int:
             verdict["positive_density"] = bool(verdict["markovian"])
         if other is not None:
             rel_tol = 1e-5 if args.tol is None else args.tol
-            eq = check_equivalence(other, obj, rel_tol=rel_tol, tol=tol)
+            eq = check_equivalence(other, obj, rel_tol=rel_tol)
             verdict["equivalence"] = {
                 "max_rel_error": eq.max_rel_error,
                 "moments_rel_error": eq.moments_rel_error,

@@ -26,6 +26,9 @@ __all__ = [
     "derivatives_at_zero",
 ]
 
+# nonsingularity floor: smallest singular value relative to the infinity norm
+_SINGULAR_REL = 1e-13
+
 
 def vec_norm1(v) -> float:
     """Sum of absolute entries."""
@@ -77,7 +80,7 @@ class MERep:
             )
         sv = np.linalg.svd(A, compute_uv=False)
         scale = max(mat_norm_inf(A), 1e-300)
-        if sv[-1] <= self.tol.singular_rel * scale:
+        if sv[-1] <= _SINGULAR_REL * scale:
             raise InvalidRepresentationError(
                 f"MERep: A is singular to working precision (smallest sv {sv[-1]:.3e})"
             )

@@ -12,7 +12,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import InvalidRepresentationError, PositiveDensityError
 from .spectral import SpectralData, first_nonzero_derivative, surviving_terms
 from .tail import DeconvParams, PHRep
@@ -20,14 +19,17 @@ from .validate import check_positive_density
 
 __all__ = ["DeconvParams", "zero_multiplicity", "deconvolve", "choose_mu", "recompose"]
 
+# choose_mu gives up after this many doublings of the rate
+_MAX_DOUBLINGS = 60
 
-def zero_multiplicity(spec: SpectralData, tol: ToleranceConfig = DEFAULT_TOL) -> int:
+
+def zero_multiplicity(spec: SpectralData) -> int:
     """Multiplicity of the density's zero at the origin.
 
     Returns the order of the expansion's first nonzero derivative at 0
     (``first_nonzero_derivative``); 0 means the density is positive at 0.
     """
-    first = first_nonzero_derivative(spec, tol)
+    first = first_nonzero_derivative(spec)
     if first is None:
         raise InvalidRepresentationError(
             f"zero_multiplicity: all derivatives through order {spec.order} vanish; "
@@ -36,8 +38,7 @@ def zero_multiplicity(spec: SpectralData, tol: ToleranceConfig = DEFAULT_TOL) ->
     return first[0]
 
 
-def deconvolve(spec: SpectralData, l: int, mu: float,
-               tol: ToleranceConfig = DEFAULT_TOL) -> SpectralData:
+def deconvolve(spec: SpectralData, l: int, mu: float) -> SpectralData:
     """Expansion of the residual density after removing an Erlang(l, mu) factor.
 
     Applies ``(1 + D/mu)^l``, ``D = d/dx``, to every term ``p(x) e^(eta x)``:
@@ -53,11 +54,10 @@ def deconvolve(spec: SpectralData, l: int, mu: float,
             dc = np.append(np.arange(1, c.size) * c[1:], 0)
             c = (1 + term.eigenvalue / mu) * c + dc / mu
         by_eig[term.eigenvalue] = c
-    return surviving_terms(by_eig, tol)
+    return surviving_terms(by_eig)
 
 
-def choose_mu(spec: SpectralData, l: int,
-              tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, SpectralData]:
+def choose_mu(spec: SpectralData, l: int) -> tuple[float, SpectralData]:
     """Doubling search for an Erlang rate making the residual density positive.
 
     Starts at twice the dominant rate and accepts the first candidate whose
@@ -68,14 +68,14 @@ def choose_mu(spec: SpectralData, l: int,
     if l < 1:
         raise InvalidRepresentationError("choose_mu: nothing to split off when l = 0")
     mu = 2.0 * spec.lambda1
-    for _ in range(tol.max_doublings):
-        candidate = deconvolve(spec, l, mu, tol)
-        if check_positive_density(candidate, tol).ok:
+    for _ in range(_MAX_DOUBLINGS):
+        candidate = deconvolve(spec, l, mu)
+        if check_positive_density(candidate).ok:
             return mu, candidate
         mu *= 2
     raise PositiveDensityError(
         "choose_mu: positive-density or dominant-eigenvalue precondition likely "
-        f"violated; no rate accepted after {tol.max_doublings} doublings"
+        f"violated; no rate accepted after {_MAX_DOUBLINGS} doublings"
     )
 
 

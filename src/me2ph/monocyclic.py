@@ -18,7 +18,7 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .core import mat_norm_inf
 from .errors import DecViolationError, InvalidRepresentationError, NumericError
-from .spectral import SpectralData, _jordan_pair, check_dec
+from .spectral import EIG_CLUSTER_REL, SpectralData, _jordan_pair, check_dec
 
 __all__ = [
     "FEBlock",
@@ -29,6 +29,9 @@ __all__ = [
     "solve_transformation_matrix",
     "solve_gamma",
 ]
+
+# a constructed block must hold its target eigenvalue to this relative error
+_FE_EIG_CHECK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,7 @@ class FEBlock:
         return -self.sigma * (1.0 - roots)
 
 
-def fe_block_for(eigenvalue: complex, lambda1: float,
-                 tol: ToleranceConfig = DEFAULT_TOL) -> FEBlock:
+def fe_block_for(eigenvalue: complex, lambda1: float) -> FEBlock:
     """Block embedding one eigenvalue (or conjugate pair) of the source matrix.
 
     Real eigenvalues map to a single-state block.  A pair ``-a +/- ic`` needs
@@ -98,7 +100,7 @@ def fe_block_for(eigenvalue: complex, lambda1: float,
         return FEBlock(1, a, 0.0)
 
     gap = a - lambda1
-    if gap <= tol.eig_cluster_rel * max(abs(eigenvalue), lambda1):
+    if gap <= EIG_CLUSTER_REL * max(abs(eigenvalue), lambda1):
         raise DecViolationError(
             f"complex pair {-a}+/-{c}j has real part at the dominant eigenvalue "
             f"-{lambda1}; no finite chain can embed it"
@@ -125,7 +127,7 @@ def fe_block_for(eigenvalue: complex, lambda1: float,
     evs = block.eigenvalues()
     target = complex(-a, c)
     err = np.abs(evs - target).min()
-    if err > tol.fe_eig_check * abs(target):
+    if err > _FE_EIG_CHECK * abs(target):
         raise NumericError(
             f"fe_block_for: constructed block misses {target} by {err:.3e}"
         )
@@ -206,14 +208,14 @@ class MonocyclicRep:
         return replace(self, gamma=np.asarray(gamma, dtype=float))
 
 
-def build_generator(spec: SpectralData, tol: ToleranceConfig = DEFAULT_TOL) -> MonocyclicRep:
+def build_generator(spec: SpectralData) -> MonocyclicRep:
     """Assemble the block list for a spectrum satisfying the dominance condition.
 
     Each eigenvalue instance gets one block (a conjugate pair shares one);
     the dominant eigenvalue's single-state blocks come first, the rest follow
     in descending real part.
     """
-    dec = check_dec(spec, tol)
+    dec = check_dec(spec)
     if not dec.ok:
         raise DecViolationError(dec.diagnostic)
     lambda1 = spec.lambda1
@@ -226,7 +228,7 @@ def build_generator(spec: SpectralData, tol: ToleranceConfig = DEFAULT_TOL) -> M
     rest = [t for i, t in enumerate(spec.terms) if i != spec.dominant and t.eigenvalue.imag >= 0]
     rest.sort(key=lambda t: (-t.eigenvalue.real, abs(t.eigenvalue.imag)))
     for term in rest:
-        blk = fe_block_for(term.eigenvalue, lambda1, tol)
+        blk = fe_block_for(term.eigenvalue, lambda1)
         blocks.extend([blk] * term.multiplicity)
     return MonocyclicRep(tuple(blocks), n1=spec.n1, lambda1=lambda1)
 

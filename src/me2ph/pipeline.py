@@ -118,10 +118,10 @@ def _fmt_eig(term) -> str:
     return f"{s} (x{term.multiplicity})" if term.multiplicity > 1 else s
 
 
-def _require_positive(spec, tol: ToleranceConfig) -> None:
+def _require_positive(spec) -> None:
     """Raise ``PositiveDensityError`` when ``check_positive_density`` rejects
     the expansion, naming the failed part."""
-    pd = check_positive_density(spec, tol)
+    pd = check_positive_density(spec)
     if not pd.ok:
         raise PositiveDensityError(f"{pd.failed_part}: {pd.detail}")
 
@@ -158,11 +158,11 @@ def convert(
     """
     report = ConversionReport(input_order=rep.order)
 
-    spec = analyze_spectrum(rep, tol)
+    spec = analyze_spectrum(rep)
     report.minimal_order = spec.order
     report.eigenvalues = [_fmt_eig(t) for t in spec.terms]
 
-    dec = check_dec(spec, tol)
+    dec = check_dec(spec)
     if not dec.ok:
         raise DecViolationError(dec.diagnostic)
     # the dominant term has the largest real part: every term is stable iff it is
@@ -175,29 +175,29 @@ def convert(
     s = rep.mean_scale
     try:
         working_spec = spec.scaled(s)
-        l = zero_multiplicity(working_spec, tol)
+        l = zero_multiplicity(working_spec)
         report.l = l
         if l > 0:
             if paper_bounds is None:
-                mu, working_spec = choose_mu(working_spec, l, tol)
+                mu, working_spec = choose_mu(working_spec, l)
             else:
                 mu = paper_bounds.mu * s
-                working_spec = deconvolve(working_spec, l, mu, tol)
-                pd = check_positive_density(working_spec, tol)
+                working_spec = deconvolve(working_spec, l, mu)
+                pd = check_positive_density(working_spec)
                 if not pd.ok:
                     raise PositiveDensityError(
                         f"residual density after the Erlang split is not positive ({pd.detail})"
                     )
             report.mu = mu / s
 
-        mono = solve_gamma(working_spec, build_generator(working_spec, tol), tol)
+        mono = solve_gamma(working_spec, build_generator(working_spec), tol)
         gamma_min = float(mono.gamma.min())
         if gamma_min >= 0:
             ph = PHRep(mono.gamma, mono.blocks, 0.0, 0, np.zeros(0), tol=tol)
     except Me2PhError:
         # a density that is not positive fails the construction somewhere;
         # the check names that failure
-        _require_positive(spec, tol)
+        _require_positive(spec)
         raise
     report.gamma_min = gamma_min
     report.monocyclic_order = mono.order
@@ -206,13 +206,17 @@ def convert(
     bounds = tail = None
     if gamma_min < 0:
         # a sign-changing density shows here first: reject it before a tail
-        # is searched for
-        _require_positive(spec, tol)
+        # is searched for, and a full limit before a tail is priced
+        _require_positive(spec)
+        if room < 1:
+            raise NumericError(f"convert: order {l + mono.order} of the prefix and body, plus a tail, "
+                               f"exceeds the limit {max_order}",
+                               detail={"order": l + mono.order, "max_order": max_order})
         if paper_bounds is None:
             bounds, tail, ph = smallest_tail(mono, working_spec, room, tol)
         else:
             bounds = compute_bounds(
-                mono, paper_bounds.tau / s, working_spec, tol=tol,
+                mono, paper_bounds.tau / s, working_spec,
                 gamma_norm=paper_bounds.gamma_norm,
                 eps1=paper_bounds.eps1,
                 eps2=paper_bounds.eps2 * s,

@@ -34,6 +34,15 @@ __all__ = [
     "check_c_conditions",
 ]
 
+# eigenvalue clustering, relative to the matrix infinity norm (or to the
+# spectrum's scale)
+EIG_CLUSTER_REL = 1e-6
+# spectral terms whose coefficients all fall below this times the largest
+# coefficient are treated as absent from the density
+_COEFF_ZERO_REL = 1e-9
+# zero-derivative threshold at x = 0, relative to max|eta|^(k+1)
+_DERIV_ZERO_REL = 1e-9
+
 
 @dataclass(frozen=True)
 class SpectralTerm:
@@ -93,13 +102,13 @@ class SpectralData:
             for t in self.terms))
 
 
-def modal_form(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
+def modal_form(A: np.ndarray):
     """``(T, V, clusters)`` with ``A V = V T`` and ``T`` block diagonal: one
     upper triangular block ``T[span, span]`` per eigenvalue cluster, and
     ``clusters`` each cluster's ``(center, span)`` in order along the
     diagonal (Bavely & Stewart 1979).
 
-    Diagonal entries of the Schur form within ``eig_cluster_rel`` times the
+    Diagonal entries of the Schur form within ``EIG_CLUSTER_REL`` times the
     infinity norm of ``A`` of the real axis are snapped onto it, and a cluster
     is the entries within that distance of the same earliest one in Schur
     order; its center is their mean.  For a real ``A`` the distance is taken
@@ -112,7 +121,7 @@ def modal_form(A: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
     """
     A = np.asarray(A)
     n = A.shape[0]
-    ctol = tol.eig_cluster_rel * mat_norm_inf(A)
+    ctol = EIG_CLUSTER_REL * mat_norm_inf(A)
     T, V = (schur(A, output="complex") if np.any(np.tril(A, -1))
             else (np.array(A), np.eye(n, dtype=A.dtype)))
     diag = np.diag(T)
@@ -170,15 +179,14 @@ def _center_order(eta: complex) -> tuple[float, float, float]:
     return -eta.real, -abs(eta.imag), -eta.imag
 
 
-def cluster_eigenvalues(A: np.ndarray,
-                        tol: ToleranceConfig = DEFAULT_TOL) -> tuple[tuple[complex, int], ...]:
+def cluster_eigenvalues(A: np.ndarray) -> tuple[tuple[complex, int], ...]:
     """``(center, multiplicity)`` of each eigenvalue cluster of ``A``
     (``modal_form``), sorted by ``_center_order``."""
-    pairs = ((eta, c.stop - c.start) for eta, c in modal_form(A, tol)[2])
+    pairs = ((eta, c.stop - c.start) for eta, c in modal_form(A)[2])
     return tuple(sorted(pairs, key=lambda p: _center_order(p[0])))
 
 
-def analyze_spectrum(rep: MERep, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralData:
+def analyze_spectrum(rep: MERep) -> SpectralData:
     """Read the exponential-polynomial expansion of the density of ``rep``
     off the modal form of its matrix.
 
@@ -192,7 +200,7 @@ def analyze_spectrum(rep: MERep, tol: ToleranceConfig = DEFAULT_TOL) -> Spectral
     it is read off ``s A``, ``s = rep.mean_scale``, and rescaled by ``1 / s``.
     """
     s = rep.mean_scale
-    T, V, clusters = modal_form(s * rep.A, tol)
+    T, V, clusters = modal_form(s * rep.A)
     b = np.ones(rep.order)
     # the identity basis (an upper triangular A that needed no reordering
     # or decoupling) has b = 1 and needs neither the condition check nor
@@ -221,15 +229,15 @@ def analyze_spectrum(rep: MERep, tol: ToleranceConfig = DEFAULT_TOL) -> Spectral
         if eta.imag < 0 and mirror:
             cs = np.conj(by_eig[eta.conjugate()])
         by_eig[eta] = cs.real if eta.imag == 0 else cs
-    return surviving_terms(by_eig, tol).scaled(1 / s)
+    return surviving_terms(by_eig).scaled(1 / s)
 
 
-def surviving_terms(by_eig: dict[complex, np.ndarray], tol: ToleranceConfig) -> SpectralData:
+def surviving_terms(by_eig: dict[complex, np.ndarray]) -> SpectralData:
     """Expansion from per-eigenvalue coefficients: those at most
-    ``coeff_zero_rel`` times the largest are zero, trailing zeros reduce a
+    ``_COEFF_ZERO_REL`` times the largest are zero, trailing zeros reduce a
     term's multiplicity, and a term left with none is absent."""
     scale = max(max(float(np.abs(cs).max()) for cs in by_eig.values()), 1e-300)
-    cut = tol.coeff_zero_rel * scale
+    cut = _COEFF_ZERO_REL * scale
     terms: list[SpectralTerm] = []
     for ev, cs in by_eig.items():
         eff = len(cs)
@@ -284,8 +292,7 @@ def minimal_representation(spec: SpectralData, tol: ToleranceConfig = DEFAULT_TO
     return MERep(*_jordan_pair(spec), tol=tol)
 
 
-def first_nonzero_derivative(spec: SpectralData,
-                             tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, float] | None:
+def first_nonzero_derivative(spec: SpectralData) -> tuple[int, float] | None:
     """``(k, f^(k)(0))`` for the smallest ``k <= order`` whose derivative at 0
     is nonzero relative to ``s^(k+1)``, ``s = max |eta|``, which scales with the
     unit of time as ``f^(k)(0)`` does; None when all of them vanish.  A term
@@ -294,7 +301,7 @@ def first_nonzero_derivative(spec: SpectralData,
     for k in range(spec.order + 1):
         d = sum(c * perm(k, j) * t.eigenvalue ** (k - j)
                 for t in spec.terms for j, c in enumerate(t.coeffs[: k + 1]))
-        if abs(d.real) > tol.deriv_zero_rel * scale ** (k + 1):
+        if abs(d.real) > _DERIV_ZERO_REL * scale ** (k + 1):
             return k, d.real
     return None
 
@@ -346,17 +353,17 @@ class DecReport:
     n1: int
 
 
-def _at_top(spec: SpectralData, tol: ToleranceConfig) -> list[SpectralTerm]:
-    """Terms whose real part ties the largest one, within ``eig_cluster_rel``
+def _at_top(spec: SpectralData) -> list[SpectralTerm]:
+    """Terms whose real part ties the largest one, within ``EIG_CLUSTER_REL``
     times the spectrum's scale."""
     top = max(t.eigenvalue.real for t in spec.terms)
     scale = max(abs(t.eigenvalue) for t in spec.terms)
-    return [t for t in spec.terms if top - t.eigenvalue.real <= tol.eig_cluster_rel * scale]
+    return [t for t in spec.terms if top - t.eigenvalue.real <= EIG_CLUSTER_REL * scale]
 
 
-def check_dec(spec: SpectralData, tol: ToleranceConfig = DEFAULT_TOL) -> DecReport:
+def check_dec(spec: SpectralData) -> DecReport:
     """Check that exactly one term attains the maximal real part and is real."""
-    at_top = _at_top(spec, tol)
+    at_top = _at_top(spec)
     dom = spec.dominant_term
     if len(at_top) == 1 and at_top[0].is_real:
         return DecReport(True, "single real dominant eigenvalue", dom.eigenvalue, dom.multiplicity)
@@ -397,8 +404,8 @@ class CConditionReport:
 def check_c_conditions(rep: MERep, spec: SpectralData,
                        tol: ToleranceConfig = DEFAULT_TOL) -> CConditionReport:
     c1 = all(t.eigenvalue.real < 0 for t in spec.terms)
-    c2 = any(t.is_real for t in _at_top(spec, tol))
+    c2 = any(t.is_real for t in _at_top(spec))
     c3 = abs(complex(rep.alpha.sum()) - 1.0) <= tol.alpha_sum
-    order, value = first_nonzero_derivative(spec, tol) or (None, None)
+    order, value = first_nonzero_derivative(spec) or (None, None)
     c4 = value is not None and value > 0
     return CConditionReport(c1, c2, c3, c4, order, value)

@@ -218,10 +218,14 @@ def _check_rates(log_lp: float, log_lpp: float) -> None:
         )
 
 
-def _eps2(spec: SpectralData, tau: float, g: float, tol: ToleranceConfig) -> float:
+# the grid infimum of the density on [0, tau] is shrunk by this safety factor
+_EPS2_SAFETY = 0.9
+
+
+def _eps2(spec: SpectralData, tau: float, g: float) -> float:
     """Certified ``eps2``: the safety-shrunk grid infimum of the density on ``[0, tau]``."""
     xs = np.linspace(0.0, tau, max(10 * math.ceil(g * tau), 10))
-    return tol.eps2_safety * float(expansion_values(spec, xs).min())
+    return _EPS2_SAFETY * float(expansion_values(spec, xs).min())
 
 
 def _order(tau: float, rate: float) -> int:
@@ -233,22 +237,23 @@ def _order(tau: float, rate: float) -> int:
 # scripts/tail_census.py that need a tail, find_tau chose rungs -7 to 0 when
 # it walked down from rung 0, and visited none below -11.
 _LOWEST_RUNG = -12
+# the top rung, (n1 / lambda1) 2^59: find_tau and the search give up there
+_TOP_RUNG = 59
 
 
-def _ladder(mono: MonocyclicRep, tol: ToleranceConfig):
+def _ladder(mono: MonocyclicRep):
     """Rungs ``tau = (n1/lambda1) 2^k``, ``k = _LOWEST_RUNG`` up to
-    ``max_doublings - 1``, in ascending order, each with the head's limit
+    ``_TOP_RUNG``, in ascending order, each with the head's limit
     ``gamma exp(G tau)``.  One ``expm`` at the lowest rung; each rung's
     ``exp(G tau)`` above it is the square of the one below."""
     tau = mono.n1 / mono.lambda1 * 2.0**_LOWEST_RUNG
     E = expm(mono.matrix * tau)
-    for _ in range(_LOWEST_RUNG, tol.max_doublings):
+    for _ in range(_LOWEST_RUNG, _TOP_RUNG + 1):
         yield tau, mono.gamma @ E
         tau, E = 2 * tau, E @ E
 
 
-def find_tau(mono: MonocyclicRep, spec: SpectralData,
-             tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def find_tau(mono: MonocyclicRep, spec: SpectralData) -> float:
     """Pick a horizon ``tau`` with ``gamma exp(G tau)`` entrywise positive.
 
     Climbs ``_ladder``, skipping rungs where that vector has a nonpositive
@@ -268,7 +273,7 @@ def find_tau(mono: MonocyclicRep, spec: SpectralData,
     g = mat_norm_inf(mono.matrix)
     gn = vec_norm1(mono.gamma)
     best, best_cost = None, math.inf
-    for tau, head in _ladder(mono, tol):
+    for tau, head in _ladder(mono):
         if best is not None and _log_rates(gn, g, tau, gn, math.inf)[0] > _LOG_RATE_LIMIT:
             break
         e1 = float(head.min())
@@ -278,7 +283,7 @@ def find_tau(mono: MonocyclicRep, spec: SpectralData,
         # grid is built
         cost = math.inf
         if _log_rates(gn, g, tau, e1, math.inf)[0] <= _LOG_RATE_LIMIT:
-            e2 = _eps2(spec, tau, g, tol)
+            e2 = _eps2(spec, tau, g)
             cost = max(_log_rates(gn, g, tau, e1, e2)) if e2 > 0 else math.inf
         if best is None or cost < best_cost:
             best, best_cost = tau, cost
@@ -288,7 +293,7 @@ def find_tau(mono: MonocyclicRep, spec: SpectralData,
     if best is None:
         raise NumericError(
             "find_tau: gamma exp(G tau) has a nonpositive entry on every rung tau = (n1/lambda1) "
-            f"2^k, k = {_LOWEST_RUNG} to {tol.max_doublings - 1} ({tol.max_doublings - _LOWEST_RUNG} rungs)"
+            f"2^k, k = {_LOWEST_RUNG} to {_TOP_RUNG} ({_TOP_RUNG - _LOWEST_RUNG + 1} rungs)"
         )
     return best
 
@@ -298,7 +303,6 @@ def compute_bounds(
     tau: float,
     spec: SpectralData,
     *,
-    tol: ToleranceConfig = DEFAULT_TOL,
     gamma_norm: float | None = None,
     eps1: float | None = None,
     eps2: float | None = None,
@@ -332,7 +336,7 @@ def compute_bounds(
     if eps2 is not None:
         e2 = float(eps2)
     else:
-        e2 = _eps2(spec, tau, g, tol)
+        e2 = _eps2(spec, tau, g)
         if e2 <= 0:
             raise PositiveDensityError(
                 f"density is not positive on [0, {tau}] (safety-shrunk grid "
@@ -481,10 +485,14 @@ def _tail_sweep(start: np.ndarray, M: np.ndarray, col: np.ndarray, n: int, head:
     return np.array(v), q
 
 
+# transformed-vector entries down to -_MARKOV_SLACK_REL ||gamma||_1 are clipped
+_MARKOV_SLACK_REL = 1e-12
+
+
 def _swept(mono: MonocyclicRep, rate: float, n: int, tol: ToleranceConfig):
     """Sweep the tail ``(rate, n)`` on the body.  Returns the tailed
     representation, with the transformed vector's entries inside the slack
-    ``markov_slack_rel ||gamma||_1`` clipped to zero, or ``None`` when an
+    ``_MARKOV_SLACK_REL ||gamma||_1`` clipped to zero, or ``None`` when an
     entry is below it or the clipped entries sum to more than
     ``alpha_sum / 2 * ||gamma||_1``; and that vector ``(head, q)``.
 
@@ -494,7 +502,7 @@ def _swept(mono: MonocyclicRep, rate: float, n: int, tol: ToleranceConfig):
     slack can add up past the mass check of ``PHRep``."""
     head, q = _tail_sweep(mono.gamma, *_uniformized(mono.matrix, rate), n)
     norm = vec_norm1(mono.gamma)
-    if (min(head.min(), q.min()) <= -tol.markov_slack_rel * norm
+    if (min(head.min(), q.min()) <= -_MARKOV_SLACK_REL * norm
             or -(head[head < 0].sum() + q[q < 0].sum()) > tol.alpha_sum / 2 * norm):
         return None, head, q
     weights = np.clip(q, 0.0, None)[::-1].copy()
@@ -523,7 +531,7 @@ def _search(mono: MonocyclicRep, cap: int, budget: int, tol: ToleranceConfig):
     """
     sigma = max(blk.sigma for blk in mono.blocks)
     tail, ph, jumps = None, None, 0
-    for tau, head in _ladder(mono, tol):
+    for tau, head in _ladder(mono):
         if math.ceil(sigma * tau) > cap:
             break
         if float(head.min()) <= 0:
@@ -567,7 +575,7 @@ def smallest_tail(mono: MonocyclicRep, spec: SpectralData, max_n: int,
     if ph is not None:
         return None, replace(tail, jumps=jumps), ph
     try:
-        bounds = compute_bounds(mono, find_tau(mono, spec, tol), spec, tol=tol)
+        bounds = compute_bounds(mono, find_tau(mono, spec), spec)
     except NumericError as exc:
         raise NumericError(f"{exc}; no tail passed a search of {max(budget, 0)} jumps",
                            detail=exc.detail) from exc
@@ -823,22 +831,23 @@ def _cheapest_path(ph: PHRep, xs: np.ndarray, grid: tuple[float, float] | None) 
     - ``"grid"``, the powers of one step on the uniform grid ``grid =
       (x0, h)``, up to ``_SPARSE_STATES`` states: one ``expm`` (two when
       ``x0 > 0``) and a sweep of ``xs.size`` steps;
-    - ``"one chain"``, for a tailed output of up to ``_DENSE_STATES``
-      states: a sweep of every state and its terms, at the largest rate;
-    - ``"convolution"``, the last resort: the slow chain's sweep and terms,
-      these times ``_GL_NODES`` with a tail, and the tail's terms, times
-      ``_GL_NODES`` behind a prefix.  Without a tail it is the one chain.
+    - ``"one chain"``, for an output without a tail, or a tailed one of up
+      to ``_DENSE_STATES`` states: a sweep of every state and its terms, at
+      the largest rate;
+    - ``"convolution"``, the last resort for a tailed output: the slow
+      chain's sweep and terms, these times ``_GL_NODES``, and the tail's
+      terms, times ``_GL_NODES`` behind a prefix.
 
-    The first two are not taken where the one chain would pass
-    ``_MAX_JUMPS`` jumps.  The prices read only the orders, ``xs.size``,
-    whether ``x0 > 0`` and the rates times the points, so a power-of-two
-    change of time unit keeps the choice.
+    The grid, and the one chain of a tailed output, are not taken where the
+    one chain would pass ``_MAX_JUMPS`` jumps.  The prices read only the
+    orders, ``xs.size``, whether ``x0 > 0`` and the rates times the points,
+    so a power-of-two change of time unit keeps the choice.
     """
     slow, lam, order = _slow_rate(ph), ph.tail_lambda, ph.order
     x_max = float(xs.max() if grid is None else xs[-1])
     rate, body, has_head = max(slow, lam), order - ph.tail_n, ph.head_gamma.sum() > 0
     fits = rate * x_max < _MAX_JUMPS
-    grid_price = one_chain = math.inf
+    grid_price = one_chain = convolution = math.inf
     if grid is not None and fits and order <= _SPARSE_STATES:
         x0 = grid[0]
         grid_price = (1 + (x0 > 0)) * _expm_cost(order) + _baby_steps(xs.size, order, head=False)[1]
@@ -858,7 +867,7 @@ def _cheapest_path(ph: PHRep, xs: np.ndarray, grid: tuple[float, float] | None) 
             if grid_price < sweep + _TERM_COST * xs.size * (_fewest_terms(c0) + _fewest_terms(c1)) / 2:
                 return "grid"
             if not ph.tail_n and grid_price > sweep + _TERM_COST * xs.size * _most_terms((c0 + c1) / 2):
-                return "convolution"
+                return "one chain"
     # the windowed Poisson terms at rate r over xs, of jumps below length;
     # each rate's windows are sized once
     windows = {}
@@ -869,13 +878,13 @@ def _cheapest_path(ph: PHRep, xs: np.ndarray, grid: tuple[float, float] | None) 
         lo, hi = windows[r]
         return np.maximum(np.minimum(hi, length - 1) - lo + 1, 0).sum()
 
-    convolution = _POISSON_OVERHEAD
     if ph.tail_n:
-        convolution += _TERM_COST * (_GL_NODES if ph.prefix else 1) * terms(lam, ph.tail_n)
-    if has_head:
-        convolution += (_sweep_cost(_sequence_length(slow * x_max), body)
-                        + _TERM_COST * (_GL_NODES if ph.tail_n else 1) * terms(slow))
-    if ph.tail_n and fits and order <= _DENSE_STATES:
+        convolution = (_POISSON_OVERHEAD
+                       + _TERM_COST * (_GL_NODES if ph.prefix else 1) * terms(lam, ph.tail_n))
+        if has_head:
+            convolution += (_sweep_cost(_sequence_length(slow * x_max), body)
+                            + _TERM_COST * _GL_NODES * terms(slow))
+    if not ph.tail_n or fits and order <= _DENSE_STATES:
         one_chain = (_POISSON_OVERHEAD + _sweep_cost(_sequence_length(rate * x_max), order)
                      + _TERM_COST * terms(rate))
     prices = {"convolution": convolution, "one chain": one_chain, "grid": grid_price}
@@ -927,17 +936,17 @@ def _evaluate(ph: PHRep, xs: np.ndarray, cdf: bool) -> np.ndarray:
 
 def _poisson_values(ph: PHRep, xs: np.ndarray, cdf: bool, one_chain: bool) -> np.ndarray:
     """pdf or cdf at every point of the nonempty ``xs`` by windowed Poisson
-    sums: of the one chain, or of the slow chain convolved with the tail."""
+    sums: of the one chain, or of the slow chain convolved with the tail.
+    Without a tail the two are the same chain, and the one chain is taken."""
     out = np.zeros(xs.shape)
     x_max = float(xs.max())
-    if one_chain:
+    n, lam, weights = ph.tail_n, ph.tail_lambda, ph.tail_weights[::-1]
+    if one_chain or not n:
         b, B = to_dense(ph)
         rate = -B.diagonal().min()
         return _poisson_sum(_jump_sequence(b, B, rate, x_max), rate, xs, cdf)
-    n, lam, weights = ph.tail_n, ph.tail_lambda, ph.tail_weights[::-1]
-    if n:
-        r_lo, r_hi = np.array(_window(n)) / lam
-    if n and ph.prefix:
+    r_lo, r_hi = np.array(_window(n)) / lam
+    if ph.prefix:
         # panels break where the mixture changes scale: its low-order Erlang
         # terms below 80/lam, and its edge inside the Erlang(n, lam) window
         l, mu = ph.prefix.l, ph.prefix.mu
@@ -946,21 +955,17 @@ def _poisson_values(ph: PHRep, xs: np.ndarray, cdf: bool, one_chain: bool) -> np
             np.unique(np.clip([0.0, 80.0 / lam, r_lo, r_hi], 0.0, r_hi)),
             _PANEL_SPAN / _slow_rate(ph),
         )
-    elif n:
+    else:
         out += _poisson_sum(weights, lam, xs, cdf)
     if ph.head_gamma.sum() > 0:
         # the slow chain: prefix then body, started from the head alone, as
         # paths from the prefix straight into the tail are summed above; its
-        # s[k] is the probability of leaving the body (into the tail, or
-        # absorbed when there is none) at jump k + 1
+        # s[k] is the probability of leaving the body into the tail at jump
+        # k + 1, convolved over one panel on the Erlang(n, lam) window
         rate = _slow_rate(ph)
         s = _jump_sequence(*_behind_prefix(ph.prefix, ph.matrix, ph.head_gamma), rate, x_max)
-        if n:
-            # one panel over the Erlang(n, lam) window
-            out += _through_tail(xs, lambda t: _poisson_sum(s, rate, t, cdf),
-                                 lambda t: _erlang(n, lam, t, False), [r_lo, r_hi], math.inf)
-        else:
-            out += _poisson_sum(s, rate, xs, cdf)
+        out += _through_tail(xs, lambda t: _poisson_sum(s, rate, t, cdf),
+                             lambda t: _erlang(n, lam, t, False), [r_lo, r_hi], math.inf)
     return out
 
 
@@ -1025,12 +1030,16 @@ def phrep_cdf_grid(ph: PHRep, xs: np.ndarray) -> np.ndarray:
     return np.clip(_evaluate(ph, xs.ravel(), True), 0.0, 1.0).reshape(xs.shape)
 
 
-def to_dense(ph: PHRep, limit: int = 10_000):
-    """Materialize the full (vector, matrix) pair; refuses above ``limit`` states."""
+# to_dense refuses outputs above this many states (800 MB dense)
+_DENSE_LIMIT = 10_000
+
+
+def to_dense(ph: PHRep):
+    """Materialize the full (vector, matrix) pair; refuses above ``_DENSE_LIMIT`` states."""
     order = ph.order
-    if order > limit:
+    if order > _DENSE_LIMIT:
         raise NumericError(
-            f"to_dense: order {order} exceeds the densification limit {limit}"
+            f"to_dense: order {order} exceeds the densification limit {_DENSE_LIMIT}"
         )
     tail = (FEBlock(ph.tail_n, ph.tail_lambda, 0.0),) if ph.tail_n else ()
     return _behind_prefix(ph.prefix, chain_generator(ph.blocks + tail),

@@ -23,6 +23,11 @@ __all__ = [
     "ks_threshold",
 ]
 
+# positivity grid: _POS_GRID_POINTS points on [_POS_DELTA_REL, _POS_SPAN n1] / lambda1
+_POS_GRID_POINTS = 2000
+_POS_DELTA_REL = 1e-3
+_POS_SPAN = 30.0
+
 
 @dataclass(frozen=True)
 class MarkovianVerdict:
@@ -75,14 +80,13 @@ class PositiveDensityVerdict:
     detail: str | None = None
 
 
-def check_positive_density(spec: SpectralData,
-                           tol: ToleranceConfig = DEFAULT_TOL) -> PositiveDensityVerdict:
+def check_positive_density(spec: SpectralData) -> PositiveDensityVerdict:
     """Best-effort positivity check of the density on (0, inf), from its expansion.
 
     Three parts: a grid check on a bounded window, the sign of the dominant
     asymptotic coefficient for the far tail, and the first nonzero derivative
     at the origin for the near field.  A full decision procedure does not
-    exist; the window and grid density are configurable.  The check can
+    exist; the window and grid density are fixed constants.  The check can
     read a positive density as not positive where it vanishes at 0 to high
     order, so ``convert`` runs it only where the body's vector does not
     prove positivity: once, when that vector has a negative entry or the
@@ -91,9 +95,9 @@ def check_positive_density(spec: SpectralData,
     lam1, n1 = spec.lambda1, spec.n1
     if lam1 <= 0:
         return PositiveDensityVerdict(False, "tail", "density diverges (unstable eigenvalue)")
-    delta = tol.pos_delta_rel / lam1
-    K = tol.pos_span * n1 / lam1
-    xs = np.linspace(delta, K, tol.pos_grid_points)
+    delta = _POS_DELTA_REL / lam1
+    K = _POS_SPAN * n1 / lam1
+    xs = np.linspace(delta, K, _POS_GRID_POINTS)
     vals = expansion_values(spec, xs)
     if vals.min() <= 0:
         i = int(vals.argmin())
@@ -106,7 +110,7 @@ def check_positive_density(spec: SpectralData,
         return PositiveDensityVerdict(
             False, "tail", f"leading asymptotic coefficient {c_top:.6g} is not positive"
         )
-    order, value = first_nonzero_derivative(spec, tol) or (None, None)
+    order, value = first_nonzero_derivative(spec) or (None, None)
     if value is None or value <= 0:
         return PositiveDensityVerdict(
             False, "origin", f"first nonzero derivative at 0 (order {order}) is {value}"
@@ -136,11 +140,10 @@ def _moments_of(rep_or_ph, k_max: int) -> np.ndarray:
     return np.asarray(moments(rep_or_ph, k_max))
 
 
-def check_equivalence(rep1, rep2, grid=None, rel_tol: float | None = None,
-                      tol: ToleranceConfig = DEFAULT_TOL) -> EquivalenceVerdict:
+def check_equivalence(rep1, rep2, grid=None,
+                      rel_tol: float = ToleranceConfig.equivalence_rel) -> EquivalenceVerdict:
     """Compare densities on a grid (by default 50 points on ``[0.025, 5]``
     times the mean of ``rep1``) and the first five raw moments."""
-    rel_tol = rel_tol if rel_tol is not None else tol.equivalence_rel
     m1 = _moments_of(rep1, 5)
     m2 = _moments_of(rep2, 5)
     if grid is None:

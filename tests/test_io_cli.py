@@ -277,21 +277,31 @@ def test_convert_cli_malformed_input(tmp_path, capsys):
     assert code == 1
 
 
-def test_convert_cli_unknown_tolerance_is_input_error(tmp_path, capsys):
-    bad = tmp_path / "tol.json"
-    bad.write_text(json.dumps({"alpha": [1.0], "A": [[-1.0]], "tolerances": {"fe_r_check": 1e-10}}))
-    code = main(["convert", str(bad), str(tmp_path / "x.json")])
-    assert code == 1
-    assert "error: input:" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("name, value", [
-    # each crashed with a bare ValueError, turned a valid input into a
-    # dec-violation, or switched a check off
+    # a name that never was a tolerance, and fixed constants that once were
+    ("fe_r_check", 1e-10),
     ("pos_grid_points", 0),
     ("pos_grid_points", -3),
     ("eig_cluster_rel", -1),
+    ("equivalence_rel", 1e-7),
+    ("markov_slack_rel", 1e-12),
+    ("max_doublings", 60),
+])
+def test_convert_cli_unknown_tolerance_is_input_error(tmp_path, capsys, name, value):
+    bad = tmp_path / "tol.json"
+    doc = {"alpha": [1.0], "A": [[-1.0]], "tolerances": {name: value}}
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "x.json"
+    assert main(["convert", str(bad), str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: input:") and f"'tolerances.{name}'" in err and str(bad) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, value", [
+    # a NaN crashed with a bare ValueError; it and 0 switch the check off
     ("alpha_sum", float("nan")),
+    ("alpha_sum", 0),
 ])
 def test_convert_cli_out_of_range_tolerance_is_input_error(tmp_path, capsys, name, value):
     bad = tmp_path / "tol.json"
@@ -302,6 +312,19 @@ def test_convert_cli_out_of_range_tolerance_is_input_error(tmp_path, capsys, nam
     err = capsys.readouterr().err
     assert err.startswith("error: input:") and f"'{name}'" in err and str(bad) in err
     assert not out.exists()
+
+
+def test_convert_cli_alpha_sum_from_the_file_reaches_convert(tmp_path, capsys):
+    # a vector 1e-7 off a unit sum is refused at the default alpha_sum and
+    # converts under the file's looser one
+    doc = {"alpha": [0.5, 0.5 + 1e-7], "A": [[-1.0, 0.5], [0.0, -2.0]]}
+    path, out = tmp_path / "near.json", tmp_path / "x.json"
+    path.write_text(json.dumps(doc))
+    assert main(["convert", str(path), str(out)]) == 1
+    assert "alpha must sum to 1" in capsys.readouterr().err and not out.exists()
+    path.write_text(json.dumps({**doc, "tolerances": {"alpha_sum": 1e-6}}))
+    assert main(["convert", str(path), str(out)]) == 0
+    assert "final order: 2" in capsys.readouterr().out and out.exists()
 
 
 def test_convert_cli_singular_matrix_is_input_error(tmp_path, capsys):

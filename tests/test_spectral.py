@@ -13,7 +13,7 @@ from me2ph import (
     pdf_eval_many,
 )
 from me2ph.core import derivatives_at_zero
-from me2ph.spectral import expansion_values, first_nonzero_derivative, modal_form
+from me2ph.spectral import _DERIV_ZERO_REL, expansion_values, first_nonzero_derivative, modal_form
 from conftest import A6, A7, ALPHA6, f_closed
 from genutil import erlang_damped_rep, random_markovian_rep, rep_from_terms
 
@@ -154,7 +154,7 @@ def _pair_first_nonzero(spec):
     rep = minimal_representation(spec)
     scale = float(np.abs(np.diag(rep.A)).max())
     for k, d in enumerate(derivatives_at_zero(rep, spec.order + 1)):
-        if abs(d) > DEFAULT_TOL.deriv_zero_rel * scale ** (k + 1):
+        if abs(d) > _DERIV_ZERO_REL * scale ** (k + 1):
             return k, d
     return None
 

@@ -21,6 +21,7 @@ from me2ph import (
     InvalidRepresentationError,
     MERep,
     NumericError,
+    PaperBounds,
     PHRep,
     TailChoice,
     analyze_spectrum,
@@ -347,6 +348,30 @@ def test_smallest_tail_sweeps_nothing_above_the_order_limit(monkeypatch):
     assert exc.value.detail["n"] > max_order
     room = max_order - body  # no Erlang prefix
     assert swept and max(swept) <= room and sum(swept) <= 2 * room
+
+
+def test_a_full_order_limit_is_refused_before_the_tail_policy(worked_rep, monkeypatch):
+    # the 9-state body needs a tail: a limit of 5 or 9 leaves no room for
+    # one, so convert refuses before any search or certificate; at 10 the
+    # certificate is priced and its 125,270-state tail refused
+    rep = _damped(*TAIL_ANCHORS[3])
+    calls = []
+    for name in ("find_tau", "_tail_sweep"):
+        original = getattr(me2ph.tail, name)
+        monkeypatch.setattr(me2ph.tail, name,
+                            lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    for max_order in (5, 9):
+        with pytest.raises(NumericError, match="order 9 of the prefix and body, plus a tail, exceeds the limit"):
+            convert(rep, max_order=max_order)
+    assert calls == []
+    with pytest.raises(NumericError, match="order 125279 exceeds the limit 10"):
+        convert(rep, max_order=10)
+    assert "find_tau" in calls
+    # with the published constants too: the paper's 1-state prefix and
+    # 8-state body fill a limit of 9 before the bound is priced
+    monkeypatch.setattr(me2ph.pipeline, "compute_bounds", None)
+    with pytest.raises(NumericError, match="order 9 of the prefix and body, plus a tail, exceeds the limit 9"):
+        convert(worked_rep, paper_bounds=PaperBounds(), max_order=9)
 
 
 def test_smallest_tail_fits_below_the_order_limit(worked_rep):
@@ -720,7 +745,7 @@ def test_grid_rule_on_the_benchmark_grids(worked_rep):
     assert ph.order == 41 and _cheapest_path(ph, xs, _progression(xs)) == "grid"
     ph = convert(rep_from_terms([(-1.0, [1.0]), (-1.1 + 6j, [0.3])]))[0]
     xs = np.linspace(0.1, 10.0, 50)
-    assert ph.order == 190 and _cheapest_path(ph, xs, _progression(xs)) == "convolution"
+    assert ph.order == 190 and _cheapest_path(ph, xs, _progression(xs)) == "one chain"
 
 
 def test_grid_rule_bounds_only_skip_sizing_windows(worked_rep, monkeypatch):
@@ -740,6 +765,12 @@ def test_grid_rule_bounds_only_skip_sizing_windows(worked_rep, monkeypatch):
     monkeypatch.setattr(me2ph.tail, "_most_terms", lambda c: np.inf)
     assert chosen == [_cheapest_path(ph, xs, _progression(xs)) for ph in outputs for xs in grids]
     assert "grid" in chosen and len(set(chosen)) > 1
+
+
+def test_to_dense_refuses_above_its_limit():
+    ph = PHRep(np.array([1.0]), (FEBlock(1, 1.0, 0.0),), 2.0, 10_000, np.zeros(10_000))
+    with pytest.raises(NumericError, match="order 10001 exceeds the densification limit 10000"):
+        to_dense(ph)
 
 
 def test_to_dense_matches_pair_built_entry_by_entry():
@@ -859,7 +890,7 @@ def test_phrep_moments_match_input_and_dense():
         except NumericError:
             continue
     if small is not None and small.order <= 2000:
-        b, B = to_dense(small, limit=2000)
+        b, B = to_dense(small)
         assert phrep_moments(small, 5) == pytest.approx(moments(MERep(b, B), 5), rel=1e-9)
 
 

@@ -241,14 +241,31 @@ def test_simulation_never_builds_dense_body(monkeypatch):
     assert np.isfinite(t).all() and t.min() > 0
 
 
-def test_mc_crosscheck_script_passes():
-    root = Path(__file__).resolve().parents[1]
+_SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter with the source tree on its path, run on ``args``."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "mc_crosscheck.py"), "--samples", "20000"],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SCRIPTS.parent / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True, env=env,
+                          timeout=300)
+
+
+def test_every_script_imports():
+    # every script's imports, the package's private names among them, run
+    # without its main: runpy under a module name other than __main__
+    code = ("import runpy, sys\n"
+            "for path in sys.argv[1:]:\n"
+            "    runpy.run_path(path, run_name='smoke')\n"
+            "print(len(sys.argv) - 1)")
+    proc = _python("-c", code, *sorted(_SCRIPTS.glob("*.py")))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["5"]
+
+
+def test_mc_crosscheck_script_passes():
+    proc = _python(_SCRIPTS / "mc_crosscheck.py", "--samples", "20000")
     assert proc.returncode == 0, proc.stderr
     assert "FAIL" not in proc.stdout and "[ok]" in proc.stdout
 
@@ -256,13 +273,7 @@ def test_mc_crosscheck_script_passes():
 def test_tail_census_script_runs_on_the_benchmark_inputs():
     # the paper example and the random batch alone: the script's imports of
     # the package's private tail names, and its counts
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "tail_census.py"), "--damped", "0", "--erlang-damped", "0"],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    proc = _python(_SCRIPTS / "tail_census.py", "--damped", "0", "--erlang-damped", "0")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert "inputs: 199" in lines and "certified tail: 0" in lines
@@ -270,13 +281,7 @@ def test_tail_census_script_runs_on_the_benchmark_inputs():
 
 
 def test_worked_example_script_passes():
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "run_worked_example.py")],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    proc = _python(_SCRIPTS / "run_worked_example.py")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "FAIL" not in proc.stdout
     assert "final order: 403309" in proc.stdout
