@@ -59,7 +59,7 @@ def certified_output(rep):
     """The body of ``rep`` with the certificate's tail, in units of the mean."""
     spec = analyze_spectrum(rep).scaled(rep.mean_scale)
     mono = solve_gamma(spec, build_generator(spec))
-    return append_tail(mono, TailChoice.certified(compute_bounds(mono, find_tau(mono, spec), spec)))
+    return append_tail(mono, TailChoice.certified(compute_bounds(mono, *find_tau(mono, spec), spec)))
 
 
 def outputs():

@@ -67,7 +67,7 @@ def certified_n(rep: MERep) -> int:
     if l:
         spec = choose_mu(spec, l)[1]
     mono = solve_gamma(spec, build_generator(spec))
-    return compute_bounds(mono, find_tau(mono, spec), spec).n
+    return compute_bounds(mono, *find_tau(mono, spec), spec).n
 
 
 def run(mode: str) -> list[str]:

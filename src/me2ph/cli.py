@@ -47,13 +47,12 @@ def cmd_convert(args) -> int:
     if args.max_order < 1:
         return _fail("input", f"max order {args.max_order} is below 1", EXIT_INPUT)
     try:
-        rep, tol = _read(read_me_file, args.input)
+        rep = _read(read_me_file, args.input)
     except ValueError as exc:
         return _fail("input", str(exc), EXIT_INPUT)
     try:
         ph, report = convert(
             rep,
-            tol,
             paper_bounds=PaperBounds() if args.paper_bounds else None,
             max_order=args.max_order,
         )
@@ -96,14 +95,14 @@ def cmd_validate(args) -> int:
         return _fail("input", "--seed needs --monte-carlo", EXIT_INPUT)
     seed = 0 if args.seed is None else args.seed
     try:
-        kind, obj, tol = _read(read_file, args.input)
+        kind, obj = _read(read_file, args.input)
         other = _read(read_file, args.against)[1] if args.against is not None else None
     except ValueError as exc:
         return _fail("input", str(exc), EXIT_INPUT)
 
     verdict: dict = {}
     try:
-        verdict["markovian"] = bool(check_markovian(obj, tol).ok)
+        verdict["markovian"] = bool(check_markovian(obj).ok)
         if kind == "me":
             spec = analyze_spectrum(obj)
             verdict["dec"] = bool(check_dec(spec).ok)
@@ -152,7 +151,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 def cmd_pdf(args) -> int:
     try:
         grid = _parse_grid(args.grid)
-        kind, obj, _tol = _read(read_file, args.input)
+        kind, obj = _read(read_file, args.input)
     except ValueError as exc:
         return _fail("input", str(exc), EXIT_INPUT)
     try:

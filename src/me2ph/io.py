@@ -63,8 +63,8 @@ def _decode_entry(v, name: str, path):
 
 
 def _tolerances(overrides, path) -> ToleranceConfig:
-    """``DEFAULT_TOL`` with the document's overrides, each a known field of
-    the field's type and a value ``ToleranceConfig`` accepts."""
+    """The document's tolerances, each a known field of the field's type and
+    a value ``ToleranceConfig`` accepts; the others keep their defaults."""
     if not isinstance(overrides, dict):
         raise ValueError(f"{path}: field 'tolerances' must be an object, got {overrides!r}")
     kinds = {f.name: f.type for f in fields(ToleranceConfig)}
@@ -74,7 +74,7 @@ def _tolerances(overrides, path) -> ToleranceConfig:
             raise ValueError(f"{path}: field 'tolerances.{name}' is not a tolerance")
         values[name] = _take(overrides, name, kinds[name], path, "tolerances.")
     try:
-        return DEFAULT_TOL.replace(**values)
+        return ToleranceConfig(**values)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -86,12 +86,13 @@ def _encode_entry(v):
     return [v.real, v.imag]
 
 
-def read_me_file(path) -> tuple[MERep, ToleranceConfig]:
-    """Load a vector-matrix pair; returns the pair and the effective tolerances."""
+def read_me_file(path) -> MERep:
+    """Load a vector-matrix pair, built with the document's ``tolerances``
+    (``DEFAULT_TOL`` without them): the pair carries them as its ``tol``."""
     return _me_from_doc(json.loads(Path(path).read_text()), path)
 
 
-def _me_from_doc(doc, path) -> tuple[MERep, ToleranceConfig]:
+def _me_from_doc(doc, path) -> MERep:
     if not isinstance(doc, dict) or "alpha" not in doc or "A" not in doc:
         raise ValueError(f"{path}: expected an object with 'alpha' and 'A'")
     alpha = [_decode_entry(v, "alpha", path) for v in _take(doc, "alpha", list, path)]
@@ -100,7 +101,7 @@ def _me_from_doc(doc, path) -> tuple[MERep, ToleranceConfig]:
         raise ValueError(f"{path}: field 'A' must be a square list of rows")
     A = [[_decode_entry(v, "A", path) for v in row] for row in rows]
     tol = _tolerances(doc["tolerances"], path) if doc.get("tolerances") is not None else DEFAULT_TOL
-    return MERep(alpha, A, tol=tol), tol
+    return MERep(alpha, A, tol=tol)
 
 
 def write_me_file(rep: MERep, path) -> None:
@@ -188,14 +189,14 @@ def _ph_from_doc(doc, path: Path) -> PHRep:
     return PHRep(head, tuple(blocks), rate, n, weights, prefix=prefix)
 
 
-def read_file(path) -> tuple[str, MERep | PHRep, ToleranceConfig]:
-    """Parse either file kind once: ``("me", pair, its tolerances)`` for
-    vector-matrix documents, ``("ph", structured, DEFAULT_TOL)`` for
-    structured ones."""
+def read_file(path) -> tuple[str, MERep | PHRep]:
+    """Parse either file kind once: ``("me", pair)`` for vector-matrix
+    documents, the pair built with their tolerances, and
+    ``("ph", structured)`` for structured ones."""
     path = Path(path)
     doc = json.loads(path.read_text())
     if isinstance(doc, dict) and "alpha" in doc and "A" in doc:
-        return ("me", *_me_from_doc(doc, path))
+        return "me", _me_from_doc(doc, path)
     if isinstance(doc, dict) and "blocks" in doc:
-        return "ph", _ph_from_doc(doc, path), DEFAULT_TOL
+        return "ph", _ph_from_doc(doc, path)
     raise ValueError(f"{path}: unrecognized document layout")

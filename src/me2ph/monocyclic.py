@@ -15,7 +15,7 @@ from math import atan, ceil, cos, pi, sin
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import DEFAULT_TOL
 from .core import mat_norm_inf
 from .errors import DecViolationError, InvalidRepresentationError, NumericError
 from .spectral import EIG_CLUSTER_REL, SpectralData, _jordan_pair, check_dec
@@ -334,8 +334,7 @@ def _transformation_matrix(spec: SpectralData, J: np.ndarray, mono: MonocyclicRe
     return W
 
 
-def solve_gamma(spec: SpectralData, mono: MonocyclicRep,
-                tol: ToleranceConfig = DEFAULT_TOL) -> MonocyclicRep:
+def solve_gamma(spec: SpectralData, mono: MonocyclicRep) -> MonocyclicRep:
     """Fill in the initial vector: ``gamma = alpha W`` for the solved ``W``,
     ``alpha`` the vector of the expansion's canonical pair."""
     alpha, J = _jordan_pair(spec)
@@ -345,6 +344,6 @@ def solve_gamma(spec: SpectralData, mono: MonocyclicRep,
         raise NumericError(f"solve_gamma: initial vector has imaginary residue {imag:.3e}")
     gamma = np.real(gamma_c)
     drift = abs(gamma.sum() - 1.0)
-    if not drift <= 1e3 * tol.alpha_sum:
+    if not drift <= 1e3 * DEFAULT_TOL.alpha_sum:
         raise NumericError(f"solve_gamma: initial vector sums to 1{drift:+.3e}")
     return mono.with_gamma(gamma)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import DEFAULT_TOL
 from .core import MERep
 from .deconv import choose_mu, deconvolve, recompose, zero_multiplicity
 from .errors import (DecViolationError, InvalidRepresentationError, Me2PhError, NumericError,
@@ -136,7 +136,6 @@ def _in_input_units(ph: PHRep, s: float) -> PHRep:
 
 def convert(
     rep: MERep,
-    tol: ToleranceConfig = DEFAULT_TOL,
     *,
     paper_bounds: PaperBounds | None = None,
     max_order: int = 10_000_000,
@@ -154,9 +153,18 @@ def convert(
     ``smallest_tail`` chooses the tail, and prices the certificate only
     where its search without one finds nothing; it sweeps no tail above the
     room ``max_order`` leaves.  With ``paper_bounds`` ``append_tail``
-    applies the certified tail.
+    applies the certified tail.  A vector that the pair's own, looser
+    ``tol`` let through off unit mass is divided by its sum first, so the
+    output holds its mass to ``DEFAULT_TOL`` and reads back; a sum that is
+    not positive, the density's integral, raises ``PositiveDensityError``.
     """
     report = ConversionReport(input_order=rep.order)
+    total = rep.alpha.sum()
+    if abs(total - 1.0) > DEFAULT_TOL.alpha_sum:
+        # dividing by a negative sum would turn a negative density positive
+        if not complex(total).real > 0:
+            raise PositiveDensityError(f"convert: alpha sums to {total}, not a positive mass")
+        rep = MERep(rep.alpha / total, rep.A)
 
     spec = analyze_spectrum(rep)
     report.minimal_order = spec.order
@@ -190,10 +198,10 @@ def convert(
                     )
             report.mu = mu / s
 
-        mono = solve_gamma(working_spec, build_generator(working_spec), tol)
+        mono = solve_gamma(working_spec, build_generator(working_spec))
         gamma_min = float(mono.gamma.min())
         if gamma_min >= 0:
-            ph = PHRep(mono.gamma, mono.blocks, 0.0, 0, np.zeros(0), tol=tol)
+            ph = PHRep(mono.gamma, mono.blocks, 0.0, 0, np.zeros(0))
     except Me2PhError:
         # a density that is not positive fails the construction somewhere;
         # the check names that failure
@@ -213,17 +221,16 @@ def convert(
                                f"exceeds the limit {max_order}",
                                detail={"order": l + mono.order, "max_order": max_order})
         if paper_bounds is None:
-            bounds, tail, ph = smallest_tail(mono, working_spec, room, tol)
+            bounds, tail, ph = smallest_tail(mono, working_spec, room)
         else:
             bounds = compute_bounds(
-                mono, paper_bounds.tau / s, working_spec,
+                mono, paper_bounds.tau / s, paper_bounds.eps1, working_spec,
                 gamma_norm=paper_bounds.gamma_norm,
-                eps1=paper_bounds.eps1,
                 eps2=paper_bounds.eps2 * s,
                 round_rate_to=paper_bounds.round_rate_to * s,
             )
             tail = TailChoice.certified(bounds)
-            ph = append_tail(mono, tail, tol) if tail.n <= room else None
+            ph = append_tail(mono, tail) if tail.n <= room else None
     n = tail.n if tail is not None else 0
     if n > room:
         raise NumericError(

@@ -287,9 +287,9 @@ def _jordan_pair(spec: SpectralData) -> tuple[np.ndarray, np.ndarray]:
     return (alpha if cplx else alpha.real.copy()), J
 
 
-def minimal_representation(spec: SpectralData, tol: ToleranceConfig = DEFAULT_TOL) -> MERep:
+def minimal_representation(spec: SpectralData) -> MERep:
     """The canonical minimal pair of the expansion (``_jordan_pair``)."""
-    return MERep(*_jordan_pair(spec), tol=tol)
+    return MERep(*_jordan_pair(spec))
 
 
 def first_nonzero_derivative(spec: SpectralData) -> tuple[int, float] | None:

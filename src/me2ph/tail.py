@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import gammainc, gammaln, roots_legendre
 
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import DEFAULT_TOL
 from .core import mat_norm_inf, moment_series, vec_norm1
 from .errors import (
     InvalidRepresentationError,
@@ -107,7 +107,8 @@ class PHRep:
     ``tail_weights`` follows the transformed-vector layout left to right:
     entry ``k`` is ``gamma (I + G/lam)^(n-1-k) (-G 1) / lam`` and starts the
     absorption path ``n - k`` exponential stages before the end.  A prefix
-    of length 0 is stored as ``None``.
+    of length 0 is stored as ``None``.  The initial mass sums to 1 within
+    ``DEFAULT_TOL.alpha_sum``, whatever the ``tol`` of the input was.
     """
 
     head_gamma: np.ndarray
@@ -116,7 +117,6 @@ class PHRep:
     tail_n: int
     tail_weights: np.ndarray
     prefix: DeconvParams | None = None
-    tol: ToleranceConfig = DEFAULT_TOL
 
     def __post_init__(self):
         head = np.asarray(self.head_gamma, dtype=float)
@@ -139,7 +139,7 @@ class PHRep:
         if w.size and w.min() < 0:
             raise InvalidRepresentationError(f"PHRep: negative tail weight {w.min()}")
         total = head.sum() + w.sum()
-        if abs(total - 1.0) > self.tol.alpha_sum:
+        if abs(total - 1.0) > DEFAULT_TOL.alpha_sum:
             raise InvalidRepresentationError(f"PHRep: initial mass sums to {total}")
         if self.prefix is not None:
             if not isinstance(self.prefix, DeconvParams):
@@ -253,8 +253,9 @@ def _ladder(mono: MonocyclicRep):
         tau, E = 2 * tau, E @ E
 
 
-def find_tau(mono: MonocyclicRep, spec: SpectralData) -> float:
-    """Pick a horizon ``tau`` with ``gamma exp(G tau)`` entrywise positive.
+def find_tau(mono: MonocyclicRep, spec: SpectralData) -> tuple[float, float]:
+    """Pick a horizon ``tau`` with ``gamma exp(G tau)`` entrywise positive,
+    and return it with ``eps1``, that vector's smallest entry.
 
     Climbs ``_ladder``, skipping rungs where that vector has a nonpositive
     entry, and keeps the feasible rung with the cheapest rate
@@ -262,7 +263,8 @@ def find_tau(mono: MonocyclicRep, spec: SpectralData) -> float:
     density ``mono`` realizes), whatever the signs of ``gamma``.  That rate
     grows like ``exp(g tau)``, so the climb stops 3 (in log) past the
     cheapest, or where even ``eps1 = ||gamma||_1``, which no entry of the
-    vector exceeds, would put ``lambda'`` past the limit.
+    vector exceeds, would put ``lambda'`` past the limit.  With ``eps1`` from
+    the ladder, ``compute_bounds`` forms no ``exp(G tau)`` of its own.
     """
     if mono.gamma is None:
         raise InvalidRepresentationError("find_tau: gamma not set")
@@ -286,7 +288,7 @@ def find_tau(mono: MonocyclicRep, spec: SpectralData) -> float:
             e2 = _eps2(spec, tau, g)
             cost = max(_log_rates(gn, g, tau, e1, e2)) if e2 > 0 else math.inf
         if best is None or cost < best_cost:
-            best, best_cost = tau, cost
+            best, best_cost = (tau, e1), cost
         elif cost > best_cost + 3.0:
             # well past the minimum: the growing exp(g tau) dominates
             break
@@ -301,35 +303,30 @@ def find_tau(mono: MonocyclicRep, spec: SpectralData) -> float:
 def compute_bounds(
     mono: MonocyclicRep,
     tau: float,
+    eps1: float,
     spec: SpectralData,
     *,
     gamma_norm: float | None = None,
-    eps1: float | None = None,
     eps2: float | None = None,
     round_rate_to: float | None = None,
 ) -> BoundsReport:
     """Derive the certified tail rate and order for a given ``tau``.
 
-    ``eps1`` is the smallest entry of ``gamma exp(G tau)``; ``eps2`` a safety-
-    shrunk grid infimum on ``[0, tau]`` of the expansion ``spec``, the density
-    ``mono`` realizes.  The keyword overrides substitute externally supplied
-    constants for the computed ones (used to reproduce published figures);
-    ``round_rate_to`` rounds the applied rate up to the next multiple, which
-    is always safe.
+    ``eps1`` is the smallest entry of ``gamma exp(G tau)``, as ``find_tau``
+    returns it with ``tau``, or an externally supplied constant; it must be
+    positive.  ``eps2`` is a safety-shrunk grid infimum on ``[0, tau]`` of
+    the expansion ``spec``, the density ``mono`` realizes.  The keyword
+    overrides substitute externally supplied constants for the computed ones
+    (used to reproduce published figures); ``round_rate_to`` rounds the
+    applied rate up to the next multiple, which is always safe.
     """
     if mono.gamma is None:
         raise InvalidRepresentationError("compute_bounds: gamma not set")
-    G = mono.matrix
-    g = mat_norm_inf(G)
+    if not eps1 > 0:
+        raise InvalidRepresentationError(f"compute_bounds: eps1 = {eps1} is not positive")
+    e1 = float(eps1)
+    g = mat_norm_inf(mono.matrix)
     gn = float(gamma_norm) if gamma_norm is not None else vec_norm1(mono.gamma)
-
-    e1_computed = float((mono.gamma @ expm(G * tau)).min())
-    if e1_computed <= 0:
-        raise InvalidRepresentationError(
-            f"compute_bounds: gamma exp(G tau) has minimum {e1_computed} <= 0; "
-            "tau must come from find_tau"
-        )
-    e1 = float(eps1) if eps1 is not None else e1_computed
     # lambda' needs no density values: reject it before building the eps2 grid
     _check_rates(*_log_rates(gn, g, tau, e1, math.inf))
 
@@ -489,12 +486,12 @@ def _tail_sweep(start: np.ndarray, M: np.ndarray, col: np.ndarray, n: int, head:
 _MARKOV_SLACK_REL = 1e-12
 
 
-def _swept(mono: MonocyclicRep, rate: float, n: int, tol: ToleranceConfig):
+def _swept(mono: MonocyclicRep, rate: float, n: int):
     """Sweep the tail ``(rate, n)`` on the body.  Returns the tailed
     representation, with the transformed vector's entries inside the slack
     ``_MARKOV_SLACK_REL ||gamma||_1`` clipped to zero, or ``None`` when an
     entry is below it or the clipped entries sum to more than
-    ``alpha_sum / 2 * ||gamma||_1``; and that vector ``(head, q)``.
+    ``DEFAULT_TOL.alpha_sum / 2 * ||gamma||_1``; and that vector ``(head, q)``.
 
     Clipping a weight ``w < 0`` moves the distribution by at most ``|w|`` in
     total variation, as each state's part is a sub-probability, so the sum
@@ -503,10 +500,10 @@ def _swept(mono: MonocyclicRep, rate: float, n: int, tol: ToleranceConfig):
     head, q = _tail_sweep(mono.gamma, *_uniformized(mono.matrix, rate), n)
     norm = vec_norm1(mono.gamma)
     if (min(head.min(), q.min()) <= -_MARKOV_SLACK_REL * norm
-            or -(head[head < 0].sum() + q[q < 0].sum()) > tol.alpha_sum / 2 * norm):
+            or -(head[head < 0].sum() + q[q < 0].sum()) > DEFAULT_TOL.alpha_sum / 2 * norm):
         return None, head, q
     weights = np.clip(q, 0.0, None)[::-1].copy()
-    return PHRep(np.clip(head, 0.0, None), mono.blocks, rate, n, weights, tol=tol), head, q
+    return PHRep(np.clip(head, 0.0, None), mono.blocks, rate, n, weights), head, q
 
 
 # The jumps a search without a certificate may sweep.  The largest search of
@@ -515,7 +512,7 @@ def _swept(mono: MonocyclicRep, rate: float, n: int, tol: ToleranceConfig):
 _SEARCH_JUMPS = 2**14
 
 
-def _search(mono: MonocyclicRep, cap: int, budget: int, tol: ToleranceConfig):
+def _search(mono: MonocyclicRep, cap: int, budget: int):
     """The smallest tail of at most ``cap`` states whose transformed vector
     passes ``_swept``, found within ``budget`` jumps in all: its
     ``TailChoice`` and representation, or ``None`` for both; and the jumps
@@ -540,7 +537,7 @@ def _search(mono: MonocyclicRep, cap: int, budget: int, tol: ToleranceConfig):
         while n < sigma * tau:
             n *= 2
         while n <= cap and jumps + n <= budget:
-            found = _swept(mono, n / tau, n, tol)[0]
+            found = _swept(mono, n / tau, n)[0]
             jumps += n
             if found is None:
                 n *= 2
@@ -551,8 +548,7 @@ def _search(mono: MonocyclicRep, cap: int, budget: int, tol: ToleranceConfig):
     return tail, ph, jumps
 
 
-def smallest_tail(mono: MonocyclicRep, spec: SpectralData, max_n: int,
-                  tol: ToleranceConfig = DEFAULT_TOL
+def smallest_tail(mono: MonocyclicRep, spec: SpectralData, max_n: int
                   ) -> tuple[BoundsReport | None, TailChoice, PHRep | None]:
     """The certificate, the tail applied and its representation, in four
     steps: ``_search`` under ``min(_SEARCH_JUMPS, max_n)`` jumps, with no
@@ -571,24 +567,23 @@ def smallest_tail(mono: MonocyclicRep, spec: SpectralData, max_n: int,
     if mono.gamma is None:
         raise InvalidRepresentationError("smallest_tail: gamma not set")
     budget = min(_SEARCH_JUMPS, max_n)
-    tail, ph, jumps = _search(mono, budget, budget, tol)
+    tail, ph, jumps = _search(mono, budget, budget)
     if ph is not None:
         return None, replace(tail, jumps=jumps), ph
     try:
-        bounds = compute_bounds(mono, find_tau(mono, spec), spec)
+        bounds = compute_bounds(mono, *find_tau(mono, spec), spec)
     except NumericError as exc:
         raise NumericError(f"{exc}; no tail passed a search of {max(budget, 0)} jumps",
                            detail=exc.detail) from exc
-    tail, ph, jumps = _search(mono, min(bounds.n - 1, max_n), min(bounds.n, max_n), tol)
+    tail, ph, jumps = _search(mono, min(bounds.n - 1, max_n), min(bounds.n, max_n))
     if ph is None:
         tail = TailChoice.certified(bounds)
         if tail.n <= max_n:
-            ph = append_tail(mono, tail, tol)
+            ph = append_tail(mono, tail)
     return bounds, replace(tail, jumps=jumps), ph
 
 
-def append_tail(mono: MonocyclicRep, tail: TailChoice,
-                tol: ToleranceConfig = DEFAULT_TOL) -> PHRep:
+def append_tail(mono: MonocyclicRep, tail: TailChoice) -> PHRep:
     """Extend the monocyclic representation with the Erlang tail ``tail`` of
     at least one state: the certified one, ``TailChoice.certified(bounds)``,
     or any other.
@@ -602,7 +597,7 @@ def append_tail(mono: MonocyclicRep, tail: TailChoice,
         raise InvalidRepresentationError("append_tail: gamma not set")
     if tail.n < 1:
         raise InvalidRepresentationError(f"append_tail: a tail needs at least one state, got {tail.n}")
-    ph, head, q = _swept(mono, tail.rate, tail.n, tol)
+    ph, head, q = _swept(mono, tail.rate, tail.n)
     if ph is None:
         raise NumericError(
             f"append_tail: transformed vector of the tail (rate {tail.rate!r}, n = {tail.n}) is "

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import ToleranceConfig
 from .core import moments, pdf_eval_many
 from .errors import InvalidRepresentationError
 from .monocyclic import FEBlock
@@ -35,19 +35,17 @@ class MarkovianVerdict:
     violation: str | None = None
 
 
-def check_markovian(rep, tol: ToleranceConfig = DEFAULT_TOL) -> MarkovianVerdict:
+def check_markovian(rep) -> MarkovianVerdict:
     """Entrywise Markovian conditions.
 
     A structured representation is Markovian by construction: its constructor
-    rejects negative entries and nonpositive rates.  Only its initial mass is
-    checked again, against the caller's ``alpha_sum``.
+    rejects negative entries and nonpositive rates, and an initial mass off 1
+    by more than ``DEFAULT_TOL.alpha_sum``.  A pair is checked with the slack
+    it was built with, ``rep.tol.alpha_sum``.
     """
     if isinstance(rep, PHRep):
-        total = rep.head_gamma.sum() + rep.tail_weights.sum()
-        if abs(total - 1.0) > tol.alpha_sum:
-            return MarkovianVerdict(False, f"initial mass sums to {total:.12g}")
         return MarkovianVerdict(True)
-    slack = tol.alpha_sum
+    slack = rep.tol.alpha_sum
     alpha, A = rep.alpha, rep.A
     if np.iscomplexobj(alpha) and np.abs(alpha.imag).max() > slack:
         return MarkovianVerdict(False, "alpha has complex entries")

@@ -143,6 +143,6 @@ def certificate(rep: MERep) -> BoundsReport:
     if l:
         spec = choose_mu(spec, l)[1]
     mono = solve_gamma(spec, build_generator(spec))
-    b = compute_bounds(mono, find_tau(mono, spec), spec)
+    b = compute_bounds(mono, *find_tau(mono, spec), spec)
     return replace(b, tau=b.tau * s, g=b.g / s, eps2=b.eps2 / s, lambda_prime=b.lambda_prime / s,
                    lambda_dprime=b.lambda_dprime / s, rate=b.rate / s)

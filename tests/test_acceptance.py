@@ -206,8 +206,7 @@ def test_criterion_2d_tail_weight_sampling_bound():
         mono = solve_gamma(spec, build_generator(spec))
         if mono.gamma.min() >= 0:
             continue
-        tau = find_tau(mono, spec)
-        bounds = compute_bounds(mono, tau, spec)
+        bounds = compute_bounds(mono, *find_tau(mono, spec), spec)
         ph = append_tail(mono, TailChoice.certified(bounds))
         lam, n = ph.tail_lambda, ph.tail_n
         v_by_power = ph.tail_weights[::-1]

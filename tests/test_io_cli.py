@@ -25,7 +25,7 @@ def worked_me_file(tmp_path, worked_rep):
 def test_me_file_round_trip(tmp_path, worked_rep):
     path = tmp_path / "rep.json"
     write_me_file(worked_rep, path)
-    loaded, _tol = read_me_file(path)
+    loaded = read_me_file(path)
     assert np.array_equal(loaded.alpha, worked_rep.alpha)
     assert np.array_equal(loaded.A, worked_rep.A)
     again = tmp_path / "rep2.json"
@@ -38,7 +38,7 @@ def test_me_file_complex_entries(tmp_path, worked_minimal):
     write_me_file(worked_minimal, path)
     doc = json.loads(path.read_text())
     assert isinstance(doc["A"][4][4], list)  # [re, im] encoding
-    loaded, _ = read_me_file(path)
+    loaded = read_me_file(path)
     assert np.array_equal(loaded.alpha, worked_minimal.alpha)
     assert np.array_equal(loaded.A, worked_minimal.A)
 
@@ -50,8 +50,8 @@ def test_me_file_tolerance_override(tmp_path):
         "A": [[-1.0, 0.0], [0.0, -2.0]],
         "tolerances": {"alpha_sum": 0.5},
     }))
-    rep, tol = read_me_file(path)
-    assert tol.alpha_sum == 0.5
+    rep = read_me_file(path)
+    assert rep.tol.alpha_sum == 0.5
     assert rep.order == 2
 
 
@@ -141,9 +141,9 @@ def test_read_file_kinds(tmp_path, worked_conversion):
     write_me_file(MERep(np.array([1.0]), np.array([[-2.0]])), me_path)
     write_ph_file(worked_conversion[0], ph_path)
     other.write_text('{"x": 1}')
-    kind, rep, _tol = read_file(me_path)
+    kind, rep = read_file(me_path)
     assert kind == "me" and rep.A[0, 0] == -2.0
-    kind, ph, _tol = read_file(ph_path)
+    kind, ph = read_file(ph_path)
     assert kind == "ph" and ph.order == worked_conversion[0].order
     with pytest.raises(ValueError, match="unrecognized"):
         read_file(other)
@@ -316,7 +316,8 @@ def test_convert_cli_out_of_range_tolerance_is_input_error(tmp_path, capsys, nam
 
 def test_convert_cli_alpha_sum_from_the_file_reaches_convert(tmp_path, capsys):
     # a vector 1e-7 off a unit sum is refused at the default alpha_sum and
-    # converts under the file's looser one
+    # converts under the file's looser one, to an output of unit mass that
+    # reads back: it validates, matches the input and evaluates
     doc = {"alpha": [0.5, 0.5 + 1e-7], "A": [[-1.0, 0.5], [0.0, -2.0]]}
     path, out = tmp_path / "near.json", tmp_path / "x.json"
     path.write_text(json.dumps(doc))
@@ -325,6 +326,12 @@ def test_convert_cli_alpha_sum_from_the_file_reaches_convert(tmp_path, capsys):
     path.write_text(json.dumps({**doc, "tolerances": {"alpha_sum": 1e-6}}))
     assert main(["convert", str(path), str(out)]) == 0
     assert "final order: 2" in capsys.readouterr().out and out.exists()
+    assert main(["validate", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["markovian"] is True
+    assert main(["validate", str(out), "--against", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["equivalence"]["pass"] is True
+    assert main(["pdf", str(out), "--grid", "0:8:5"]) == 0
+    assert capsys.readouterr().out.startswith("x,f\n")
 
 
 def test_convert_cli_singular_matrix_is_input_error(tmp_path, capsys):

@@ -8,12 +8,15 @@ from me2ph import (
     NumericError,
     PaperBounds,
     PositiveDensityError,
+    ToleranceConfig,
     analyze_spectrum,
     check_equivalence,
     choose_mu,
     convert,
     moments,
+    pdf_eval_many,
     phrep_moments,
+    phrep_pdf,
     zero_multiplicity,
 )
 from conftest import certificate
@@ -37,6 +40,23 @@ def test_convert_enforces_order_limit_without_tail():
     with pytest.raises(NumericError, match="order 64 exceeds the limit 10"):
         convert(rep, max_order=10)
     assert convert(rep, max_order=64)[0].order == 64
+
+
+def test_convert_gives_a_loosely_summed_vector_unit_mass():
+    # a looser alpha_sum lets the vector through; the output realizes the
+    # distribution it defines, the input's density over its sum
+    alpha = np.array([0.5, 0.5 + 1e-7])
+    rep = MERep(alpha, np.array([[-1.0, 0.5], [0.0, -2.0]]), tol=ToleranceConfig(1e-6))
+    ph, _ = convert(rep)
+    assert abs(ph.head_gamma.sum() + ph.tail_weights.sum() - 1.0) <= 1e-9
+    xs = np.linspace(0.0, 8.0, 50)
+    ref = pdf_eval_many(rep, xs) / alpha.sum()
+    assert np.abs(phrep_pdf(ph, xs) / ref - 1).max() <= 1e-12
+    # a sum that is not positive is the mass of a density that is not
+    # positive, and dividing by it would flip the density's sign
+    negative = MERep(-alpha, rep.A, tol=ToleranceConfig(3.0))
+    with pytest.raises(PositiveDensityError, match="sums to -1.0.*, not a positive mass"):
+        convert(negative)
 
 
 def test_convert_worked_example_computed_tail(worked_rep):

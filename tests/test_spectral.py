@@ -4,6 +4,7 @@ import pytest
 from me2ph import (
     DEFAULT_TOL,
     MERep,
+    ToleranceConfig,
     analyze_spectrum,
     check_c_conditions,
     check_dec,
@@ -179,7 +180,7 @@ def test_first_nonzero_derivative_matches_pair_formula(worked_rep):
 
 
 def test_c3_fails_when_unnormalized(worked_minimal):
-    loose = DEFAULT_TOL.replace(alpha_sum=10.0)
+    loose = ToleranceConfig(alpha_sum=10.0)
     rep = MERep(worked_minimal.alpha * 2, worked_minimal.A, tol=loose)
     spec = analyze_spectrum(rep)
     report = check_c_conditions(rep, spec, DEFAULT_TOL)

@@ -58,8 +58,8 @@ def worked_mono(worked_residual, worked_spec):
 @pytest.fixture(scope="module")
 def worked_tailed(worked_mono, worked_spec):
     bounds = compute_bounds(
-        worked_mono, 0.5, worked_spec,
-        gamma_norm=1.5, eps1=0.05, eps2=0.069, round_rate_to=100.0,
+        worked_mono, 0.5, 0.05, worked_spec,
+        gamma_norm=1.5, eps2=0.069, round_rate_to=100.0,
     )
     return append_tail(worked_mono, TailChoice.certified(bounds)), bounds
 
@@ -74,8 +74,7 @@ def small_tailed_case(seed=3):
             break
     else:
         raise AssertionError("no draw needed a tail")
-    tau = find_tau(mono, spec)
-    bounds = compute_bounds(mono, tau, spec)
+    bounds = compute_bounds(mono, *find_tau(mono, spec), spec)
     return rep, spec, mono, bounds, append_tail(mono, TailChoice.certified(bounds))
 
 
@@ -84,15 +83,19 @@ def test_tau_half_is_accepted_for_worked_example(worked_mono):
 
 
 def test_find_tau_returns_positive_vector(worked_mono, worked_spec):
-    tau = find_tau(worked_mono, worked_spec)
-    assert float((worked_mono.gamma @ expm(G8 * tau)).min()) > 0
+    # eps1 is the ladder's own smallest entry at the rung, which squarings
+    # reach within rounding of one expm there
+    tau, eps1 = find_tau(worked_mono, worked_spec)
+    direct = float((worked_mono.gamma @ expm(G8 * tau)).min())
+    assert direct > 0
+    assert eps1 == pytest.approx(direct, rel=1e-12)
 
 
 def test_find_tau_prices_the_rungs_for_nonnegative_gamma(worked_mono, worked_spec):
     # no shortcut for a vector that needs no tail: the rung is priced like
     # any other, and its head vector is positive
     mono = worked_mono.with_gamma(np.full(8, 1 / 8))
-    tau = find_tau(mono, worked_spec)
+    tau, _ = find_tau(mono, worked_spec)
     assert float((mono.gamma @ expm(G8 * tau)).min()) > 0
 
 
@@ -105,8 +108,8 @@ def test_find_tau_requires_positive_first_coordinate(worked_mono, worked_spec):
 
 def test_compute_bounds_published_constants(worked_mono, worked_spec):
     bounds = compute_bounds(
-        worked_mono, 0.5, worked_spec,
-        gamma_norm=1.5, eps1=0.05, eps2=0.069, round_rate_to=100.0,
+        worked_mono, 0.5, 0.05, worked_spec,
+        gamma_norm=1.5, eps2=0.069, round_rate_to=100.0,
     )
     assert bounds.g == 10.0
     assert bounds.lambda_prime == pytest.approx(1.5 * 25 * np.exp(5) / (2 * 0.05 * 0.5))
@@ -118,8 +121,7 @@ def test_compute_bounds_published_constants(worked_mono, worked_spec):
 
 
 def test_bounds_satisfy_their_defining_equations(worked_mono, worked_spec):
-    tau = find_tau(worked_mono, worked_spec)
-    b = compute_bounds(worked_mono, tau, worked_spec)
+    b = compute_bounds(worked_mono, *find_tau(worked_mono, worked_spec), worked_spec)
     assert b.gamma_norm * (b.g * b.tau) ** 2 * np.exp(b.g * b.tau) / (
         2 * b.lambda_prime * b.tau
     ) == pytest.approx(b.eps1, rel=1e-12)
@@ -128,6 +130,12 @@ def test_bounds_satisfy_their_defining_equations(worked_mono, worked_spec):
     ) == pytest.approx(b.eps2, rel=1e-12)
     assert b.rate == max(b.lambda_prime, b.lambda_dprime)
     assert b.n == int(np.ceil(b.tau * b.rate - 1e-9 * b.tau * b.rate))
+
+
+@pytest.mark.parametrize("eps1", [0.0, -0.05, np.nan])
+def test_compute_bounds_rejects_an_eps1_that_is_not_positive(worked_mono, worked_spec, eps1):
+    with pytest.raises(InvalidRepresentationError, match="eps1 = .* is not positive"):
+        compute_bounds(worked_mono, 0.5, eps1, worked_spec)
 
 
 def test_append_tail_worked_example(worked_tailed):
@@ -147,7 +155,7 @@ def test_append_tail_rejects_an_empty_tail(worked_mono):
 
 
 def test_append_tail_reports_offending_entry_when_rate_too_small(worked_mono, worked_spec):
-    bad = compute_bounds(worked_mono, 0.5, worked_spec, gamma_norm=1.5, eps1=1e6, eps2=1e6)
+    bad = compute_bounds(worked_mono, 0.5, 1e6, worked_spec, gamma_norm=1.5, eps2=1e6)
     with pytest.raises(NumericError, match=r"tail \(rate .*, n = 1\) is negative: smallest head entry") as exc:
         append_tail(worked_mono, TailChoice.certified(bad))
     head, q = me2ph.tail._tail_sweep(worked_mono.gamma, *_uniformized(worked_mono.matrix, bad.rate), 1)
@@ -254,7 +262,8 @@ def test_smallest_tail_anchors(params):
 def test_tau_ladder_costs_one_expm_per_walk(monkeypatch, worked_mono, worked_spec, worked_rep):
     # find_tau and smallest_tail climb the same ladder, each from one expm at
     # its lowest rung.  A search that finds a tail makes the only call; where
-    # it finds none, find_tau and compute_bounds make one each
+    # it finds none, find_tau makes one more, and compute_bounds reads eps1
+    # off find_tau's rung
     calls = []
     original = me2ph.tail.expm
 
@@ -271,7 +280,7 @@ def test_tau_ladder_costs_one_expm_per_walk(monkeypatch, worked_mono, worked_spe
     calls.clear()
     with pytest.raises(NumericError, match="exceeds 1e15"):
         convert(sign_changing_rep())
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_smallest_tail_falls_back_to_the_certified_tail(monkeypatch):
@@ -638,7 +647,8 @@ def test_rule_picks_the_faster_poisson_path_on_scattered_points():
     rep = _damped(*TAIL_ANCHORS[0])
     spec = analyze_spectrum(rep).scaled(rep.mean_scale)
     mono = solve_gamma(spec, build_generator(spec))
-    certified = append_tail(mono, TailChoice.certified(compute_bounds(mono, find_tau(mono, spec), spec)))
+    bounds = compute_bounds(mono, *find_tau(mono, spec), spec)
+    certified = append_tail(mono, TailChoice.certified(bounds))
     searched = convert(_damped(*_OVERFLOWING))[0]
     assert (certified.order, searched.order) == (219, 305)
     for ph, picks in ((certified, ["convolution", "convolution", "one chain"]),

@@ -108,14 +108,6 @@ def test_phrep_constructor_rejects_non_markovian(build):
         build()
 
 
-def test_markovian_structured_checks_mass_against_caller_tolerance():
-    loose = DEFAULT_TOL.replace(alpha_sum=1e-3)
-    ph = PHRep(np.array([1.0 + 1e-6]), ONE_STATE, 0.0, 0, np.zeros(0), tol=loose)
-    assert check_markovian(ph, loose).ok
-    verdict = check_markovian(ph)
-    assert not verdict.ok and "initial mass" in verdict.violation
-
-
 def test_positive_density_worked_example(worked_minimal):
     spec = analyze_spectrum(worked_minimal)
     assert check_positive_density(spec).ok
